@@ -145,7 +145,49 @@ def _poisson_log_weight(j: int, lam_t: float) -> float:
     return -lam_t + j * math.log(lam_t) - math.lgamma(j + 1)
 
 
-def _uniformized_apply(
+def _uniformized_series(v0: np.ndarray, step: Callable, lam_t: float, tol: float, min_terms: int):
+    """Poisson-weighted series sum_j P(Poisson(lam_t) = j) v0 S^j; returns (acc, tail).
+
+    v0 is one row vector or a block of row vectors over the truncated
+    states plus an absorbing overflow state in the last column, and step
+    applies the one-jump operator S of the uniformized chain to every row.
+    The last column of acc is then the certified mass that left the box,
+    and `tail` is the neglected Poisson weight.  Where the series stops
+    depends on lam_t, tol and min_terms only, so every row of a block stops
+    at the same term and shares the same tail.
+    """
+    if lam_t < 0.0:
+        raise ValueError("t must be >= 0")
+    v = np.array(v0, dtype=float)
+    if lam_t == 0.0:
+        return v, 0.0
+    acc = np.zeros_like(v)
+    cum = 0.0
+    # Mass-wise the series may converge long before rare states receive
+    # their leading-order term (paths of length up to the box size, which
+    # min_terms exceeds), and the all-positive accumulation keeps every
+    # entry relatively accurate.  Past the mode the remaining analytic mass
+    # is geometrically bounded, which terminates the loop even when the
+    # float sum of weights plateaus slightly below 1.
+    j_cap = int(lam_t + 12.0 * math.sqrt(lam_t + 1.0) + 60.0) + min_terms
+    for j in range(j_cap + 1):
+        w = math.exp(_poisson_log_weight(j, lam_t))
+        if w > 0.0:
+            acc += w * v
+            cum += w
+        if j >= min_terms:
+            if cum >= 1.0 - tol:
+                return acc, max(0.0, 1.0 - cum)
+            if j > lam_t + 2.0:
+                ratio = lam_t / (j + 2.0)
+                rest = w * ratio / (1.0 - ratio) if w > 0.0 else 0.0
+                if rest < 0.5 * tol:
+                    return acc, max(0.0, 1.0 - cum)
+        v = step(v)
+    raise RuntimeError(f"uniformization series did not reach tolerance {tol} by j={j_cap}")
+
+
+def _bd_uniformize(
     v0: np.ndarray,
     beta_arr: np.ndarray,
     delta_arr: np.ndarray,
@@ -153,64 +195,24 @@ def _uniformized_apply(
     tol: float,
     lam_factor: float = 1.0,
 ):
-    """Distribute v0 over {0..N} for time t; returns (v_t, absorbed, tail).
-
-    v0 has length N+1; birth out of state N feeds an absorbing overflow
-    slot, so `absorbed` certifies the mass that left the box.  `tail` is
-    the neglected Poisson-series weight.
-    """
-    N = len(v0) - 1
+    """The series for a birth-death chain on {0..N}: v0 has N+2 columns,
+    birth out of state N feeds the overflow column N+1."""
+    N = len(beta_arr) - 1
     out_rate = beta_arr + delta_arr
     lam = float(out_rate.max()) * lam_factor
-    if lam <= 0.0 or t == 0.0:
-        return np.array(v0, dtype=float), 0.0, 0.0
-    lam_t = lam * t
-    stay = np.maximum(1.0 - out_rate / lam, 0.0)
-    up = beta_arr[:-1] / lam  # k -> k+1 for k < N
-    top = beta_arr[-1] / lam  # N -> overflow
-    down = delta_arr[1:] / lam  # k -> k-1 for k >= 1
+    if lam <= 0.0:
+        return np.array(v0, dtype=float), 0.0
+    stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
+    up = beta_arr / lam  # k -> k+1, N -> overflow
+    down = delta_arr[1:] / lam  # k -> k-1 for 1 <= k <= N
 
-    v = np.array(v0, dtype=float)
-    over = 0.0
-    acc = np.zeros_like(v)
-    acc_over = 0.0
-    cum = 0.0
-    j = 0
-    # Mass-wise the series may converge long before rare states receive
-    # their leading-order term (paths of length up to N), so never stop
-    # before j exceeds the box size; the all-positive accumulation keeps
-    # every entry relatively accurate.  Past the mode the remaining
-    # analytic mass is geometrically bounded, which terminates the loop
-    # even when the float sum of weights plateaus slightly below 1.
-    min_terms = N + 4
-    j_cap = int(lam_t + 12.0 * math.sqrt(lam_t + 1.0) + 60.0) + min_terms
-    met = False
-    while j <= j_cap:
-        w = math.exp(_poisson_log_weight(j, lam_t)) if lam_t > 0 else (1.0 if j == 0 else 0.0)
-        if w > 0.0:
-            acc += w * v
-            acc_over += w * over
-            cum += w
-        if j >= min_terms:
-            if cum >= 1.0 - tol:
-                met = True
-                break
-            if j > lam_t + 2.0:
-                ratio = lam_t / (j + 2.0)
-                rest = w * ratio / (1.0 - ratio) if w > 0.0 else 0.0
-                if rest < 0.5 * tol:
-                    met = True
-                    break
+    def step(v):
         nxt = v * stay
-        nxt[1:] += v[:-1] * up
-        nxt[:-1] += v[1:] * down
-        over = over + float(v[-1]) * top
-        v = nxt
-        j += 1
-    if not met:
-        raise RuntimeError(f"uniformization series did not reach tolerance {tol} by j={j_cap}")
-    tail = max(0.0, 1.0 - cum)
-    return acc, acc_over, tail
+        nxt[..., 1:] += v[..., :-1] * up
+        nxt[..., :-2] += v[..., 1:-1] * down
+        return nxt
+
+    return _uniformized_series(v0, step, lam * t, tol, min_terms=N + 4)
 
 
 def _rate_arrays(rates: BirthDeathRates, N: int):
@@ -233,15 +235,8 @@ def transition(
     if t < 0:
         raise ValueError("t must be >= 0")
     beta_arr, delta_arr = _rate_arrays(rates, N)
-    rows = np.zeros((N + 1, N + 1))
-    worst = 0.0
-    for j in range(N + 1):
-        v0 = np.zeros(N + 1)
-        v0[j] = 1.0
-        v, absorbed, tail = _uniformized_apply(v0, beta_arr, delta_arr, t, tol, lam_factor)
-        rows[j] = v
-        worst = max(worst, absorbed + tail)
-    return TruncatedSemigroup(N=N, t=t, matrix=rows, trunc_error=worst)
+    P, tail = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, t, tol, lam_factor)
+    return TruncatedSemigroup(N=N, t=t, matrix=P[:, :-1], trunc_error=float(P[:, -1].max()) + tail)
 
 
 def evolve(
@@ -267,12 +262,13 @@ def evolve(
         N = max(support + pad, support, 1)
     for _ in range(max_doublings + 1):
         beta_arr, delta_arr = _rate_arrays(rates, N)
-        v0 = np.zeros(N + 1)
+        v0 = np.zeros(N + 2)
         v0[: support + 1] = mu.weights[: support + 1]
-        v, absorbed, tail = _uniformized_apply(v0, beta_arr, delta_arr, t, tol)
+        v, tail = _bd_uniformize(v0, beta_arr, delta_arr, t, tol)
+        absorbed = float(v[-1])
         if absorbed <= tol:
             return EvolvedPGF(
-                poly=UniPoly.from_coeffs(list(v)),
+                poly=UniPoly.from_coeffs(list(v[:-1])),
                 t=t,
                 tail_bound=mu.tail_bound + absorbed + tail,
             )
@@ -346,11 +342,6 @@ def wf_residual(
 # ---------------------------------------------------------------------------
 # root-law probes
 # ---------------------------------------------------------------------------
-
-
-def _policy_real_parts(poly: UniPoly, tol: Tolerances = DEFAULT) -> list:
-    rl = real_roots(poly, tol=tol)
-    return [z.real for z in rl.roots]
 
 
 def hermite_root_law(
@@ -497,21 +488,31 @@ def lie_split_evolve(
     support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
     if N is None:
         N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
-    chain1 = BirthDeathRates.mm_infty(b0, d1)
-    chain2 = BirthDeathRates.quadratic_death(d2)
-    b1, d1a = _rate_arrays(chain1, N)
-    b2, d2a = _rate_arrays(chain2, N)
+    b1, d1a = _rate_arrays(BirthDeathRates.mm_infty(b0, d1), N)
+    b2, d2a = _rate_arrays(BirthDeathRates.quadratic_death(d2), N)
     h = t / steps
     v = np.zeros(N + 1)
     v[: support + 1] = mu.weights[: support + 1]
     lost = mu.tail_bound
     if t > 0:
-        v, a, s = _uniformized_apply(v, b1, d1a, h / 2.0, tol)
-        lost += a + s
+        # Each sub-step is a fixed propagator: the rows of one block series
+        # from the identity, with the escaped mass in its last column.
+        eye = np.eye(N + 1, N + 2)
+        half1 = _bd_uniformize(eye, b1, d1a, h / 2.0, tol)
+        full1 = _bd_uniformize(eye, b1, d1a, h, tol)
+        full2 = _bd_uniformize(eye, b2, d2a, h, tol)
+
+        def substep(v, propagator):
+            P, tail = propagator
+            out = v @ P
+            return out[:-1], float(out[-1]) + tail
+
+        v, lost_h = substep(v, half1)
+        lost += lost_h
         for i in range(steps):
-            v, a2, s2 = _uniformized_apply(v, b2, d2a, h, tol)
-            v, a1, s1 = _uniformized_apply(v, b1, d1a, h if i < steps - 1 else h / 2.0, tol)
-            lost += a1 + a2 + s1 + s2
+            v, lost2 = substep(v, full2)
+            v, lost1 = substep(v, full1 if i < steps - 1 else half1)
+            lost += lost1 + lost2
     return EvolvedPGF(poly=UniPoly.from_coeffs(list(v)), t=t, tail_bound=lost)
 
 

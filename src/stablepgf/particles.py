@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from .bdchain import _uniformized_series
 from .config import DEFAULT
 from .measures import Measure
 from .polycore import MultiPoly
@@ -179,14 +180,6 @@ def exact_pgf_transform(
     return PGFWithExpFactor(poly, tuple(lam_through + lam_new))
 
 
-def _enumerate_box(box: Sequence[int]) -> list:
-    ranges = [range(int(b) + 1) for b in box]
-    out = [()]
-    for r in ranges:
-        out = [c + (k,) for c in out for k in r]
-    return out
-
-
 def truncated_generator_evolve(
     mu: Measure,
     system: SiteSystem,
@@ -204,89 +197,54 @@ def truncated_generator_evolve(
     if box is None:
         box = tuple(s - 1 for s in mu.shape)
     shape = tuple(int(b) + 1 for b in box)
-    states = _enumerate_box(box)
-    index = {c: i for i, c in enumerate(states)}
-    S = len(states)
-    OVER = S
     n = system.n
-
-    rows: list = [[] for _ in range(S)]
-    out_rate = np.zeros(S)
-    for c, i_state in index.items():
-        total = 0.0
-        for i in range(n):
-            br = system.birth_rate(i, c[i])
-            if br > 0:
-                tgt = list(c)
-                tgt[i] += 1
-                ti = index.get(tuple(tgt), OVER)
-                rows[i_state].append((ti, br))
-                total += br
-            dr = system.death_rate(i, c[i])
-            if dr > 0:
-                tgt = list(c)
-                tgt[i] -= 1
-                rows[i_state].append((index[tuple(tgt)], dr))
-                total += dr
-            if c[i] > 0:
-                for j in range(n):
-                    if j == i:
-                        continue
-                    jr = float(system.jump[i, j]) * c[i]
-                    if jr > 0:
-                        tgt = list(c)
-                        tgt[i] -= 1
-                        tgt[j] += 1
-                        ti = index.get(tuple(tgt), OVER)
-                        rows[i_state].append((ti, jr))
-                        total += jr
-        out_rate[i_state] = total
+    S = math.prod(shape)
+    OVER = S
+    # States are numbered in C order; a move that leaves the box lands in
+    # the absorbing overflow state S.
+    occ = np.indices(shape).reshape(n, S)
+    stride = [S // math.prod(shape[: i + 1]) for i in range(n)]
+    state = np.arange(S)
+    moves = []  # (target, rate) over all source states, one array pair per move kind
+    for i in range(n):
+        k = occ[i]
+        birth = np.array([system.birth_rate(i, m) for m in range(shape[i])])
+        death = np.array([system.death_rate(i, m) for m in range(shape[i])])
+        if death[0] > 0:
+            raise ValueError(f"death rate at empty site {i} must be 0")
+        moves.append((np.where(k < shape[i] - 1, state + stride[i], OVER), birth[k]))
+        moves.append((state - stride[i], death[k]))
+        for j in range(n):
+            if j != i:
+                into = np.where(occ[j] < shape[j] - 1, state - stride[i] + stride[j], OVER)
+                moves.append((into, float(system.jump[i, j]) * k))
+    src = np.tile(state, len(moves))
+    tgt = np.concatenate([to for to, _ in moves])
+    rate = np.concatenate([r for _, r in moves])
+    keep = rate > 0
+    src, tgt, rate = src[keep], tgt[keep], rate[keep]
+    out_rate = np.bincount(src, weights=rate, minlength=S)
 
     lam = float(out_rate.max())
     v = np.zeros(S + 1)
-    for c, i_state in index.items():
-        if all(a < s for a, s in zip(c, mu.shape)):
-            v[i_state] = float(mu.weights[c])
-    if lam <= 0.0 or t == 0.0:
-        w = v[:S].reshape(shape)
-        return Measure(w, tail_bound=mu.tail_bound)
+    inside = tuple(slice(0, min(a, b)) for a, b in zip(mu.shape, shape))
+    v[:S].reshape(shape)[inside] = mu.weights[inside]
+    if lam <= 0.0:
+        return Measure(v[:S].reshape(shape), tail_bound=mu.tail_bound)
 
-    U = np.zeros((S + 1, S + 1))
-    for i_state in range(S):
-        U[i_state, i_state] = max(1.0 - out_rate[i_state] / lam, 0.0)
-        for ti, rate in rows[i_state]:
-            U[i_state, ti] += rate / lam
-    U[OVER, OVER] = 1.0
+    # Imported on first use: no other path needs it, and the import costs
+    # every process about 20 ms and 2 MB.
+    from scipy import sparse
 
-    lam_t = lam * t
-    acc = np.zeros(S + 1)
-    cum = 0.0
-    j = 0
-    min_terms = int(sum(box)) + 4
-    j_cap = int(lam_t + 12.0 * math.sqrt(lam_t + 1.0) + 60.0) + min_terms
-    met = False
-    while j <= j_cap:
-        w = math.exp(-lam_t + j * math.log(lam_t) - math.lgamma(j + 1)) if lam_t > 0 else (
-            1.0 if j == 0 else 0.0
-        )
-        if w > 0.0:
-            acc += w * v
-            cum += w
-        if j >= min_terms:
-            if cum >= 1.0 - tol:
-                met = True
-                break
-            if j > lam_t + 2.0:
-                ratio = lam_t / (j + 2.0)
-                rest = w * ratio / (1.0 - ratio) if w > 0.0 else 0.0
-                if rest < 0.5 * tol:
-                    met = True
-                    break
-        v = v @ U
-        j += 1
-    if not met:
-        raise RuntimeError("product-space uniformization did not converge")
-    tail = max(0.0, 1.0 - cum)
+    # Transposed one-jump matrix, so that one term of the series is one
+    # CSR matrix-vector product: row b, column a holds the chance of a -> b.
+    every = np.arange(S + 1)
+    stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
+    UT = sparse.csr_matrix(
+        (np.append(stay, rate / lam), (np.append(every, tgt), np.append(every, src))),
+        shape=(S + 1, S + 1),
+    )
+    acc, tail = _uniformized_series(v, UT.dot, lam * t, tol, min_terms=int(sum(box)) + 4)
     escaped = float(acc[OVER])
     if strict and escaped > tol:
         raise ValueError(f"box too small for tolerance: escaped mass {escaped:.3e} > {tol:.1e}")

@@ -551,17 +551,10 @@ def _fdeg(c: list) -> int:
     return len(c) - 1
 
 
-def _ftrim(c: list) -> list:
-    out = list(c)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _fderiv(c: list) -> list:
     if len(c) == 1:
         return [Fraction(0)]
-    return _ftrim([Fraction(k) * v for k, v in enumerate(c)][1:])
+    return _trim_trailing([Fraction(k) * v for k, v in enumerate(c)][1:])
 
 
 def _feval(c: list, x: Fraction) -> Fraction:
@@ -583,14 +576,14 @@ def _fdivmod(a: list, b: list):
         q[shift] += factor
         for i in range(len(b)):
             r[shift + i] -= factor * b[i]
-        r = _ftrim(r)
+        r = _trim_trailing(r)
         if _fdeg(r) < db or (len(r) == 1 and r[0] == 0):
             break
-    return _ftrim(q), _ftrim(r)
+    return _trim_trailing(q), _trim_trailing(r)
 
 
 def _fgcd(a: list, b: list) -> list:
-    a, b = _ftrim(a), _ftrim(b)
+    a, b = _trim_trailing(a), _trim_trailing(b)
     while b != [Fraction(0)]:
         _, r = _fdivmod(a, b)
         a, b = b, r
@@ -606,7 +599,7 @@ def _fsub(a: list, b: list) -> list:
         out[i] += v
     for i, v in enumerate(b):
         out[i] -= v
-    return _ftrim(out)
+    return _trim_trailing(out)
 
 
 def _yun_squarefree(c: list):
@@ -873,23 +866,3 @@ def negative_x_zeros_of_series(p: UniPoly) -> list:
     rl = real_roots(p)
     ys = sorted(z.real for z, r in zip(rl.roots, rl.radii) if abs(z.imag) <= max(r, 1e-9))
     return sorted(-1.0 / y for y in ys if y > 0)
-
-
-# poly_arith convenience wrappers -------------------------------------------
-
-
-def poly_add(p: UniPoly, q: UniPoly) -> UniPoly:
-    return p + q
-
-
-def poly_mul(p: UniPoly, q: UniPoly) -> UniPoly:
-    return p * q
-
-
-def poly_derivative(p: UniPoly) -> UniPoly:
-    return p.derivative()
-
-
-def poly_substitute_affine(p: UniPoly, a, b) -> UniPoly:
-    """p(a*x + b), exact on rationals."""
-    return p.compose_affine(a, b)

@@ -204,7 +204,8 @@ def is_stable_multi(
     and Im(x) > 0, and on any such line f restricts to a real univariate
     polynomial, so refutation reduces to univariate non-real-rootedness.
     Symmetric multi-affine polynomials are decided exactly through their
-    diagonal; other multi-affine polynomials get a sampled confirmation;
+    diagonal, bivariate ones with rational coefficients by the Rayleigh
+    criterion; other multi-affine polynomials get a sampled confirmation;
     everything else can only be refuted or left inconclusive.
     """
     if f.is_zero:
@@ -232,6 +233,9 @@ def is_stable_multi(
                 tolerance_used=cert.tolerance_used,
                 note="diagonal refutation",
             )
+
+    if multi_affine and f.nvars == 2 and f.exact:
+        return _rayleigh_bivariate(f)
 
     rng = np.random.default_rng(seed)
     n = f.nvars
@@ -262,6 +266,27 @@ def is_stable_multi(
     return StabilityCertificate(
         Verdict.INCONCLUSIVE,
         note=f"no refutation in {budget} line samples; no finite confirmation available",
+    )
+
+
+def _rayleigh_bivariate(f: MultiPoly) -> StabilityCertificate:
+    """Exact verdict on f = a + bx + cy + dxy with rational coefficients.
+
+    The Rayleigh difference f_x f_y - f f_xy of f is the constant bc - ad,
+    and a real multi-affine polynomial is stable exactly when its Rayleigh
+    differences are nonnegative on R^n (Brändén 2007).  Otherwise f(i, y) = a + bi + (c + di)y
+    vanishes at y = -(a + bi)/(c + di), whose imaginary part is
+    -(bc - ad)/(c^2 + d^2) > 0.
+    """
+    coeff = f.terms_dict()
+    a, b, c, d = (Fraction(coeff.get(k, 0)) for k in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    delta = b * c - a * d
+    if delta >= 0:
+        return StabilityCertificate(Verdict.STABLE, note=f"Rayleigh criterion: bc - ad = {delta} >= 0")
+    norm = c * c + d * d
+    y = complex(-(a * c + b * d) / norm, -delta / norm)
+    return StabilityCertificate(
+        Verdict.REFUTED, witness=(1j, y), note=f"Rayleigh criterion: bc - ad = {delta} < 0"
     )
 
 

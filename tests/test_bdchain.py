@@ -79,6 +79,23 @@ class TestTransition:
         b = transition(rates, 0.6, 15, tol=1e-13, lam_factor=2.7)
         assert np.abs(a.matrix - b.matrix).max() < 1e-12
 
+    @pytest.mark.parametrize(
+        "rates,t,N",
+        [
+            (BirthDeathRates.quadratic_death(1.3), 0.1, 40),
+            # births stop at the top state, so evolve never doubles N
+            (BirthDeathRates(lambda k: float(max(12 - k, 0)), lambda k: float(k)), 0.7, 12),
+        ],
+    )
+    def test_rows_match_single_vector_evolve(self, rates, t, N):
+        sg = transition(rates, t, N, tol=1e-13)
+        for j in range(N + 1):
+            ev = evolve(Measure.point_mass(j, shape=(N + 1,)), rates, t, tol=1e-13, N=N)
+            row = np.zeros(N + 1)
+            w = ev.poly.coeffs_float()
+            row[: len(w)] = w
+            assert np.abs(sg.matrix[j] - row).max() <= 1e-15
+
     def test_matches_expm_oracle(self):
         rates = BirthDeathRates.from_polynomial(0.8, 0.5, 0.3)
         N = 30
@@ -92,6 +109,10 @@ class TestEvolve:
         mu = Measure.point_mass(3)
         ev = evolve(mu, BirthDeathRates.mm_infty(1.0, 1.0), 0.0)
         assert ev.poly.coeffs_float()[3] == 1.0
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            evolve(Measure.point_mass(3), BirthDeathRates.quadratic_death(), -0.01)
 
     def test_mm_infty_closed_form(self):
         rng = np.random.default_rng(1)
@@ -303,6 +324,31 @@ class TestLieSplit:
         ]
         assert tvs[0] > tvs[1] > tvs[2]
         assert tvs[2] < 1e-5
+
+    def test_matches_expm_substep_product(self):
+        # the same sub-steps as exact propagators of the truncated chains,
+        # whose birth out of the top state leaves the box
+        b0, d1, d2, t, steps, N = 1.0, 0.5, 1.0, 0.5, 4096, 30
+        ks = np.arange(N + 1, dtype=float)
+
+        def propagator(beta, delta, dt):
+            Q = np.diag(beta[:-1], 1) + np.diag(delta[1:], -1) - np.diag(beta + delta)
+            return expm(Q * dt)
+
+        h = t / steps
+        birth = np.full(N + 1, b0)
+        half1 = propagator(birth, d1 * ks, h / 2)
+        full1 = propagator(birth, d1 * ks, h)
+        full2 = propagator(np.zeros(N + 1), d2 * ks * (ks - 1), h)
+        ref = np.zeros(N + 1)
+        ref[5] = 1.0
+        ref = ref @ half1
+        for i in range(steps):
+            ref = ref @ full2 @ (full1 if i < steps - 1 else half1)
+        ev = lie_split_evolve(Measure.point_mass(5), b0, d1, d2, t, steps, tol=1e-14, N=N)
+        w = np.zeros(N + 1)
+        w[: ev.poly.degree + 1] = ev.poly.coeffs_float()
+        assert np.abs(w - ref).sum() <= ev.tail_bound + 1e-11
 
     def test_nontrivial_split_tv_decreasing(self):
         mu = Measure.point_mass(5)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import stablepgf
 from stablepgf.cli import EXPERIMENTS, main
 
 EXPECTED_NAMES = [
@@ -19,10 +21,14 @@ EXPECTED_NAMES = [
 
 
 def run_cli(args):
+    # the child imports the same stablepgf as this process, installed or not
+    src = os.path.dirname(os.path.dirname(stablepgf.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "stablepgf.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

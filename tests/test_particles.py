@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,19 @@ class TestTruncatedEvolve:
         )
         out = truncated_generator_evolve(Measure.point_mass((2,)), sysg, 0.3, box=(2,))
         assert out.weights[1] == pytest.approx(1 - math.exp(-0.6), abs=1e-12)
+
+    def test_three_site_box_memory(self):
+        # a dense step matrix on the 15^3 states of this box alone is 91 MB
+        system = SiteSystem(jump=np.full((3, 3), 0.5), birth=np.full(3, 0.4), death=np.ones(3))
+        mu = Measure.point_mass((1, 1, 1))
+        tracemalloc.start()
+        try:
+            out = truncated_generator_evolve(mu, system, 0.5, box=(14, 14, 14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert abs(out.weights.sum() - 1.0) <= out.tail_bound + 1e-12
 
     def test_box_too_small_raises(self):
         sys1 = SiteSystem(jump=np.zeros((1, 1)), birth=np.array([2.0]), death=np.zeros(1))

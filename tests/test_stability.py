@@ -101,6 +101,16 @@ class TestIsStableMulti:
         val, err = f.eval_with_bound(list(cert.witness))
         assert abs(val) <= 8 * err + 1e-9
 
+    @pytest.mark.parametrize("delta", [F(1, 10**6), F(1, 10**7)])
+    def test_rayleigh_boundary_refuted(self, delta):
+        # bc - ad = -delta: line samples miss the zeros, the criterion does not
+        f = MultiPoly.from_dict({(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 1): 2 + delta}, 2)
+        cert = is_stable_multi(f)
+        assert cert.verdict is Verdict.REFUTED
+        assert witness_is_valid(f, cert.witness)
+        g = MultiPoly.from_dict({(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 1): 2 - delta}, 2)
+        assert is_stable_multi(g).verdict is Verdict.STABLE
+
     @given(neg_rational_roots, st.integers(min_value=0, max_value=2))
     @settings(max_examples=25, deadline=None)
     def test_gws_polarization_never_refuted(self, roots, extra):
