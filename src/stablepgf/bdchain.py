@@ -422,6 +422,8 @@ def quadratic_map_counterexample(
     """
     if not 0 < r < 1:
         raise ValueError("r must lie in (0,1)")
+    if not t >= 0:
+        raise ValueError("t must be >= 0")
     u = math.exp(-2.0 * t)
     poly = UniPoly.from_coeffs([r * r, 1.0 - u - 2.0 * r, u])
     return poly, is_real_rooted(poly, tol=tol)

@@ -286,6 +286,7 @@ EXPERIMENTS = {
     "double-root-counterexample": {
         "claim": "quadratic death maps a double root in (0,1) to complex roots",
         "params": {"r": (float, 0.5), "t": (float, 0.1)},
+        "valid": {"r": lambda r: 0 < r < 1, "t": lambda t: 0 <= t < math.inf},
         "run": _run_double_root,
     },
     "birth-monotonicity": {
@@ -296,21 +297,25 @@ EXPERIMENTS = {
     "hermite-law": {
         "claim": "multiple roots split at sqrt(t) scale with Hermite-root spacing",
         "params": {"n": (int, 3), "w": (float, -0.5)},
+        "valid": {"n": lambda n: n >= 1, "w": lambda w: -math.inf < w < 0},
         "run": _run_hermite_law,
     },
     "kummer-law": {
         "claim": "roots leaving the origin scale linearly with cluster-polynomial zeros",
         "params": {"n": (int, 3)},
+        "valid": {"n": lambda n: n >= 1},
         "run": _run_kummer_law,
     },
     "kingman-bp": {
         "claim": "coalescent block counts decompose into Bernoulli and Poisson parts",
         "params": {"n": (int, 100), "t": (float, 0.5)},
+        "valid": {"n": lambda n: n >= 1, "t": lambda t: 0 <= t < math.inf},
         "run": _run_kingman_bp,
     },
     "wright-fisher": {
         "claim": "the quadratic-death generating function satisfies the Wright-Fisher PDE",
         "params": {"start": (int, 5)},
+        "valid": {"start": lambda s: s >= 0},
         "run": _run_wright_fisher,
     },
     "trotter-split": {
@@ -350,6 +355,11 @@ def _coerce_params(name: str, overrides: dict) -> dict:
             raise KeyError(f"unknown parameter {key!r} for {name}")
         typ = schema[key][0]
         out[key] = typ(raw)
+    # range checks run here, before any work, so that a ValueError raised
+    # inside a runner still surfaces as a program error
+    for key, ok in EXPERIMENTS[name].get("valid", {}).items():
+        if not ok(out[key]):
+            raise ValueError(f"{key}={out[key]!r} is out of range for {name}")
     return out
 
 

@@ -32,6 +32,8 @@ class Measure:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
+        if not (np.isfinite(w).all() and math.isfinite(self.tail_bound)):
+            raise ValueError("non-finite weight or tail_bound")
         if w.size and float(w.min()) < -_SLACK:
             raise ValueError(f"negative weight {w.min()}")
         total = float(w.sum())
@@ -56,6 +58,8 @@ class Measure:
         if isinstance(alpha, int):
             alpha = (alpha,)
         alpha = tuple(int(a) for a in alpha)
+        if any(a < 0 for a in alpha):
+            raise ValueError(f"point mass at negative count {alpha}")
         if shape is None:
             shape = tuple(a + 1 for a in alpha)
         w = np.zeros(shape)
@@ -270,6 +274,10 @@ def bp_decompose(mu: Measure, tol: Tolerances = DEFAULT) -> BPDecomposition:
     p_list = []
     if g.degree >= 1:
         rl = real_roots(g, tol=notrim)
+        # Stricter than rl.real on purpose: the radius and condition terms
+        # of the shared policy admit near-real roots of a truncated Poisson
+        # factor, which would then be fitted as spurious Bernoulli factors
+        # and bias sigma.  Only roots real to the two tolerance floors count.
         for z in rl.roots:
             thr = max(tol.im_abs_tol, tol.im_rel_tol * max(1.0, abs(z)))
             if abs(z.imag) <= thr and -tol.bp_root_cutoff <= z.real < 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -54,6 +54,8 @@ class UniPoly:
     @classmethod
     def from_coeffs(cls, values: Iterable) -> "UniPoly":
         vals, exact = _coerce_coeffs(values)
+        if not exact and not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"non-finite coefficient in {vals}")
         if not vals:
             vals = [Fraction(0)] if exact else [0.0]
         return cls(tuple(_trim_trailing(vals)), exact)
@@ -697,18 +699,33 @@ def exact_real_root_count(p: UniPoly) -> int:
 
 @dataclass(frozen=True)
 class RootList:
-    """All roots (with multiplicity) plus per-root radius bounds.
+    """All roots (with multiplicity), per-root radius bounds and realness flags.
 
-    In exact mode certified_real_count comes from Sturm sequences and real
-    roots carry isolating-interval half-widths as radii.  In float mode the
-    radius is the distance-to-nearest-root bound ((|p(z)|+err)/|lead|)^(1/n)
-    and certified_real_count counts roots passing the |Im| tolerance policy.
+    real[i] says whether roots[i] counts as real.  In exact mode the real
+    roots are the Sturm-isolated ones, with isolating-interval half-widths
+    as radii.  Every float judgement goes through one policy
+    (_classify_float), which is_real_rooted shares: roots are located on
+    the coefficients left after trim_for_roots, but each radius is the
+    smaller of the nearest-root bounds ((|p(z)|+err)/|lead|)^(1/n) and
+    n(|p(z)|+err)/(|p'(z)|-err') of the input polynomial at its full
+    degree n, so some root of the input lies within it, and a float root
+    counts as real when |Im z| is within the largest of that radius, the
+    tolerance floors and the condition-number term.  If p is real-rooted
+    every flag is set; a cleared flag shows a non-real root of p.  Exact
+    mode takes the radii of its non-real roots from the same routine.
+    bp_decompose filters more strictly, on the tolerance floors alone,
+    because the radius term also admits near-real roots of a truncated
+    Poisson factor, which are not Bernoulli factors.
     """
 
     roots: tuple
     radii: tuple
-    certified_real_count: int
+    real: tuple
     exact_mode: bool
+
+    @property
+    def certified_real_count(self) -> int:
+        return sum(self.real)
 
 
 def _newton_polish(coeffs_float: np.ndarray, z: complex, iters: int = 4) -> complex:
@@ -752,6 +769,43 @@ def trim_for_roots(coeffs: Sequence[float], trim_rel: float):
     return c, dropped
 
 
+def _classify_float(g: UniPoly, tol: Tolerances, perturb: float = 0.0):
+    """Locate the roots of a nonconstant float polynomial and judge each.
+
+    Trimming only feeds the companion matrix and the Newton polish; every
+    bound is evaluated on g itself at its full degree n.  perturb is an l1
+    bound on unknown coefficient error, which widens each threshold by the
+    first-order root shift it can cause.  Returns (roots, radii,
+    thresholds); a root counts as real when |Im z| <= its threshold.
+    """
+    n, lead, dg = g.degree, abs(g.lead), g.derivative()
+    cs, _ = trim_for_roots(g.coeffs, tol.trim_rel)
+    roots = [_newton_polish(np.array(cs, dtype=float), z) for z in _float_companion_roots(cs)]
+    radii, thresholds = [], []
+    for z in roots:
+        val, err = g.eval_with_bound(z)
+        dval, derr = dg.eval_with_bound(z)
+        dmag = max(abs(dval), 1e-300)
+        cond = g.abs_eval(abs(z)) / dmag
+        # perturb * |z|**n can overflow on its own, so only form it when needed
+        shift = perturb * max(1.0, abs(z)) ** n / dmag if perturb > 0 else 0.0
+        # nearest-root bounds: some root of g lies within both
+        # (|g(z)|/|lead|)^(1/n), as |g(z)| = |lead| prod |z - r_i|, and
+        # n|g(z)/g'(z)|, as g'/g = sum 1/(z - r_i).  The first stays
+        # usable where g'(z) is lost in rounding, as at multiple roots
+        # (which split at rate sqrt(t)), but grows with every far root,
+        # such as those whose leading coefficients were trimmed; the second
+        # does not.  If g is real-rooted its nearest root to z is real, so
+        # |Im z| is within either bound.
+        rad = ((abs(val) + err) / lead) ** (1.0 / n)
+        if abs(dval) > derr:
+            rad = min(rad, n * (abs(val) + err) / (abs(dval) - derr))
+        radii.append(rad)
+        floor = max(tol.im_abs_tol, tol.im_rel_tol * max(1.0, abs(z)))
+        thresholds.append(max(floor, cond * _U, shift, rad))
+    return roots, radii, thresholds
+
+
 def real_roots(p: UniPoly, width: float | None = None, tol: Tolerances = DEFAULT) -> RootList:
     """Locate all roots of p; see RootList for the certification semantics."""
     if p.is_zero:
@@ -759,52 +813,32 @@ def real_roots(p: UniPoly, width: float | None = None, tol: Tolerances = DEFAULT
     if width is None:
         width = tol.isolation_width
     if p.degree == 0:
-        return RootList((), (), 0, p.exact)
+        return RootList((), (), (), p.exact)
 
-    if p.exact:
-        roots: list = []
-        radii: list = []
-        certified = 0
-        for fac, mult in _yun_squarefree(list(p.coeffs)):
-            intervals = _isolate_roots(fac, Fraction(width).limit_denominator(10**18))
-            certified += mult * len(intervals)
-            for lo, hi in intervals:
-                mid = (lo + hi) / 2
-                for _ in range(mult):
-                    roots.append(complex(float(mid), 0.0))
-                    radii.append(float(hi - lo) / 2 + abs(float(mid)) * EPS)
-            ncomplex = _fdeg(fac) - len(intervals)
-            if ncomplex > 0:
-                froots = _float_companion_roots([float(v) for v in fac])
-                froots.sort(key=lambda z: abs(z.imag), reverse=True)
-                for z in froots[:ncomplex]:
-                    fp = UniPoly.from_coeffs([float(v) for v in fac])
-                    val, err = fp.eval_with_bound(z)
-                    rad = ((abs(val) + err) / abs(fp.lead)) ** (1.0 / fp.degree)
-                    for _ in range(mult):
-                        roots.append(z)
-                        radii.append(rad)
-        return RootList(tuple(roots), tuple(radii), certified, True)
+    if not p.exact:
+        roots, radii, thresholds = _classify_float(p, tol)
+        real = tuple(abs(z.imag) <= thr for z, thr in zip(roots, thresholds))
+        return RootList(tuple(roots), tuple(radii), real, False)
 
-    cs, _ = trim_for_roots(list(p.coeffs), tol.trim_rel)
-    fp = UniPoly.from_coeffs(cs)
-    zs = _float_companion_roots(cs)
-    roots = []
-    radii = []
-    certified = 0
-    dp = fp.derivative()
-    for z in zs:
-        z = _newton_polish(np.array(cs, dtype=float), z)
-        val, err = fp.eval_with_bound(z)
-        rad = ((abs(val) + err) / abs(fp.lead)) ** (1.0 / fp.degree)
-        roots.append(z)
-        radii.append(rad)
-        dval, derr = dp.eval_with_bound(z)
-        cond = fp.abs_eval(abs(z)) / max(abs(dval), 1e-300)
-        thr = max(tol.im_abs_tol, tol.im_rel_tol * max(1.0, abs(z)), cond * _U, rad)
-        if abs(z.imag) <= thr:
-            certified += 1
-    return RootList(tuple(roots), tuple(radii), certified, False)
+    roots, radii, real = [], [], []
+    # an exact factor is not a truncated series: locate all of its roots
+    untrimmed = replace(tol, trim_rel=0.0)
+    for fac, mult in _yun_squarefree(list(p.coeffs)):
+        intervals = _isolate_roots(fac, Fraction(width).limit_denominator(10**18))
+        located = []
+        for lo, hi in intervals:
+            mid = float((lo + hi) / 2)
+            located.append((complex(mid, 0.0), float(hi - lo) / 2 + abs(mid) * EPS, True))
+        ncomplex = _fdeg(fac) - len(intervals)
+        if ncomplex > 0:
+            zs, rads, _ = _classify_float(UniPoly.from_coeffs([float(v) for v in fac]), untrimmed)
+            pairs = sorted(zip(zs, rads), key=lambda zr: abs(zr[0].imag), reverse=True)
+            located += [(z, rad, False) for z, rad in pairs[:ncomplex]]
+        for z, rad, is_real in located:
+            roots += [z] * mult
+            radii += [rad] * mult
+            real += [is_real] * mult
+    return RootList(tuple(roots), tuple(radii), tuple(real), True)
 
 
 # ---------------------------------------------------------------------------
@@ -864,5 +898,5 @@ def quadratic_death_cluster_poly(n: int) -> UniPoly:
 def negative_x_zeros_of_series(p: UniPoly) -> list:
     """Zeros in x of p(y) under y = -1/x, for p with positive y-zeros."""
     rl = real_roots(p)
-    ys = sorted(z.real for z, r in zip(rl.roots, rl.radii) if abs(z.imag) <= max(r, 1e-9))
+    ys = sorted(z.real for z, real in zip(rl.roots, rl.real) if real)
     return sorted(-1.0 / y for y in ys if y > 0)

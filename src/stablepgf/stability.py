@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -21,16 +21,11 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .polycore import (
-    EPS,
     MultiPoly,
     UniPoly,
-    _newton_polish,
-    _float_companion_roots,
+    _classify_float,
     exact_real_root_count,
-    trim_for_roots,
 )
-
-_U = EPS / 2.0
 
 
 class Verdict(str, Enum):
@@ -121,28 +116,24 @@ def is_real_rooted(
         cnt = exact_real_root_count(p)
         if cnt == p.degree:
             return StabilityCertificate(Verdict.STABLE, tolerance_used=0.0)
-        w = _best_complex_witness(p.coeffs_float())
+        w = _best_complex_witness(UniPoly.from_coeffs(p.coeffs_float()), tol)
         return StabilityCertificate(
             Verdict.REFUTED, witness=(w,), tolerance_used=0.0, note="exact root count deficit"
         )
 
-    cs_orig = [float(c) for c in p.coeffs]
-    g = UniPoly.from_coeffs(cs_orig)
-    n = g.degree
-    # The trimmed representative only localizes roots; every certificate
-    # below is evaluated against the original polynomial at its original
-    # degree, so dropped trailing coefficients cannot skew the verdict.
-    cs_trim, _ = trim_for_roots(cs_orig, tol.trim_rel)
-    arr = np.array(cs_trim, dtype=float)
-    roots = [_newton_polish(arr, z) for z in _float_companion_roots(cs_trim)]
+    g = UniPoly.from_coeffs([float(c) for c in p.coeffs])
+    roots, _, thresholds = _classify_float(g, tol, coeff_perturb)
     if not roots:
         return StabilityCertificate(
             Verdict.INCONCLUSIVE, tolerance_used=coeff_perturb, note="no locatable roots"
         )
-    dp = g.derivative()
 
     for z in roots:
-        if z.imag > 0 and _refutes(g, z, coeff_perturb, n) and witness_is_valid(g, (z,), coeff_perturb):
+        if (
+            z.imag > 0
+            and _refutes(g, z, coeff_perturb, g.degree)
+            and witness_is_valid(g, (z,), coeff_perturb)
+        ):
             return StabilityCertificate(
                 Verdict.REFUTED,
                 witness=(z,),
@@ -152,19 +143,7 @@ def is_real_rooted(
 
     worst_thr = tol.im_abs_tol
     all_real = True
-    lead = abs(float(g.lead))
-    for z in roots:
-        val, err = g.eval_with_bound(z)
-        dval, _ = dp.eval_with_bound(z)
-        dmag = max(abs(dval), 1e-300)
-        cond = g.abs_eval(abs(z)) / dmag
-        shift = coeff_perturb * max(1.0, abs(z)) ** n / dmag
-        # nearest-root bound: some exact root lies within this distance, so
-        # smaller imaginary parts are consistent with a real root (this is
-        # what keeps multiple roots, which split at rate sqrt(t), from
-        # being misclassified).
-        cluster = ((abs(val) + err) / lead) ** (1.0 / n) if lead > 0 else np.inf
-        thr = max(tol.im_abs_tol, tol.im_rel_tol * max(1.0, abs(z)), cond * _U, shift, cluster)
+    for z, thr in zip(roots, thresholds):
         if abs(z.imag) > thr:
             all_real = False
         else:
@@ -178,9 +157,8 @@ def is_real_rooted(
     )
 
 
-def _best_complex_witness(coeffs_float: np.ndarray) -> complex:
-    roots = _float_companion_roots(list(coeffs_float))
-    roots = [_newton_polish(np.array(coeffs_float, dtype=float), z) for z in roots]
+def _best_complex_witness(g: UniPoly, tol: Tolerances) -> complex:
+    roots, _, _ = _classify_float(g, replace(tol, trim_rel=0.0))
     ups = [z for z in roots if z.imag > 0]
     if not ups:
         ups = [z.conjugate() for z in roots if z.imag < 0]

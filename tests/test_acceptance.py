@@ -23,6 +23,7 @@ from stablepgf.bdchain import (
     tv_distance,
     wf_residual,
 )
+from stablepgf.cli import _random_real_rooted, _ts_fixture
 from stablepgf.measures import Measure, bp_decompose, pgf
 from stablepgf.nacheck import na_all_splits
 from stablepgf.particles import (
@@ -38,13 +39,6 @@ from stablepgf.stability import Verdict, tstable_approximant
 
 def _report(num, name, start):
     print(f"ACCEPTANCE {num:02d} {name}: PASS ({time.time() - start:.1f}s)")
-
-
-def _random_real_rooted(rng, deg_max=8):
-    deg = int(rng.integers(1, deg_max + 1))
-    roots = rng.uniform(-3.0, -1e-3, size=deg)
-    w = UniPoly.from_roots([float(r) for r in roots]).coeffs_float()
-    return Measure(w / w.sum())
 
 
 def test_c01_quadratic_death_preservation():
@@ -163,36 +157,12 @@ def test_c09_mm_infty_closed_form():
     _report(9, "M/M/inf closed form", start)
 
 
-def _stable_fixture(rng):
-    from stablepgf.particles import single_jump_transform
-    from stablepgf.polycore import MultiPoly
-
-    def rand_frac():
-        return F(int(rng.integers(1, 10)), int(rng.integers(10, 14)))
-
-    def bern(ps, var):
-        f = MultiPoly.from_dict({(0, 0): F(1)}, 2)
-        for p in ps:
-            key = (1, 0) if var == 0 else (0, 1)
-            f = f * MultiPoly.from_dict({(0, 0): 1 - p, key: p}, 2)
-        return f
-
-    f = bern([rand_frac()], 0) * bern([rand_frac() for _ in range(int(rng.integers(1, 4)))], 1)
-    f = single_jump_transform(f, 0, 1, F(int(rng.integers(1, 8)), 8))
-    shape = tuple(s + 1 for s in f.max_degree_per_var())
-    assert shape[0] * shape[1] <= 16
-    w = np.empty(shape, dtype=object)
-    w[...] = F(0)
-    for alpha, c in f.terms:
-        w[alpha] = c
-    return w
-
-
 def test_c10_na_suite():
     start = time.time()
     rng = np.random.default_rng(110)
     for _ in range(50):
-        w = _stable_fixture(rng)
+        w = _ts_fixture(rng)
+        assert w.shape[0] * w.shape[1] <= 16
         rep = na_all_splits(w)
         assert rep.passed
         assert float(rep.worst_slack) <= 1e-12

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import stablepgf
 from stablepgf.cli import EXPERIMENTS, main
 
@@ -84,6 +86,35 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("double-root-counterexample", "r=2"),
+            ("double-root-counterexample", "t=nan"),
+            ("double-root-counterexample", "t=-1"),
+            ("kingman-bp", "n=0"),
+            ("hermite-law", "w=0.5"),
+            ("wright-fisher", "start=-3"),
+            ("hermite-law", "n=0"),
+            ("kummer-law", "n=0"),
+            ("kingman-bp", "t=nan"),
+        ],
+    )
+    def test_invalid_value_exits_2(self, tmp_path, capsys, name, param):
+        code = main(["run", name, "--param", param, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_error_inside_a_run_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(p, seed, tol):
+            raise ValueError("internal")
+
+        monkeypatch.setitem(EXPERIMENTS["kummer-law"], "run", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["run", "kummer-law", "--out", str(tmp_path)])
+
     def test_unknown_name_exits_2(self, tmp_path):
         code = main(["run", "not-an-experiment", "--out", str(tmp_path)])
         assert code == 2
@@ -120,3 +151,5 @@ def test_every_registered_experiment_has_claim_and_defaults():
         assert spec["claim"]
         for key, (typ, default) in spec["params"].items():
             assert isinstance(default, (int, float, str))
+        for key, ok in spec.get("valid", {}).items():
+            assert ok(spec["params"][key][1])

@@ -30,6 +30,15 @@ class TestMeasureBasics:
         with pytest.raises(ValueError):
             Measure(np.array([0.5, -0.1, 0.6]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Measure(np.array([bad, 1.0]))
+
+    def test_negative_point_mass_rejected(self):
+        with pytest.raises(ValueError):
+            Measure.point_mass(-3)
+
     def test_mass_tail_consistency(self):
         with pytest.raises(ValueError):
             Measure(np.array([0.5, 0.1]), tail_bound=0.0)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +171,45 @@ class TestRealRoots:
         found = sorted(z.real for z in rl.roots)
         for a, b in zip(found, sorted(float(r) for r in roots)):
             assert abs(a - b) < 1e-6
+
+
+class TestFloatRootPolicy:
+    @pytest.mark.parametrize("deg", range(26, 31))
+    def test_radii_refer_to_the_input(self, deg):
+        # Trimming drops the tiny leading coefficients, so only the smaller
+        # roots are located; their radii and realness must still hold for
+        # the full-degree input.  Exact signs at points between the planted
+        # roots prove one root of the float polynomial per interval.
+        planted = -0.05 * 1.3 ** np.arange(deg)
+        cs = np.poly(planted)[::-1]
+        r = np.sort(planted)
+        points = [2.0 * r[0]] + list((r[:-1] + r[1:]) / 2.0) + [r[-1] / 2.0]
+        exact = UniPoly.from_coeffs([F(float(c)) for c in cs])
+        signs = [exact(F(float(x))) > 0 for x in points]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == deg
+        rl = real_roots(UniPoly.from_coeffs(list(cs)))
+        assert len(rl.roots) >= deg - 5
+        assert all(rl.real)
+        for z, rad in zip(rl.roots, rl.radii):
+            dist = min(
+                math.hypot(max(lo - z.real, 0.0, z.real - hi), z.imag)
+                for lo, hi in zip(points, points[1:])
+            )
+            assert dist <= rad
+
+    def test_exact_complex_roots_carry_input_radii(self):
+        p = UniPoly.from_roots([F(-1), F(-2)]) * UniPoly.from_coeffs([5, 2, 1])
+        rl = real_roots(p)
+        assert rl.real == (True, True, False, False)
+        for z, rad in zip(rl.roots[2:], rl.radii[2:]):
+            assert min(abs(z - (-1 + 2j)), abs(z - (-1 - 2j))) <= rad
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_coeffs_rejects(self, bad):
+        with pytest.raises(ValueError):
+            UniPoly.from_coeffs([1.0, bad, 1.0])
 
 
 class TestSpecialFamilies:

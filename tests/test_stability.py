@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablepgf.polycore import MultiPoly, UniPoly, polarize
+from stablepgf.polycore import MultiPoly, UniPoly, exact_real_root_count, polarize, real_roots
 from stablepgf.stability import (
     Verdict,
     certify_tstable,
@@ -80,6 +80,83 @@ class TestWitnessSoundness:
         if cert.verdict is Verdict.REFUTED:
             assert all(z.imag > 0 for z in cert.witness)
             assert witness_is_valid(p, cert.witness)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def trimmed_float_polys(draw):
+    """Real roots in [-3, 3], an optional planted complex pair at least 0.5
+    off the real axis, and one to three leading coefficients below the
+    trimming cutoff, whose roots are dropped before the rest are located.
+    Returns the polynomial and whether it has the pair."""
+    roots = draw(st.lists(st.floats(min_value=-3, max_value=3), min_size=0, max_size=6))
+    p = UniPoly.from_roots(roots)
+    pair = draw(st.booleans()) or not roots
+    if pair:
+        re, im = draw(st.floats(-2, 2)), draw(st.floats(0.5, 2))
+        p = p * UniPoly.from_coeffs([re * re + im * im, -2.0 * re, 1.0])
+    tiny = st.floats(1e-16, 1e-14).flatmap(lambda v: st.sampled_from([v, -v]))
+    tail = draw(st.lists(st.one_of(st.just(0.0), tiny), min_size=0, max_size=2)) + [draw(tiny)]
+    return UniPoly.from_coeffs(list(p.coeffs) + tail), pair
+
+
+@st.composite
+def rational_polys(draw):
+    """Degree <= 8: rational roots times a rational quadratic, or a
+    random rational coefficient vector."""
+    if draw(st.booleans()):
+        roots = draw(st.lists(small_rationals, min_size=0, max_size=6))
+        b, c = draw(small_rationals), draw(small_rationals)
+        return UniPoly.from_roots(roots) * UniPoly.from_coeffs([c, b, F(1)])
+    coeffs = draw(st.lists(small_rationals, min_size=1, max_size=8))
+    lead = draw(small_rationals.filter(lambda v: v != 0))
+    return UniPoly.from_coeffs(coeffs + [lead])
+
+
+class TestOneRootPolicy:
+    @given(trimmed_float_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_float_flags_are_sound(self, case):
+        # the exact count of the float coefficients is an independent truth
+        p, pair = case
+        exact = UniPoly.from_coeffs([F(c) for c in p.coeffs])
+        all_real_exactly = exact_real_root_count(exact) == exact.degree
+        verdict = is_real_rooted(p).verdict
+        real = real_roots(p).real
+        if all_real_exactly:
+            assert all(real) and verdict is Verdict.STABLE
+        if pair:
+            # the pair is located and far from the real axis
+            assert not all_real_exactly
+            assert not all(real) and verdict is not Verdict.STABLE
+        if verdict is Verdict.STABLE:
+            assert all(real)
+        if verdict is Verdict.INCONCLUSIVE:
+            assert not all(real)
+
+    def test_trimmed_lead_does_not_certify_a_pair(self):
+        # 1 + x^2 + 1e-14 x^4 has roots +-i and about +-1e7 i; trimming
+        # drops x^4, so only +-i are located, and they must stay non-real
+        p = UniPoly.from_coeffs([1.0, 0.0, 1.0, 0.0, 1e-14])
+        assert not any(real_roots(p).real)
+        assert is_real_rooted(p).verdict is not Verdict.STABLE
+
+    @pytest.mark.parametrize("deg", range(20, 31))
+    def test_planted_pair_is_not_stable(self, deg):
+        roots = np.concatenate([-0.05 * 1.3 ** np.arange(deg - 2), [-1 + 0.5j, -1 - 0.5j]])
+        p = UniPoly.from_coeffs(list(np.poly(roots).real[::-1]))
+        assert not all(real_roots(p).real)
+        assert is_real_rooted(p).verdict is not Verdict.STABLE
+
+    @given(rational_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_verdict_matches_counts(self, p):
+        stable = is_real_rooted(p).verdict is Verdict.STABLE
+        counted = exact_real_root_count(p) == p.degree
+        certified = real_roots(p).certified_real_count == p.degree
+        assert stable == counted == certified
 
 
 class TestIsStableMulti:
