@@ -24,23 +24,23 @@ from .measures import Measure
 SCHEMA_VERSION = 1
 
 
-def _write_json(path: str, payload: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    body = json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it into place."""
+    folder = os.path.dirname(path) or "."
+    os.makedirs(folder, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
     with os.fdopen(fd, "w") as fh:
-        fh.write(body)
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n")
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-    os.replace(tmp, path)
+    lines = [header] + [[str(v) for v in row] for row in rows]
+    _write_atomic(path, "".join(",".join(line) + "\n" for line in lines))
 
 
 def _random_real_rooted(rng, deg_max: int = 8):
@@ -277,10 +277,18 @@ def _run_tstable_certify(p, seed, tol):
     return ok, payload, None
 
 
+def _is_nonnegative_rational(s: str) -> bool:
+    try:
+        return Fraction(s) >= 0
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
 EXPERIMENTS = {
     "quad-death-preserve": {
         "claim": "constant-birth quadratic-death chains preserve real-rootedness",
         "params": {"count": (int, 100), "deg_max": (int, 8), "t_points": (int, 7)},
+        "valid": {k: lambda n: n >= 1 for k in ("count", "deg_max", "t_points")},
         "run": _run_quad_death_preserve,
     },
     "double-root-counterexample": {
@@ -327,11 +335,19 @@ EXPERIMENTS = {
             "d2": (float, 1.0),
             "t": (float, 0.5),
         },
+        "valid": {
+            "start": lambda s: s >= 0,
+            "b0": lambda x: 0 <= x < math.inf,
+            "d1": lambda x: 0 <= x < math.inf,
+            "d2": lambda x: 0 <= x < math.inf,
+            "t": lambda t: 0 < t < math.inf,
+        },
         "run": _run_trotter_split,
     },
     "particles-na": {
         "claim": "stable multi-site laws are negatively associated; a diagonal mixture is not",
         "params": {"count": (int, 50)},
+        "valid": {"count": lambda n: n >= 1},
         "run": _run_particles_na,
     },
     "tstable-certify": {
@@ -341,6 +357,12 @@ EXPERIMENTS = {
             "trunc": (int, 60),
             "m_max": (int, 20),
             "tail": (float, 1e-30),
+        },
+        "valid": {
+            "sigma": _is_nonnegative_rational,
+            "trunc": lambda n: n >= 0,
+            "m_max": lambda n: n >= 1,
+            "tail": lambda x: 0 <= x < math.inf,
         },
         "run": _run_tstable_certify,
     },

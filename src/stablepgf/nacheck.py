@@ -4,14 +4,17 @@ Negative association asks E[F G] <= E[F] E[G] for increasing F and G on
 disjoint coordinate sets.  On a finite box it suffices to test indicator
 functions of up-sets (monotone 0/1 functions), since every bounded
 increasing function is a nonnegative combination of those plus a constant.
-Up-set families are enumerated exhaustively under a cell-count cap; exact
-rational weights give exact verdicts.
+Up-set families are enumerated directly under a cell-count cap, and one
+slack routine serves exact and float weights; exact rational weights give
+exact verdicts.  Projections past the cap fall back to random up-set pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +25,33 @@ from .measures import Measure
 
 class CapExceeded(ValueError):
     pass
+
+
+def _box(shape: tuple):
+    """Cells of the box {0..shape_0} x ... in C order, and for each cell the
+    bitmask of the cells strictly above it and of its lower covers (c - e_k).
+
+    Every cell above c comes after c in C order, so walking the cells in
+    reverse builds each strict up-set from those of c's upper covers.
+    """
+    cells = tuple(itertools.product(*[range(s + 1) for s in shape]))
+    idx = {c: i for i, c in enumerate(cells)}
+    above = [0] * len(cells)
+    low = [0] * len(cells)
+    for i in reversed(range(len(cells))):
+        c = cells[i]
+        for k in range(len(shape)):
+            j = idx.get(c[:k] + (c[k] + 1,) + c[k + 1 :])
+            if j is not None:
+                above[i] |= 1 << j | above[j]
+                low[j] |= 1 << i
+    return cells, above, low
+
+
+def _indicator_rows(masks: Iterable[int], m: int) -> np.ndarray:
+    """0/1 integer matrix with one row per bitmask over m cells; integer
+    entries keep products with exact weights exact."""
+    return np.array([[mask >> i & 1 for i in range(m)] for mask in masks], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -42,51 +72,31 @@ class UpSetFamily:
         return len(self.masks)
 
     def indicator(self, k: int) -> np.ndarray:
-        out = np.zeros(len(self.cells))
-        for i in range(len(self.cells)):
-            if self.masks[k] >> i & 1:
-                out[i] = 1.0
-        return out
+        return _indicator_rows([self.masks[k]], len(self.cells))[0].astype(float)
 
 
 def enumerate_upsets(shape: Sequence[int], cap: int = DEFAULT.upset_cap) -> UpSetFamily:
-    """All upward-closed subsets of the box {0..shape_i} per coordinate."""
+    """All upward-closed subsets of the box {0..shape_i} per coordinate.
+
+    Cells are added in reverse C order, where every cell above a cell comes
+    after it, so a cell may join a partial up-set exactly when the cells
+    above it are already in; masks are then sorted into increasing order.
+    The minimal elements of an up-set are its cells with no lower cover in
+    it.
+    """
     shape = tuple(int(s) for s in shape)
-    cells = tuple(itertools.product(*[range(s + 1) for s in shape]))
-    m = len(cells)
+    m = math.prod(s + 1 for s in shape)
     if m > cap:
         raise CapExceeded(f"box has {m} cells, cap is {cap}")
-    idx = {c: i for i, c in enumerate(cells)}
-    up_masks = []
-    for c in cells:
-        mask = 0
-        for d in cells:
-            if all(x >= y for x, y in zip(d, c)):
-                mask |= 1 << idx[d]
-        up_masks.append(mask)
-    masks = []
-    antichains = []
-    for s in range(1 << m):
-        ok = True
-        for i in range(m):
-            if s >> i & 1 and (s & up_masks[i]) != up_masks[i]:
-                ok = False
-                break
-        if ok:
-            masks.append(s)
-            minimal = []
-            for i in range(m):
-                if s >> i & 1:
-                    below = any(
-                        s >> j & 1
-                        and j != i
-                        and all(x <= y for x, y in zip(cells[j], cells[i]))
-                        for j in range(m)
-                    )
-                    if not below:
-                        minimal.append(cells[i])
-            antichains.append(tuple(minimal))
-    return UpSetFamily(shape, cells, tuple(masks), tuple(antichains))
+    cells, above, low = _box(shape)
+    masks = [0]
+    for i in reversed(range(m)):
+        masks += [s | 1 << i for s in masks if s & above[i] == above[i]]
+    masks.sort()
+    antichains = tuple(
+        tuple(cells[i] for i in range(m) if s >> i & 1 and not s & low[i]) for s in masks
+    )
+    return UpSetFamily(shape, cells, tuple(masks), antichains)
 
 
 @dataclass(frozen=True)
@@ -113,26 +123,14 @@ class NASplitResult:
         return out
 
 
-def _project_weights(weights, ndim: int, keep: tuple):
-    """Sum out all axes not in keep; works for float and object arrays."""
-    w = weights
-    drop = tuple(i for i in range(ndim) if i not in keep)
-    if drop:
-        w = w.sum(axis=drop)
-    return w
+def _slack(F: np.ndarray, G: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """mass * E[1_f 1_g] - E[1_f] E[1_g] for every row f of F and row g of G.
 
-
-def _random_upset_indicator(cells: tuple, rng) -> np.ndarray:
-    """Indicator of the upward closure of a random antichain seed."""
-    m = len(cells)
-    seeds = rng.integers(0, m, size=int(rng.integers(1, 4)))
-    out = np.zeros(m)
-    for s in seeds:
-        base = cells[int(s)]
-        for i, c in enumerate(cells):
-            if all(x >= y for x, y in zip(c, base)):
-                out[i] = 1.0
-    return out
+    M is the joint weight matrix (A-cell x B-cell); F and G are 0/1 up-set
+    rows over the A- and B-cells.  Object-dtype weights stay exact.
+    """
+    R = F @ M
+    return (R @ G.T) * M.sum() - np.outer(R.sum(axis=1), G @ M.sum(axis=0))
 
 
 def is_na(
@@ -154,98 +152,70 @@ def is_na(
     violating pair may have been missed).
     """
     weights = mu.weights if isinstance(mu, Measure) else np.asarray(mu)
-    ndim = weights.ndim
     A = tuple(sorted(set(int(a) for a in A)))
     B = tuple(sorted(set(int(b) for b in B)))
     if not A or not B or set(A) & set(B):
         raise ValueError("A and B must be disjoint and nonempty")
     keep = tuple(sorted(A + B))
-    joint = _project_weights(weights, ndim, keep)
-    pos_of = {axis: i for i, axis in enumerate(keep)}
-    a_axes = tuple(pos_of[a] for a in A)
-    b_axes = tuple(pos_of[b] for b in B)
-
-    shapeA = tuple(joint.shape[i] - 1 for i in a_axes)
-    shapeB = tuple(joint.shape[i] - 1 for i in b_axes)
-    cellsA = int(np.prod([s + 1 for s in shapeA]))
-    cellsB = int(np.prod([s + 1 for s in shapeB]))
-    if max(cellsA, cellsB) > tol.upset_cap:
-        return _is_na_sampled(joint, A, B, a_axes, b_axes, shapeA, shapeB, tol, samples, seed)
+    joint = weights.sum(axis=tuple(i for i in range(weights.ndim) if i not in keep))
+    # put the A axes first, then flatten the joint onto an (A-cell, B-cell) matrix
+    joint = np.transpose(joint, tuple(keep.index(a) for a in A + B))
+    shapeA = tuple(s - 1 for s in joint.shape[: len(A)])
+    shapeB = tuple(s - 1 for s in joint.shape[len(A) :])
+    M = joint.reshape(math.prod(joint.shape[: len(A)]), -1)
+    if max(M.shape) > tol.upset_cap:
+        return _is_na_sampled(M.astype(float), A, B, shapeA, shapeB, tol, samples, seed)
     famA = enumerate_upsets(shapeA, cap=tol.upset_cap)
     famB = enumerate_upsets(shapeB, cap=tol.upset_cap)
 
-    exact = joint.dtype == object
-    # flatten the joint onto (A-cell, B-cell) matrix
-    order = a_axes + b_axes
-    M = np.transpose(joint, order).reshape(len(famA.cells), len(famB.cells))
-    mass = M.sum()
-
-    slack_floor = 0 if exact else tol.na_slack * float(mass)
-    worst = None
-    witness = None
-    fa = [famA.indicator(k) for k in range(len(famA))]
-    fb = [famB.indicator(k) for k in range(len(famB))]
+    exact = M.dtype == object
     if exact:
-        rows = [
-            [sum(M[i][j] for i in range(M.shape[0]) if f[i]) for j in range(M.shape[1])]
-            for f in fa
-        ]
-        col_tot = [sum(M[i][j] for i in range(M.shape[0])) for j in range(M.shape[1])]
-        for ka, f in enumerate(fa):
-            ef = sum(rows[ka])
-            for kb, g in enumerate(fb):
-                efg = sum(rows[ka][j] for j in range(M.shape[1]) if g[j])
-                eg = sum(col_tot[j] for j in range(M.shape[1]) if g[j])
-                slack = efg * mass - ef * eg
-                if worst is None or slack > worst:
-                    worst = slack
-                    if slack > slack_floor:
-                        witness = (famA.antichains[ka], famB.antichains[kb])
+        # integer numerators over a common denominator D keep the arithmetic
+        # exact and cheap; every slack comes out D**2 times its value
+        fracs = [Fraction(x) for x in M.flat]
+        D = math.lcm(*(x.denominator for x in fracs))
+        nums = [x.numerator * (D // x.denominator) for x in fracs]
+        M = np.array(nums, dtype=object).reshape(M.shape)
     else:
-        Mf = M.astype(float)
-        rowsums = np.array([f @ Mf for f in fa])
-        tot = Mf.sum(axis=0)
-        for ka in range(len(fa)):
-            ef = rowsums[ka].sum()
-            for kb in range(len(fb)):
-                efg = float(rowsums[ka] @ fb[kb])
-                eg = float(tot @ fb[kb])
-                slack = efg * float(mass) - ef * eg
-                if worst is None or slack > worst:
-                    worst = slack
-                    if slack > slack_floor:
-                        witness = (famA.antichains[ka], famB.antichains[kb])
-    passed = worst <= slack_floor
-    return NASplitResult(A, B, bool(passed), worst, witness if not passed else None)
+        M = M.astype(float)
+    S = _slack(_indicator_rows(famA.masks, M.shape[0]), _indicator_rows(famB.masks, M.shape[1]), M)
+    # the first maximum in row-major order
+    ka, kb = divmod(int(np.argmax(S)), S.shape[1])
+    worst = Fraction(S.item(ka, kb), D * D) if exact else S.item(ka, kb)
+    passed = worst <= (0 if exact else tol.na_slack * float(M.sum()))
+    witness = None if passed else (famA.antichains[ka], famB.antichains[kb])
+    return NASplitResult(A, B, bool(passed), worst, witness)
 
 
-def _is_na_sampled(joint, A, B, a_axes, b_axes, shapeA, shapeB, tol, samples, seed):
-    import itertools as _it
+def _random_upset(closure: list, rng) -> int:
+    """Bitmask of the up-closure of one to three random cells."""
+    mask = 0
+    for s in rng.integers(0, len(closure), size=int(rng.integers(1, 4))):
+        mask |= closure[s]
+    return mask
 
+
+def _is_na_sampled(M, A, B, shapeA, shapeB, tol, samples, seed):
     rng = np.random.default_rng(seed)
-    cellsA = tuple(_it.product(*[range(s + 1) for s in shapeA]))
-    cellsB = tuple(_it.product(*[range(s + 1) for s in shapeB]))
-    order = a_axes + b_axes
-    M = np.transpose(joint, order).reshape(len(cellsA), len(cellsB)).astype(float)
-    mass = float(M.sum())
-    floor = tol.na_slack * mass
-    tot_cols = M.sum(axis=0)
-    worst = -np.inf
+    # each box's cells with the principal up-set of every cell
+    boxes = []
+    for cells, above, _ in (_box(shapeA), _box(shapeB)):
+        boxes.append((cells, [1 << i | a for i, a in enumerate(above)]))
+    pairs = [tuple(_random_upset(closure, rng) for _, closure in boxes) for _ in range(samples)]
+    slacks = [
+        _slack(_indicator_rows([f], M.shape[0]), _indicator_rows([g], M.shape[1]), M).item()
+        for f, g in pairs
+    ]
+    # the first maximum, as in the exhaustive check
+    k = int(np.argmax(slacks))
+    passed = slacks[k] <= tol.na_slack * float(M.sum())
     witness = None
-    for _ in range(samples):
-        f = _random_upset_indicator(cellsA, rng)
-        g = _random_upset_indicator(cellsB, rng)
-        row = f @ M
-        slack = float(row @ g) * mass - row.sum() * float(tot_cols @ g)
-        if slack > worst:
-            worst = slack
-            if slack > floor:
-                witness = (
-                    tuple(c for i, c in enumerate(cellsA) if f[i]),
-                    tuple(c for i, c in enumerate(cellsB) if g[i]),
-                )
-    passed = worst <= floor
-    return NASplitResult(A, B, bool(passed), worst, witness if not passed else None, mode="sampled")
+    if not passed:
+        witness = tuple(
+            tuple(c for i, c in enumerate(cells) if mask >> i & 1)
+            for mask, (cells, _) in zip(pairs[k], boxes)
+        )
+    return NASplitResult(A, B, bool(passed), slacks[k], witness, mode="sampled")
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,8 @@ class MultiPoly:
             clean = {a: Fraction(c) for a, c in clean.items() if c != 0}
         else:
             clean = {a: float(c) for a, c in clean.items() if c != 0}
+            if not all(math.isfinite(c) for c in clean.values()):
+                raise ValueError(f"non-finite coefficient in {clean}")
         return cls(nvars, tuple(sorted(clean.items())))
 
     @classmethod

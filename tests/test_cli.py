@@ -98,6 +98,13 @@ class TestRun:
             ("hermite-law", "n=0"),
             ("kummer-law", "n=0"),
             ("kingman-bp", "t=nan"),
+            ("quad-death-preserve", "deg_max=0"),
+            ("trotter-split", "t=0"),
+            ("trotter-split", "d2=inf"),
+            ("particles-na", "count=0"),
+            ("tstable-certify", "sigma=-1/2"),
+            ("tstable-certify", "sigma=1/0"),
+            ("tstable-certify", "sigma=abc"),
         ],
     )
     def test_invalid_value_exits_2(self, tmp_path, capsys, name, param):

@@ -36,7 +36,61 @@ def stable_two_site_fixture(rng):
     return single_jump_transform(f, 0, 1, F(int(rng.integers(1, 8)), 8))
 
 
+def brute_force_upsets(shape):
+    """Reference: filter all 2^m subsets of the box, keeping the up-closed
+    ones in increasing mask order, each with its minimal cells."""
+    cells = list(itertools.product(*[range(s + 1) for s in shape]))
+    m = len(cells)
+    leq = [[all(x <= y for x, y in zip(c, d)) for d in cells] for c in cells]
+    up = [sum(1 << j for j in range(m) if leq[i][j]) for i in range(m)]
+    masks, antichains = [], []
+    for s in range(1 << m):
+        if all(s & up[i] == up[i] for i in range(m) if s >> i & 1):
+            masks.append(s)
+            members = [i for i in range(m) if s >> i & 1]
+            antichains.append(
+                tuple(cells[i] for i in members if not any(j != i and leq[j][i] for j in members))
+            )
+    return tuple(masks), tuple(antichains)
+
+
+def reference_slacks(M, famA, famB):
+    """Reference: mass * E[1_f 1_g] - E[1_f] E[1_g] by loops, for every
+    up-set pair in row-major order."""
+    n, k = M.shape
+    mass = sum(M[i][j] for i in range(n) for j in range(k))
+    out = []
+    for fa in range(len(famA)):
+        f = famA.indicator(fa)
+        for fb in range(len(famB)):
+            g = famB.indicator(fb)
+            efg = sum(M[i][j] for i in range(n) for j in range(k) if f[i] and g[j])
+            ef = sum(M[i][j] for i in range(n) for j in range(k) if f[i])
+            eg = sum(M[i][j] for i in range(n) for j in range(k) if g[j])
+            out.append(((famA.antichains[fa], famB.antichains[fb]), efg * mass - ef * eg))
+    return out
+
+
+def random_rational_law(rng, shape):
+    w = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        w[idx] = F(int(rng.integers(0, 5)), int(rng.integers(1, 7)))
+    w[(0,) * len(shape)] += 1
+    return w / sum(w.flat)
+
+
 class TestEnumerateUpsets:
+    def test_matches_brute_force_filter(self):
+        boxes = [
+            shape
+            for axes in (1, 2, 3)
+            for shape in itertools.product(range(12), repeat=axes)
+            if np.prod([s + 1 for s in shape]) <= 12
+        ]
+        for shape in boxes:
+            fam = enumerate_upsets(shape)
+            assert (fam.masks, fam.antichains) == brute_force_upsets(shape), shape
+
     def test_two_cell_chain(self):
         assert len(enumerate_upsets((1,))) == 3
 
@@ -98,6 +152,52 @@ class TestIsNa:
             is_na(Measure(w), [], [1])
 
 
+class TestExactAndFloat:
+    """The exact (object-array) and float paths of is_na share one slack
+    routine: both must agree with the loop reference and with each other."""
+
+    def fixtures(self):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            yield exact_weights(stable_two_site_fixture(rng))
+        for shape in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 2, 2), (2, 2, 3)]:
+            for _ in range(6):
+                yield random_rational_law(rng, shape)
+        # an empty middle row and column tie four up-set pairs at the worst slack
+        w = np.full((3, 3), F(0), dtype=object)
+        w[0, 0] = w[2, 2] = F(1, 2)
+        yield w
+
+    def test_exact_and_float_paths_agree(self):
+        violated = 0
+        for w in self.fixtures():
+            # splits whose projection is a plain reshape: first axis vs the rest,
+            # all but the last axis vs the last
+            splits = [((0,), tuple(range(1, w.ndim)), w.reshape(w.shape[0], -1))]
+            if w.ndim > 2:
+                splits.append((tuple(range(w.ndim - 1)), (w.ndim - 1,), w.reshape(-1, w.shape[-1])))
+            for A, B, M in splits:
+                famA = enumerate_upsets([w.shape[a] - 1 for a in A])
+                famB = enumerate_upsets([w.shape[b] - 1 for b in B])
+                ref = reference_slacks(M, famA, famB)
+                top = max(s for _, s in ref)
+                best = [pair for pair, s in ref if s == top]
+                exact = is_na(w, A, B)
+                assert type(exact.worst_slack) is F and exact.worst_slack == top
+                assert exact.passed == (top <= 0)
+                assert exact.witness_pair == (None if exact.passed else best[0])
+                flt = is_na(w.astype(float), A, B)
+                assert flt.passed == exact.passed
+                assert abs(flt.worst_slack - float(top)) <= 1e-15
+                # an exact tie may be broken either way by float rounding
+                if flt.witness_pair is not None:
+                    assert flt.witness_pair in best
+                    if len(best) == 1:
+                        assert flt.witness_pair == exact.witness_pair
+                violated += not exact.passed
+        assert violated > 10
+
+
 class TestNaAllSplits:
     def test_point_mass_zero_slack(self):
         rep = na_all_splits(Measure.point_mass((1, 1, 0)))
@@ -134,6 +234,8 @@ class TestSampledFallback:
         res = is_na(m, [0, 1], [2])
         assert res.mode == "sampled"
         assert res.passed
+        assert res.worst_slack == pytest.approx(0.0, abs=1e-15)
+        assert res.witness_pair is None
 
     def test_large_block_violation_found(self):
         w = np.zeros((5, 5, 2))
@@ -142,7 +244,10 @@ class TestSampledFallback:
         res = is_na(Measure(w), [0, 1], [2], samples=2000)
         assert res.mode == "sampled"
         assert not res.passed
-        assert res.witness_pair is not None
+        # the first of the 2000 draws (seed 0) that reaches the worst slack
+        assert res.worst_slack == 0.25
+        top = tuple((i, j) for i in range(2, 5) for j in range(2, 5))
+        assert res.witness_pair == (top, ((1,),))
 
     def test_report_labels_sampled(self):
         m = Measure.product(
@@ -150,6 +255,10 @@ class TestSampledFallback:
         )
         rep = na_all_splits(m)
         assert rep.to_json()["verdict"] == "sampled-NA"
+        (sampled,) = [s for s in rep.splits if s.mode == "sampled"]
+        assert (sampled.A, sampled.B) == ((2,), (0, 1))
+        assert sampled.worst_slack == pytest.approx(1.3877787807814457e-17, abs=1e-15)
+        assert sampled.passed and sampled.witness_pair is None
 
 
 class TestIndicatorSufficiency:

@@ -210,6 +210,10 @@ class TestNonFinite:
     def test_from_coeffs_rejects(self, bad):
         with pytest.raises(ValueError):
             UniPoly.from_coeffs([1.0, bad, 1.0])
+        with pytest.raises(ValueError):
+            MultiPoly.from_dict({(0, 0): 1.0, (1, 0): bad, (1, 1): 1.0}, 2)
+        with pytest.raises(ValueError):
+            MultiPoly.from_dict({(0, 1): F(1, 2), (1, 0): bad}, 2)
 
 
 class TestSpecialFamilies:
