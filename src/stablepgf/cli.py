@@ -376,6 +376,11 @@ def _coerce_params(name: str, overrides: dict) -> dict:
         if key not in schema:
             raise KeyError(f"unknown parameter {key!r} for {name}")
         typ = schema[key][0]
+        # int() would truncate a --config float and accept a JSON boolean
+        if typ is int and (
+            isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer()
+        ):
+            raise ValueError(f"{key}={raw!r} is not an integer for {name}")
         out[key] = typ(raw)
     # range checks run here, before any work, so that a ValueError raised
     # inside a runner still surfaces as a program error

@@ -423,15 +423,39 @@ class MultiPoly:
         return out
 
     def restrict_line(self, a: Sequence, b: Sequence) -> UniPoly:
-        """Univariate restriction x -> f(a + x*b)."""
-        out = UniPoly.zero(False)
-        for alpha, c in self.terms:
-            part = UniPoly.from_coeffs([float(c)])
-            for ai, bi, e in zip(a, b, alpha):
-                if e:
-                    part = part * UniPoly.from_coeffs([float(ai), float(bi)]).pow(e)
-            out = out + part
-        return out
+        """Univariate restriction x -> f(a + x*b), in float arithmetic.
+
+        Row k of a (terms x total degree + 1) array becomes term k's
+        restriction c_k prod_i (a_i + b_i x)^e_ki, one variable at a time
+        for all terms together; the rows are then summed in term order.
+        Each product coefficient accumulates its terms in the order of a
+        dense product loop, so the result matches term-by-term products
+        summed in the same order.
+        """
+        width = self.total_degree() + 1
+        rows = np.zeros((len(self.terms), width))
+        rows[:, 0] = [float(c) for _, c in self.terms]
+        exps = np.array([alpha for alpha, _ in self.terms], dtype=int).reshape(-1, self.nvars)
+        for i, ai, bi in zip(range(self.nvars), a, b):
+            top = int(exps[:, i].max(initial=0))
+            if top == 0:
+                continue
+            ai, bi = float(ai), float(bi)
+            # powers[e] = (a_i + b_i x)^e
+            powers = np.zeros((top + 1, width))
+            powers[0, 0] = 1.0
+            for e in range(1, top + 1):
+                powers[e] = powers[e - 1] * ai
+                powers[e, 1:] += powers[e - 1, :-1] * bi
+            factor = powers[exps[:, i]]
+            out = np.zeros_like(rows)
+            # highest shift first: coefficient t then sums rows[t - j] *
+            # factor[j] by increasing t - j
+            for j in range(top, -1, -1):
+                out[:, j:] += rows[:, : width - j] * factor[:, j : j + 1]
+            rows = out
+        total = np.cumsum(rows, axis=0)[-1] if len(rows) else np.zeros(width)
+        return UniPoly(tuple(_trim_trailing(total.tolist())), False)
 
     def diagonal(self) -> UniPoly:
         """Substitute every variable by the same x."""
@@ -561,13 +585,6 @@ def _fderiv(c: list) -> list:
     return _trim_trailing([Fraction(k) * v for k, v in enumerate(c)][1:])
 
 
-def _feval(c: list, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for v in reversed(c):
-        acc = acc * x + v
-    return acc
-
-
 def _fdivmod(a: list, b: list):
     if b == [Fraction(0)]:
         raise ZeroDivisionError
@@ -637,12 +654,37 @@ def _sturm_chain(c: list) -> list:
     return chain
 
 
+def _integer_chain(c: list) -> list:
+    """Sturm chain of c, each member scaled to coprime integer coefficients.
+
+    The scale factors are positive, so every sign, and with it every
+    Sturm count, is that of the rational chain.
+    """
+    out = []
+    for f in _sturm_chain(c):
+        den = math.lcm(*(v.denominator for v in f))
+        ints = [v.numerator * (den // v.denominator) for v in f]
+        g = math.gcd(*ints)
+        out.append([v // g for v in ints])
+    return out
+
+
+def _sign_at(f: list, x: Fraction) -> int:
+    """Sign of the integer polynomial f at x = m/q (q > 0).
+
+    Horner on the homogenized form sum_k f_k m^k q^(d-k) = q^d f(x), which
+    has the sign of f(x) and needs integer arithmetic only.
+    """
+    m, q = x.numerator, x.denominator
+    acc, qk = f[-1], 1
+    for v in f[-2::-1]:
+        qk *= q
+        acc = acc * m + v * qk
+    return (acc > 0) - (acc < 0)
+
+
 def _sign_variations(chain: list, x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = _feval(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (_sign_at(f, x) for f in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -652,29 +694,43 @@ def _cauchy_bound(c: list) -> Fraction:
     return Fraction(1) + m
 
 
-def _count_in(chain, a: Fraction, b: Fraction) -> int:
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-
 def _isolate_roots(c: list, width: Fraction):
-    """Isolating intervals (a, b] of width <= width for a square-free poly."""
-    chain = _sturm_chain(c)
-    B = _cauchy_bound(c)
-    total = _count_in(chain, -B, B)
+    """Isolating intervals (a, b] of width <= width for a square-free poly.
+
+    Bisection of (-B, B] keeps the halves that hold roots, judged by Sturm
+    counts until an interval holds one root and from then on by the sign
+    of c alone: a simple root is the only sign change of c in its
+    interval.  The midpoints and the halves kept are those of Sturm
+    bisection throughout.
+    """
+    chain = _integer_chain(c)
+    fac = chain[0]
     out = []
 
-    def recurse(lo, hi, cnt):
-        if cnt == 0:
-            return
-        if cnt == 1 and hi - lo <= width:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        left = _count_in(chain, lo, mid)
-        recurse(lo, mid, left)
-        recurse(mid, hi, cnt - left)
+    def refine(lo, hi):
+        # one root in (lo, hi], kept half-open as the counts are: the root
+        # is hi when s_hi is 0, and then no midpoint sign is 0 or matches
+        s_hi = _sign_at(fac, hi)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            s_mid = _sign_at(fac, mid)
+            if s_mid == 0 or s_mid == s_hi:
+                hi, s_hi = mid, s_mid
+            else:
+                lo = mid
+        out.append((lo, hi))
 
-    recurse(-B, B, total)
+    def split(lo, hi, v_lo, v_hi):
+        if v_lo - v_hi == 1:
+            refine(lo, hi)
+        elif v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = _sign_variations(chain, mid)
+            split(lo, mid, v_lo, v_mid)
+            split(mid, hi, v_mid, v_hi)
+
+    B = _cauchy_bound(c)
+    split(-B, B, _sign_variations(chain, -B), _sign_variations(chain, B))
     return out
 
 
@@ -688,9 +744,9 @@ def exact_real_root_count(p: UniPoly) -> int:
         return 0
     total = 0
     for fac, mult in _yun_squarefree(list(p.coeffs)):
-        chain = _sturm_chain(fac)
+        chain = _integer_chain(fac)
         B = _cauchy_bound(fac)
-        total += mult * _count_in(chain, -B, B)
+        total += mult * (_sign_variations(chain, -B) - _sign_variations(chain, B))
     return total
 
 

@@ -152,6 +152,27 @@ class TestRun:
         data = json.loads((out / "double-root-counterexample.json").read_text())
         assert data["params"]["r"] == 0.3
 
+    @pytest.mark.parametrize("count", [2.7, 0.5, True])
+    def test_config_non_integer_for_int_exits_2(self, tmp_path, capsys, count):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"count": count}))
+        out = tmp_path / "c"
+        code = main(["run", "particles-na", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "not an integer" in err
+        assert not out.exists()
+
+    def test_config_integral_float_for_int(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"count": 2.0}))
+        out = tmp_path / "c"
+        assert main(["run", "particles-na", "--config", str(cfg), "--out", str(out)]) == 0
+        data = json.loads((out / "particles-na.json").read_text())
+        assert data["params"]["count"] == 2
+        assert data["results"]["fixtures"] == 2
+
 
 def test_every_registered_experiment_has_claim_and_defaults():
     for name, spec in EXPERIMENTS.items():

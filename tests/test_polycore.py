@@ -3,12 +3,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stablepgf.polycore import (
     MultiPoly,
     UniPoly,
+    _cauchy_bound,
+    _isolate_roots,
+    _sturm_chain,
+    _yun_squarefree,
     elem_sym,
     elem_sym_all,
     evaluate,
@@ -23,6 +27,63 @@ from stablepgf.polycore import (
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+
+
+# reference isolator: Sturm counts over the rationals at every bisection step
+
+
+def _ref_eval(c, x):
+    acc = F(0)
+    for v in reversed(c):
+        acc = acc * x + v
+    return acc
+
+
+def _ref_variations(chain, x):
+    signs = [v > 0 for v in (_ref_eval(c, x) for c in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_count(chain, a, b):
+    return _ref_variations(chain, a) - _ref_variations(chain, b)
+
+
+def _ref_isolate_roots(c, width):
+    chain = _sturm_chain(c)
+    B = _cauchy_bound(c)
+    out = []
+
+    def recurse(lo, hi, cnt):
+        if cnt == 0:
+            return
+        if cnt == 1 and hi - lo <= width:
+            out.append((lo, hi))
+            return
+        mid = (lo + hi) / 2
+        left = _ref_count(chain, lo, mid)
+        recurse(lo, mid, left)
+        recurse(mid, hi, cnt - left)
+
+    recurse(-B, B, _ref_count(chain, -B, B))
+    return out
+
+
+# reference line restriction: one UniPoly product per term, summed in order
+
+
+def _ref_restrict_line(f, a, b):
+    out = UniPoly.zero(False)
+    for alpha, c in f.terms:
+        part = UniPoly.from_coeffs([float(c)])
+        for ai, bi, e in zip(a, b, alpha):
+            if e:
+                part = part * UniPoly.from_coeffs([float(ai), float(bi)]).pow(e)
+        out = out + part
+    return out
+
+
+def _bits(p):
+    return np.array(p.coeffs, dtype=float).tobytes(), p.exact
 
 
 class TestEval:
@@ -171,6 +232,123 @@ class TestRealRoots:
         found = sorted(z.real for z in rl.roots)
         for a, b in zip(found, sorted(float(r) for r in roots)):
             assert abs(a - b) < 1e-6
+
+
+@st.composite
+def planted_polys(draw):
+    """(p, [(root, multiplicity)]): distinct rational roots, an optional
+    irreducible quadratic factor, degree 1..8."""
+    roots = draw(st.lists(st.fractions(-4, 4, max_denominator=12), max_size=8, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(roots), max_size=len(roots)))
+    quad = draw(st.none() | st.tuples(rationals, st.fractions(F(1, 8), 3, max_denominator=8)))
+    room = 6 if quad else 8
+    planted = []
+    for r, m in zip(roots, mults):
+        if m <= room:
+            planted.append((r, m))
+            room -= m
+    p = UniPoly.from_coeffs([draw(st.sampled_from([F(1), F(-3, 2), F(7, 5)]))])
+    for r, m in planted:
+        p = p * UniPoly.from_roots([r] * m)
+    if quad:
+        a, b = quad
+        p = p * UniPoly.from_coeffs([a * a + b * b, -2 * a, 1])
+    assume(p.degree >= 1)
+    return p, planted
+
+
+def _planted(roots, mults=None, quad=None):
+    """A planted_polys value with the given roots and quadratic factor."""
+    mults = mults or [1] * len(roots)
+    p = UniPoly.from_roots([r for r, m in zip(roots, mults) for _ in range(m)])
+    if quad:
+        p = p * UniPoly.from_coeffs(quad)
+    return p, list(zip(roots, mults))
+
+
+DEFAULT_WIDTH = F(1e-12).limit_denominator(10**18)
+
+
+class TestExactIsolation:
+    # x^3 - x has Cauchy bound 2, so its roots 0, 1, -1 are bisection
+    # midpoints, and 1 then sits on the right end of its interval
+    @given(planted_polys(), st.sampled_from([F(1, 2), F(1, 1000), F(1, 2**20)]))
+    @example(_planted([F(0), F(1), F(-1)]), DEFAULT_WIDTH)
+    @example(_planted([F(0), F(1, 2), F(-1)], [2, 3, 1]), DEFAULT_WIDTH)
+    @example(_planted([F(0), F(3, 4)], [1, 2], quad=[2, 0, 1]), F(1, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_intervals_match_sturm_bisection(self, planted, width):
+        p, roots = planted
+        for fac, mult in _yun_squarefree(list(p.coeffs)):
+            got = _isolate_roots(fac, width)
+            assert got == _ref_isolate_roots(fac, width)
+            chain = _sturm_chain(fac)
+            for lo, hi in got:
+                assert hi - lo <= width
+                assert _ref_count(chain, lo, hi) == 1
+            mine = [r for r, m in roots if m == mult]
+            assert len(got) == len(mine)
+            for r in mine:
+                assert sum(lo < r <= hi for lo, hi in got) == 1
+        assert exact_real_root_count(p) == sum(m for _, m in roots)
+        assert real_roots(p).certified_real_count == sum(m for _, m in roots)
+
+    def test_degree_40_product(self):
+        planted = [F(k, 7) for k in range(-20, 20)]
+        rl = real_roots(UniPoly.from_roots(planted))
+        assert rl.certified_real_count == 40
+        found = sorted(zip(rl.roots, rl.radii), key=lambda zr: zr[0].real)
+        for (z, rad), r in zip(found, planted):
+            assert abs(z - float(r)) <= rad
+
+
+@st.composite
+def polys_on_lines(draw, max_exp):
+    """(f, a, b) with 2..6 variables (1..4 above multi-affine degree),
+    all-Fraction or all-float coefficients."""
+    n = draw(st.integers(2, 6) if max_exp == 1 else st.integers(1, 4))
+    coeff = rationals if draw(st.booleans()) else st.floats(-3, 3, allow_nan=False)
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, max_exp)] * n), max_size=24, unique=True))
+    f = MultiPoly.from_dict({alpha: draw(coeff) for alpha in alphas}, n)
+    point = st.lists(st.floats(-4, 4, allow_nan=False), min_size=n, max_size=n)
+    return f, draw(point), draw(point)
+
+
+class TestRestrictLine:
+    @given(polys_on_lines(max_exp=1))
+    @settings(max_examples=80, deadline=None)
+    def test_multi_affine_matches_term_products(self, case):
+        f, a, b = case
+        assert _bits(f.restrict_line(a, b)) == _bits(_ref_restrict_line(f, a, b))
+
+    @given(polys_on_lines(max_exp=4))
+    @settings(max_examples=80, deadline=None)
+    def test_within_roundoff_of_term_products(self, case):
+        f, a, b = case
+        got, ref = f.restrict_line(a, b), _ref_restrict_line(f, a, b)
+        absf = MultiPoly.from_dict({alpha: abs(c) for alpha, c in f.terms}, f.nvars)
+        scale = _ref_restrict_line(absf, np.abs(a), np.abs(b))
+        n = len(scale.coeffs)
+        assert got.degree < n and ref.degree < n
+
+        def pad(p):
+            return list(p.coeffs) + [0.0] * (n - len(p.coeffs))
+
+        for g, r, s in zip(pad(got), pad(ref), pad(scale)):
+            assert abs(g - r) <= 1e-13 * s
+
+    def test_zero_constant_and_one_variable(self):
+        zero = MultiPoly.from_dict({}, 3)
+        got = zero.restrict_line([1.0, -2.0, 0.5], [1.0, 0.5, 2.0])
+        assert _bits(got) == _bits(UniPoly.zero(False))
+        const = MultiPoly.from_dict({(0, 0): F(5, 2)}, 2)
+        got = const.restrict_line([1.0, -2.0], [1.0, 0.5])
+        assert _bits(got) == _bits(UniPoly.from_coeffs([2.5]))
+        one = MultiPoly.from_dict({(0,): 1, (1,): -2, (3,): F(1, 2)}, 1)
+        got = one.restrict_line([0.5], [2.0])
+        exact = one.to_uni().compose_affine(2, F(1, 2))
+        assert _bits(got) == _bits(exact.to_float())
+        assert _bits(got) == _bits(_ref_restrict_line(one, [0.5], [2.0]))
 
 
 class TestFloatRootPolicy:
