@@ -7,7 +7,6 @@ from .polycore import (
     RootList,
     UniPoly,
     elem_sym,
-    evaluate,
     hermite_sum_form,
     kummer_series_poly,
     polarize,

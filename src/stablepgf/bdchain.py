@@ -193,13 +193,12 @@ def _bd_uniformize(
     delta_arr: np.ndarray,
     t: float,
     tol: float,
-    lam_factor: float = 1.0,
 ):
     """The series for a birth-death chain on {0..N}: v0 has N+2 columns,
     birth out of state N feeds the overflow column N+1."""
     N = len(beta_arr) - 1
     out_rate = beta_arr + delta_arr
-    lam = float(out_rate.max()) * lam_factor
+    lam = float(out_rate.max())
     if lam <= 0.0:
         return np.array(v0, dtype=float), 0.0
     stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
@@ -229,13 +228,12 @@ def transition(
     t: float,
     N: int,
     tol: float = DEFAULT.uniformization_tol,
-    lam_factor: float = 1.0,
 ) -> TruncatedSemigroup:
     """Uniformized transition matrix rows p_t(j, .) on {0..N}."""
     if t < 0:
         raise ValueError("t must be >= 0")
     beta_arr, delta_arr = _rate_arrays(rates, N)
-    P, tail = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, t, tol, lam_factor)
+    P, tail = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, t, tol)
     return TruncatedSemigroup(N=N, t=t, matrix=P[:, :-1], trunc_error=float(P[:, -1].max()) + tail)
 
 
@@ -245,13 +243,12 @@ def evolve(
     t: float,
     tol: float = DEFAULT.uniformization_tol,
     N: int | None = None,
-    max_doublings: int = 12,
 ) -> EvolvedPGF:
     """Push a univariate initial law through the chain for time t.
 
     The truncation level starts just above the initial support (plus
     birth headroom) and doubles until the certified escaping mass is
-    below tol.
+    below tol, at most 12 times.
     """
     if mu.ndim != 1:
         raise ValueError("univariate initial laws only")
@@ -260,7 +257,7 @@ def evolve(
         b_ref = max(rates.beta(k) for k in range(support + 11))
         pad = 0 if b_ref == 0 else int(math.ceil(10.0 + 5.0 * b_ref * t))
         N = max(support + pad, support, 1)
-    for _ in range(max_doublings + 1):
+    for _ in range(13):
         beta_arr, delta_arr = _rate_arrays(rates, N)
         v0 = np.zeros(N + 2)
         v0[: support + 1] = mu.weights[: support + 1]
@@ -327,13 +324,14 @@ def wf_residual(
         raise ValueError("samples must satisfy |z| <= 0.9")
     if h is None:
         h = 1e-5 * max(t, 1.0)
+    h = min(h, t) if t > 0 else h
     phi_p = evolve(mu, rates, t + h, tol=tol).poly
     phi_m = evolve(mu, rates, max(t - h, 0.0), tol=tol).poly
     phi_0 = evolve(mu, rates, t, tol=tol).poly
     d2 = phi_0.derivative().derivative()
     worst = 0.0
     for z in z_samples:
-        dt = (phi_p(z) - phi_m(z)) / (2 * h)
+        dt = (phi_p(z) - phi_m(z)) / (2 * h if t > 0 else h)
         res = abs(dt - z * (1 - z) * d2(z))
         worst = max(worst, res)
     return worst

@@ -284,6 +284,13 @@ def _is_nonnegative_rational(s: str) -> bool:
         return False
 
 
+def _is_positive_grid(s: str) -> bool:
+    try:
+        return all(0 < float(x) < math.inf for x in s.split(";"))
+    except ValueError:
+        return False
+
+
 EXPERIMENTS = {
     "quad-death-preserve": {
         "claim": "constant-birth quadratic-death chains preserve real-rootedness",
@@ -300,6 +307,7 @@ EXPERIMENTS = {
     "birth-monotonicity": {
         "claim": "increasing birth rates refute stability via the depth-2 approximant",
         "params": {"t_grid": (str, "0.0001;0.0003;0.001")},
+        "valid": {"t_grid": _is_positive_grid},
         "run": _run_birth_monotonicity,
     },
     "hermite-law": {
@@ -369,6 +377,9 @@ EXPERIMENTS = {
 }
 
 
+_KIND = {int: "an integer", float: "a number", str: "a string"}
+
+
 def _coerce_params(name: str, overrides: dict) -> dict:
     schema = EXPERIMENTS[name]["params"]
     out = {k: v for k, (_, v) in schema.items()}
@@ -376,11 +387,16 @@ def _coerce_params(name: str, overrides: dict) -> dict:
         if key not in schema:
             raise KeyError(f"unknown parameter {key!r} for {name}")
         typ = schema[key][0]
-        # int() would truncate a --config float and accept a JSON boolean
-        if typ is int and (
-            isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer()
+        # a --param string parses by type; a --config JSON value must have
+        # the parameter's type, where an integral float counts as an int and
+        # any number as a float, and a boolean is never accepted
+        if not isinstance(raw, str) and (
+            isinstance(raw, bool)
+            or typ is str
+            or not isinstance(raw, (int, float))
+            or typ is int and isinstance(raw, float) and not raw.is_integer()
         ):
-            raise ValueError(f"{key}={raw!r} is not an integer for {name}")
+            raise ValueError(f"{key}={raw!r} is not {_KIND[typ]} for {name}")
         out[key] = typ(raw)
     # range checks run here, before any work, so that a ValueError raised
     # inside a runner still surfaces as a program error

@@ -93,16 +93,6 @@ class Measure:
             out = np.multiply.outer(out, a)
         return cls(out, tail_bound=sum(m.tail_bound for m in measures))
 
-    @classmethod
-    def from_pgf_uni(cls, p: UniPoly, tail_bound: float = 0.0) -> "Measure":
-        w = np.maximum(p.coeffs_float(), 0.0)
-        return cls(w, tail_bound=tail_bound)
-
-    def pgf_uni(self) -> UniPoly:
-        if self.ndim != 1:
-            raise ValueError("not univariate")
-        return UniPoly.from_coeffs(list(self.weights))
-
     def to_json(self) -> dict:
         return {
             "shape": [int(s - 1) for s in self.shape],

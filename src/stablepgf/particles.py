@@ -102,7 +102,9 @@ def single_jump_transform(f: MultiPoly, i: int, j: int, p: float) -> MultiPoly:
         raise ValueError("source and target sites must differ")
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0,1]")
-    return f.substitute_affine(i, 0, {j: p, i: 1 - p})
+    mat = [[int(k == m) for m in range(f.nvars)] for k in range(f.nvars)]
+    mat[i][i], mat[i][j] = 1 - p, p
+    return f.compose_affine([0] * f.nvars, mat)
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def exact_pgf_transform(
     A = expm(aug * t)[:n, n:]  # integral_0^t e^{G u} du
     lam_new = system.birth @ A
     lam_through = np.asarray(f.exp_rates, dtype=float) @ M
-    poly = f.poly.compose_affine_all(list(dead), M.tolist())
+    poly = f.poly.compose_affine(list(dead), M.tolist())
     return PGFWithExpFactor(poly, tuple(lam_through + lam_new))
 
 
@@ -186,13 +188,12 @@ def truncated_generator_evolve(
     t: float,
     box: Sequence[int] | None = None,
     tol: float = DEFAULT.uniformization_tol,
-    strict: bool = True,
 ) -> Measure:
     """Uniformization on the product state space with an absorbing overflow.
 
     Accepts general per-site rates; the escaping-mass bound lands in the
-    result's tail_bound.  With strict=True an escape above tol means the
-    box is too small and raises instead of silently degrading.
+    result's tail_bound.  An escape above tol means the box is too small
+    and raises instead of silently degrading.
     """
     if box is None:
         box = tuple(s - 1 for s in mu.shape)
@@ -246,7 +247,7 @@ def truncated_generator_evolve(
     )
     acc, tail = _uniformized_series(v, UT.dot, lam * t, tol, min_terms=int(sum(box)) + 4)
     escaped = float(acc[OVER])
-    if strict and escaped > tol:
+    if escaped > tol:
         raise ValueError(f"box too small for tolerance: escaped mass {escaped:.3e} > {tol:.1e}")
     w = np.maximum(acc[:S], 0.0).reshape(shape)
     return Measure(w, tail_bound=mu.tail_bound + escaped + tail)
@@ -316,23 +317,6 @@ def _gillespie_run(system, init, t, rng, max_events):
     else:
         raise RuntimeError("event-count cap exceeded")
     return Configuration(tuple(counts))
-
-
-def gillespie_dump_csv(
-    path: str,
-    system: SiteSystem,
-    init: Configuration,
-    t: float,
-    seeds: Sequence[int],
-    max_events: int = 1_000_000,
-) -> None:
-    """Write one row per seed with the final configuration."""
-    header = ["seed"] + [f"site_{i}" for i in range(system.n)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for seed in seeds:
-            cfg = gillespie_sample(system, init, t, seed, max_events=max_events)
-            fh.write(",".join(str(v) for v in (seed, *cfg.counts)) + "\n")
 
 
 def gillespie_empirical(

@@ -69,10 +69,6 @@ class UniPoly:
         return cls((Fraction(1),), True)
 
     @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((Fraction(0), Fraction(1)), True)
-
-    @classmethod
     def from_roots(cls, roots: Sequence, lead=1) -> "UniPoly":
         p = cls.from_coeffs([lead])
         for r in roots:
@@ -191,14 +187,6 @@ class UniPoly:
         out = [k * c for k, c in enumerate(self.coeffs)][1:]
         return UniPoly(tuple(_trim_trailing(out)), self.exact)
 
-    def compose_affine(self, a, b) -> "UniPoly":
-        """Return p(a*x + b)."""
-        lin = UniPoly.from_coeffs([b, a])
-        acc = UniPoly.zero(self.exact and lin.exact)
-        for c in reversed(self.coeffs):
-            acc = acc * lin + UniPoly.from_coeffs([c])
-        return acc
-
     def pow(self, k: int) -> "UniPoly":
         out = UniPoly.one() if self.exact else UniPoly.from_coeffs([1.0])
         for _ in range(k):
@@ -251,10 +239,6 @@ class MultiPoly:
             if not all(math.isfinite(c) for c in clean.values()):
                 raise ValueError(f"non-finite coefficient in {clean}")
         return cls(nvars, tuple(sorted(clean.items())))
-
-    @classmethod
-    def from_uni(cls, p: UniPoly) -> "MultiPoly":
-        return cls.from_dict({(k,): c for k, c in enumerate(p.coeffs)}, 1)
 
     def terms_dict(self) -> dict:
         return dict(self.terms)
@@ -354,12 +338,7 @@ class MultiPoly:
             return self.scale(other)
         if self.nvars != other.nvars:
             raise ValueError("nvars mismatch")
-        d: dict = {}
-        for a, ca in self.terms:
-            for b, cb in other.terms:
-                key = tuple(x + y for x, y in zip(a, b))
-                d[key] = d.get(key, 0) + ca * cb
-        return MultiPoly.from_dict(d, self.nvars)
+        return MultiPoly.from_dict(dict(_mul_terms(self.terms, other.terms)), self.nvars)
 
     __rmul__ = __mul__
 
@@ -374,53 +353,34 @@ class MultiPoly:
 
     # -- substitution ---------------------------------------------------------
 
-    def substitute_affine(self, i: int, const, lin: Mapping[int, object]) -> "MultiPoly":
-        """Substitute x_i <- const + sum_j lin[j]*x_j."""
-        base_terms = {(0,) * self.nvars: const} if const != 0 else {}
-        for j, c in lin.items():
-            if c == 0:
-                continue
-            key = tuple(1 if k == j else 0 for k in range(self.nvars))
-            base_terms[key] = base_terms.get(key, 0) + c
-        base = MultiPoly.from_dict(base_terms, self.nvars)
-        max_e = max((a[i] for a, _ in self.terms), default=0)
-        powers = [MultiPoly.from_dict({(0,) * self.nvars: 1}, self.nvars)]
-        for _ in range(max_e):
-            powers.append(powers[-1] * base)
-        out = MultiPoly.from_dict({}, self.nvars)
-        for a, c in self.terms:
-            rest = tuple(0 if k == i else e for k, e in enumerate(a))
-            mono = MultiPoly.from_dict({rest: c}, self.nvars)
-            out = out + mono * powers[a[i]]
-        return out
+    def compose_affine(self, consts: Sequence, mat: Sequence[Sequence]) -> "MultiPoly":
+        """Substitute x_i <- consts[i] + sum_j mat[i][j]*x_j for every i.
 
-    def compose_affine_all(self, consts: Sequence, mat: Sequence[Sequence]) -> "MultiPoly":
-        """Substitute x_i <- consts[i] + sum_j mat[i][j]*x_j for every i."""
-        subs = []
-        for i in range(self.nvars):
-            d = {}
+        Each term is multiplied by the powers of its variables' substitutes
+        in variable order, by the product routine of __mul__ on plain term
+        lists, and the terms are summed in order.
+        """
+        n = self.nvars
+        unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        zero = (0,) * n
+        powers = []  # powers[i][e - 1]: the i-th substitute to the power e
+        for i, top in enumerate(self.max_degree_per_var()):
+            d = {unit[j]: m for j, m in enumerate(mat[i]) if m != 0}
             if consts[i] != 0:
-                d[(0,) * self.nvars] = consts[i]
-            for j in range(self.nvars):
-                if mat[i][j] != 0:
-                    key = tuple(1 if k == j else 0 for k in range(self.nvars))
-                    d[key] = d.get(key, 0) + mat[i][j]
-            subs.append(MultiPoly.from_dict(d, self.nvars))
-        maxdeg = self.max_degree_per_var()
-        powers = []
-        for i in range(self.nvars):
-            ps = [MultiPoly.from_dict({(0,) * self.nvars: 1}, self.nvars)]
-            for _ in range(maxdeg[i]):
-                ps.append(ps[-1] * subs[i])
+                d[zero] = consts[i]
+            ps = [MultiPoly.from_dict(d, n).terms]
+            for _ in range(top - 1):
+                ps.append(_mul_terms(ps[-1], ps[0]))
             powers.append(ps)
-        out = MultiPoly.from_dict({}, self.nvars)
+        out: dict = {}
         for a, c in self.terms:
-            term = MultiPoly.from_dict({(0,) * self.nvars: c}, self.nvars)
+            term = [(zero, c)]
             for i, e in enumerate(a):
                 if e:
-                    term = term * powers[i][e]
-            out = out + term
-        return out
+                    term = _mul_terms(term, powers[i][e - 1])
+            for key, v in term:
+                out[key] = out.get(key, 0) + v
+        return MultiPoly.from_dict(out, n)
 
     def restrict_line(self, a: Sequence, b: Sequence) -> UniPoly:
         """Univariate restriction x -> f(a + x*b), in float arithmetic.
@@ -490,15 +450,15 @@ class MultiPoly:
         return cls.from_dict(d, nvars)
 
 
-def evaluate(p, point):
-    """Evaluate a UniPoly or MultiPoly, returning (value, error_bound)."""
-    if isinstance(p, UniPoly):
-        if isinstance(point, (list, tuple)):
-            if len(point) != 1:
-                raise ValueError("univariate polynomial expects one coordinate")
-            point = point[0]
-        return p.eval_with_bound(point)
-    return p.eval_with_bound(point)
+def _mul_terms(p: list, q: list) -> list:
+    """Product of two term lists: the pairs are summed per multi-index in
+    the order of the two lists, and zero sums are dropped."""
+    d: dict = {}
+    for a, ca in p:
+        for b, cb in q:
+            key = tuple(x + y for x, y in zip(a, b))
+            d[key] = d.get(key, 0) + ca * cb
+    return sorted((k, c) for k, c in d.items() if c != 0)
 
 
 # ---------------------------------------------------------------------------

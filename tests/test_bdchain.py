@@ -73,12 +73,6 @@ class TestTransition:
         assert (sums <= 1 + 1e-12).all()
         assert (1 - sums <= sg.trunc_error + 1e-12).all()
 
-    def test_lambda_independence(self):
-        rates = BirthDeathRates.mm_infty(1.5, 0.7)
-        a = transition(rates, 0.6, 15, tol=1e-13, lam_factor=1.0)
-        b = transition(rates, 0.6, 15, tol=1e-13, lam_factor=2.7)
-        assert np.abs(a.matrix - b.matrix).max() < 1e-12
-
     @pytest.mark.parametrize(
         "rates,t,N",
         [
@@ -185,6 +179,10 @@ class TestWrightFisher:
     def test_delta5_both_times(self):
         for t in (0.05, 0.2):
             assert wf_residual(Measure.point_mass(5), t) < 1e-6
+
+    def test_time_below_default_step(self):
+        # the default step 1e-5 exceeds t, so it is clamped to t
+        assert wf_residual(Measure.point_mass(3), 5e-6) < 1e-6
 
     def test_sample_cap(self):
         with pytest.raises(ValueError):

@@ -105,11 +105,25 @@ class TestRun:
             ("tstable-certify", "sigma=-1/2"),
             ("tstable-certify", "sigma=1/0"),
             ("tstable-certify", "sigma=abc"),
+            ("birth-monotonicity", "t_grid=abc"),
+            ("birth-monotonicity", "t_grid=-1"),
+            ("birth-monotonicity", "t_grid=nan"),
+            ("birth-monotonicity", "t_grid=0.001;inf"),
+            # a dict is a --config file: its JSON value has the wrong type
+            pytest.param("double-root-counterexample", {"t": True}, id="config-t=true"),
+            pytest.param("birth-monotonicity", {"t_grid": 5}, id="config-t_grid=5"),
         ],
     )
     def test_invalid_value_exits_2(self, tmp_path, capsys, name, param):
-        code = main(["run", name, "--param", param, "--out", str(tmp_path)])
+        if isinstance(param, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(param))
+            args = ["--config", str(cfg)]
+        else:
+            args = ["--param", param]
+        code = main(["run", name, *args, "--out", str(tmp_path / "out")])
         assert code == 2
+        assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err

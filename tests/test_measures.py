@@ -15,6 +15,7 @@ from stablepgf.measures import (
     poisson_box,
     project,
 )
+from stablepgf.polycore import UniPoly
 from stablepgf.stability import Verdict, certify_tstable, is_real_rooted
 
 probs = st.floats(min_value=0.05, max_value=0.95)
@@ -118,7 +119,7 @@ class TestMarginalSum:
         for alpha, c in f.terms:
             w[alpha] = float(c)
         law = marginal_sum(Measure(w), [0, 1])
-        assert is_real_rooted(law.pgf_uni()).verdict is Verdict.STABLE
+        assert is_real_rooted(UniPoly.from_coeffs(list(law.weights))).verdict is Verdict.STABLE
 
     def test_projection_commutes_with_marginal(self):
         rng = np.random.default_rng(9)
@@ -140,7 +141,7 @@ class TestBpSynthesize:
     def test_poisson_bernoulli_convolution(self):
         m = bp_synthesize(0, 1.0, [0.5], box=40)
         # cross-check by PGF product evaluation
-        f = m.pgf_uni()
+        f = UniPoly.from_coeffs(list(m.weights))
         for x in np.linspace(0.05, 0.95, 10):
             expect = math.exp(x - 1) * (0.5 + 0.5 * x)
             assert f(float(x)) == pytest.approx(expect, abs=1e-12)
@@ -213,7 +214,7 @@ class TestFiniteSupportEquivalence:
         w = rng.uniform(0, 1, size=int(rng.integers(2, 6)))
         w /= w.sum()
         mu = Measure(w)
-        rr = is_real_rooted(mu.pgf_uni())
+        rr = is_real_rooted(UniPoly.from_coeffs(list(mu.weights)))
         ct = certify_tstable({k: float(v) for k, v in enumerate(w)})
         if rr.verdict is Verdict.STABLE:
             assert ct.verdict is Verdict.STABLE

@@ -4,36 +4,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from stablepgf.cli import _ts_fixture
 from stablepgf.measures import Measure
 from stablepgf.nacheck import CapExceeded, enumerate_upsets, is_na, na_all_splits
-from stablepgf.particles import single_jump_transform
-from stablepgf.polycore import MultiPoly
-
-
-def exact_weights(f: MultiPoly) -> np.ndarray:
-    shape = tuple(s + 1 for s in f.max_degree_per_var())
-    w = np.empty(shape, dtype=object)
-    w[...] = F(0)
-    for alpha, c in f.terms:
-        w[alpha] = c
-    return w
-
-
-def stable_two_site_fixture(rng):
-    """Rational Bernoulli products pushed through one jump transform."""
-
-    def rand_frac():
-        return F(int(rng.integers(1, 10)), int(rng.integers(10, 14)))
-
-    def bern(ps, var):
-        f = MultiPoly.from_dict({(0, 0): F(1)}, 2)
-        for p in ps:
-            key = (1, 0) if var == 0 else (0, 1)
-            f = f * MultiPoly.from_dict({(0, 0): 1 - p, key: p}, 2)
-        return f
-
-    f = bern([rand_frac()], 0) * bern([rand_frac() for _ in range(int(rng.integers(1, 4)))], 1)
-    return single_jump_transform(f, 0, 1, F(int(rng.integers(1, 8)), 8))
 
 
 def brute_force_upsets(shape):
@@ -139,7 +112,7 @@ class TestIsNa:
     def test_stable_fixture_passes(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            w = exact_weights(stable_two_site_fixture(rng))
+            w = _ts_fixture(rng)
             res = is_na(w, [0], [1])
             assert res.passed and res.worst_slack <= 0
 
@@ -159,7 +132,7 @@ class TestExactAndFloat:
     def fixtures(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
-            yield exact_weights(stable_two_site_fixture(rng))
+            yield _ts_fixture(rng)
         for shape in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 2, 2), (2, 2, 3)]:
             for _ in range(6):
                 yield random_rational_law(rng, shape)

@@ -15,7 +15,7 @@ from stablepgf.particles import (
     single_jump_transform,
     truncated_generator_evolve,
 )
-from stablepgf.polycore import MultiPoly
+from stablepgf.polycore import MultiPoly, UniPoly
 from stablepgf.stability import Verdict, is_real_rooted, is_stable_multi
 
 
@@ -128,7 +128,9 @@ class TestExactTransform:
             mu0 = Measure.product(Measure.bernoulli(0.4), Measure.poisson(0.6, box=10))
             out = exact_pgf_transform(pgf(mu0), sysr, 0.5).to_measure((16, 16))
             law = marginal_sum(out, [0, 1])
-            cert = is_real_rooted(law.pgf_uni(), coeff_perturb=out.tail_bound + 1e-10)
+            cert = is_real_rooted(
+                UniPoly.from_coeffs(list(law.weights)), coeff_perturb=out.tail_bound + 1e-10
+            )
             assert cert.verdict is not Verdict.REFUTED
 
 
@@ -191,17 +193,6 @@ def test_site_system_json_round_trip():
     assert np.allclose(back.jump, system.jump)
     assert np.allclose(back.birth, system.birth)
     assert np.allclose(back.death, system.death)
-
-
-def test_gillespie_csv_dump(tmp_path):
-    from stablepgf.particles import gillespie_dump_csv
-
-    sys1 = SiteSystem(jump=np.zeros((2, 2)), birth=np.array([1.0, 0.0]), death=np.ones(2))
-    path = tmp_path / "samples.csv"
-    gillespie_dump_csv(str(path), sys1, Configuration((0, 1)), 1.0, seeds=range(5))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "seed,site_0,site_1"
-    assert len(lines) == 6
 
 
 class TestGillespie:

@@ -15,7 +15,6 @@ from stablepgf.polycore import (
     _yun_squarefree,
     elem_sym,
     elem_sym_all,
-    evaluate,
     exact_real_root_count,
     hermite_sum_form,
     kummer_series_poly,
@@ -88,18 +87,18 @@ def _bits(p):
 
 class TestEval:
     def test_linear_at_i(self):
-        val, err = evaluate(UniPoly.from_coeffs([1, 1]), 1j)
+        val, err = UniPoly.from_coeffs([1, 1]).eval_with_bound(1j)
         assert val == 1 + 1j
         assert err < 1e-12
 
     def test_product_point(self):
         f = MultiPoly.from_dict({(1, 1): 1}, 2)
-        val, _ = evaluate(f, (2, 3))
+        val, _ = f.eval_with_bound((2, 3))
         assert val == 6
 
     def test_root_of_cube(self):
         p = UniPoly.from_roots([-0.5, -0.5, -0.5])
-        val, err = evaluate(p, -0.5)
+        val, err = p.eval_with_bound(-0.5)
         assert abs(val) <= max(err, 1e-15)
 
     def test_dimension_mismatch(self):
@@ -346,7 +345,7 @@ class TestRestrictLine:
         assert _bits(got) == _bits(UniPoly.from_coeffs([2.5]))
         one = MultiPoly.from_dict({(0,): 1, (1,): -2, (3,): F(1, 2)}, 1)
         got = one.restrict_line([0.5], [2.0])
-        exact = one.to_uni().compose_affine(2, F(1, 2))
+        exact = one.compose_affine([F(1, 2)], [[2]]).to_uni()
         assert _bits(got) == _bits(exact.to_float())
         assert _bits(got) == _bits(_ref_restrict_line(one, [0.5], [2.0]))
 
@@ -454,18 +453,24 @@ class TestArithmetic:
         assert UniPoly.from_coeffs([0, 0, 0, 1]).derivative().coeffs == (F(0), F(0), F(3))
 
     def test_substitute(self):
-        out = UniPoly.from_coeffs([0, 0, 1]).compose_affine(-1, 1)
+        out = MultiPoly.from_dict({(2,): 1}, 1).compose_affine([1], [[-1]]).to_uni()
         assert out.coeffs == (F(1), F(-2), F(1))
 
     def test_mul(self):
         out = UniPoly.from_coeffs([1, 1]) * UniPoly.from_coeffs([2, 1])
         assert out.coeffs == (F(2), F(3), F(1))
 
-    @given(st.lists(rationals, min_size=1, max_size=5), rationals, rationals, rationals)
+    @given(st.data())
     @settings(max_examples=40, deadline=None)
-    def test_compose_affine_agrees_pointwise(self, coeffs, a, b, x):
-        p = UniPoly.from_coeffs(coeffs)
-        assert p.compose_affine(a, b)(x) == p(a * x + b)
+    def test_compose_affine_agrees_pointwise(self, data):
+        n = data.draw(st.integers(1, 3))
+        alphas = st.tuples(*[st.integers(0, 3)] * n)
+        f = MultiPoly.from_dict(data.draw(st.dictionaries(alphas, rationals, max_size=5)), n)
+        c = data.draw(st.lists(rationals, min_size=n, max_size=n))
+        M = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+        x = data.draw(st.lists(rationals, min_size=n, max_size=n))
+        y = [c[i] + sum(M[i][j] * x[j] for j in range(n)) for i in range(n)]
+        assert f.compose_affine(c, M)(x) == f(y)
 
     def test_json_round_trip_exact(self):
         p = UniPoly.from_coeffs([F(1, 3), F(-2, 7), F(5)])
