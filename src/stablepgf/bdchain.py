@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .measures import Measure
+from .measures import Measure, _poisson_weights
 from .polycore import (
     UniPoly,
     hermite_sum_form,
@@ -141,10 +141,6 @@ def generator(rates: BirthDeathRates, N: int) -> np.ndarray:
     return Q
 
 
-def _poisson_log_weight(j: int, lam_t: float) -> float:
-    return -lam_t + j * math.log(lam_t) - math.lgamma(j + 1)
-
-
 def _uniformized_series(v0: np.ndarray, step: Callable, lam_t: float, tol: float, min_terms: int):
     """Poisson-weighted series sum_j P(Poisson(lam_t) = j) v0 S^j; returns (acc, tail).
 
@@ -152,39 +148,24 @@ def _uniformized_series(v0: np.ndarray, step: Callable, lam_t: float, tol: float
     states plus an absorbing overflow state in the last column, and step
     applies the one-jump operator S of the uniformized chain to every row.
     The last column of acc is then the certified mass that left the box,
-    and `tail` is the neglected Poisson weight.  Where the series stops
-    depends on lam_t, tol and min_terms only, so every row of a block stops
-    at the same term and shares the same tail.
+    and `tail` bounds the l1 error of the Poisson weights, series tail
+    included.  The series runs to at least min_terms, since mass-wise it
+    may converge long before rare states receive their leading-order term
+    (paths of length up to the box size); where it stops depends on lam_t,
+    tol and min_terms only, so every row of a block shares the same tail.
     """
     if lam_t < 0.0:
         raise ValueError("t must be >= 0")
     v = np.array(v0, dtype=float)
     if lam_t == 0.0:
         return v, 0.0
-    acc = np.zeros_like(v)
-    cum = 0.0
-    # Mass-wise the series may converge long before rare states receive
-    # their leading-order term (paths of length up to the box size, which
-    # min_terms exceeds), and the all-positive accumulation keeps every
-    # entry relatively accurate.  Past the mode the remaining analytic mass
-    # is geometrically bounded, which terminates the loop even when the
-    # float sum of weights plateaus slightly below 1.
-    j_cap = int(lam_t + 12.0 * math.sqrt(lam_t + 1.0) + 60.0) + min_terms
-    for j in range(j_cap + 1):
-        w = math.exp(_poisson_log_weight(j, lam_t))
-        if w > 0.0:
-            acc += w * v
-            cum += w
-        if j >= min_terms:
-            if cum >= 1.0 - tol:
-                return acc, max(0.0, 1.0 - cum)
-            if j > lam_t + 2.0:
-                ratio = lam_t / (j + 2.0)
-                rest = w * ratio / (1.0 - ratio) if w > 0.0 else 0.0
-                if rest < 0.5 * tol:
-                    return acc, max(0.0, 1.0 - cum)
+    w, tail = _poisson_weights(lam_t, tol, min_terms + 1)
+    acc = w[0] * v
+    for wj in w[1:].tolist():
         v = step(v)
-    raise RuntimeError(f"uniformization series did not reach tolerance {tol} by j={j_cap}")
+        if wj > 0.0:
+            acc += wj * v
+    return acc, tail
 
 
 def _bd_uniformize(
@@ -313,9 +294,10 @@ def wf_residual(
 ) -> float:
     """Defect of d/dt phi = z(1-z) d^2/dz^2 phi under death rate k(k-1).
 
-    The time derivative uses centered differences; the space derivative is
-    exact from the coefficients.  Samples default to 20 real points in
-    [-0.9, 0.9].
+    The time derivative uses centered differences, or at t = 0 the
+    second-order one-sided (-3 phi(0) + 4 phi(h) - phi(2h)) / 2h; the space
+    derivative is exact from the coefficients.  Samples default to 20 real
+    points in [-0.9, 0.9].
     """
     rates = BirthDeathRates.quadratic_death()
     if z_samples is None:
@@ -324,14 +306,16 @@ def wf_residual(
         raise ValueError("samples must satisfy |z| <= 0.9")
     if h is None:
         h = 1e-5 * max(t, 1.0)
-    h = min(h, t) if t > 0 else h
-    phi_p = evolve(mu, rates, t + h, tol=tol).poly
-    phi_m = evolve(mu, rates, max(t - h, 0.0), tol=tol).poly
-    phi_0 = evolve(mu, rates, t, tol=tol).poly
-    d2 = phi_0.derivative().derivative()
+    if t > 0:
+        h = min(h, t)
+        stencil = ((t - h, -1.0), (t + h, 1.0))
+    else:
+        stencil = ((0.0, -3.0), (h, 4.0), (2 * h, -1.0))
+    phis = [(evolve(mu, rates, s, tol=tol).poly, c) for s, c in stencil]
+    d2 = evolve(mu, rates, t, tol=tol).poly.derivative().derivative()
     worst = 0.0
     for z in z_samples:
-        dt = (phi_p(z) - phi_m(z)) / (2 * h if t > 0 else h)
+        dt = sum(c * phi(z) for phi, c in phis) / (2 * h)
         res = abs(dt - z * (1 - z) * d2(z))
         worst = max(worst, res)
     return worst

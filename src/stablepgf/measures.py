@@ -78,12 +78,8 @@ class Measure:
             raise ValueError("sigma must be >= 0")
         if box is None:
             box = poisson_box(sigma, tol)
-        w = np.zeros(box + 1)
-        term = math.exp(-sigma)
-        for k in range(box + 1):
-            w[k] = term
-            term *= sigma / (k + 1)
-        return cls(w, tail_bound=max(0.0, 1.0 - float(w.sum()), _poisson_tail_majorant(sigma, box)))
+        w, err = _poisson_weights(sigma, tol, box + 1)
+        return cls(w[: box + 1], tail_bound=err + math.fsum(w[box + 1 :]))
 
     @classmethod
     def product(cls, *measures: "Measure") -> "Measure":
@@ -108,35 +104,49 @@ class Measure:
 
 
 def poisson_box(sigma: float, tol: float = 1e-10) -> int:
-    """Smallest truncation with Poisson tail mass below tol."""
-    if sigma == 0:
-        return 0
-    term = math.exp(-sigma)
-    acc = term
-    k = 0
-    while 1.0 - acc > tol and k < 10_000:
-        k += 1
-        term *= sigma / k
-        acc += term
-    return k
+    """Smallest truncation at or above the mode whose certified Poisson tail
+    mass is at most tol / 2."""
+    return len(_poisson_weights(sigma, tol, 1)[0]) - 1
 
 
-def _poisson_tail_majorant(sigma: float, box: int) -> float:
-    """Geometric majorization of the Poisson mass beyond the box.
+def _poisson_weights(lam: float, tol: float, min_len: int) -> tuple[np.ndarray, float]:
+    """P(X = j) for j = 0..R, X ~ Poisson(lam), and a bound on their l1 error.
 
-    Strictly positive for sigma > 0, marking the measure as truncated even
-    when the tail underflows the float sum.
+    Terms follow the ratio recurrence outward from omega_mode = 1 and are
+    scaled by their exactly rounded sum (Fox & Glynn, CACM 31(4), 1988), so
+    the bulk never underflows; weights that do are exactly 0.  R is the
+    first index >= max(min_len - 1, mode) at which the geometric bound on
+    P(X > R) is at most tol / 2.  The bound adds the rounding: two per step
+    from the mode spread the weights' relative errors by at most
+    2u sqrt(E(X - mode)^2) <= 2u sqrt(lam + 1), and 4u covers the scaling.
     """
-    if sigma == 0:
-        return 0.0
-    if box + 2 <= sigma:
-        return 1.0
-    try:
-        log_term = -sigma + (box + 1) * math.log(sigma) - math.lgamma(box + 2)
-        tail = math.exp(log_term) / (1.0 - sigma / (box + 2))
-    except (OverflowError, ValueError):
-        return 1.0
-    return max(tail, 5e-324)
+    if lam == 0.0:
+        return np.eye(1, max(min_len, 1))[0], 0.0
+    mode = int(lam)
+    terms = [1.0]
+    for j in range(mode, 0, -1):
+        terms.append(terms[-1] * (j / lam))
+        if terms[-1] == 0.0:
+            break
+    lo, terms = mode + 1 - len(terms), terms[::-1]
+    partial, last, j, R = sum(terms), 1.0, mode, -1
+    q = lam / (j + 1)
+    while True:
+        # P(X > j) <= omega_j * q * sum_i (lam/(j+2))^i, as j + 2 > lam
+        q_next = lam / (j + 2)
+        rest = last * q / (1.0 - q_next)
+        if R < 0 and j >= min_len - 1 and rest <= 0.5 * tol * partial:
+            R, tail = j, rest
+        if R >= 0 and rest < 2.0**-60 * partial:
+            break
+        last *= q
+        terms.append(last)
+        partial += last
+        j, q = j + 1, q_next
+    total = math.fsum(terms)
+    w = np.zeros(R + 1)
+    w[lo:] = np.array(terms[: R + 1 - lo]) / total
+    return w, tail / total + (2.0 * math.sqrt(lam + 1.0) + 4.0) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,11 @@ def certify_tstable(
             )
 
     # falling(m, alpha) / m^|alpha| <= 1, so the l1 coefficient error of
-    # each approximant is at most the declared tail mass.
+    # each approximant is at most the declared tail mass.  is_stable_multi
+    # takes no such allowance, so a truncated multivariate sequence is only
+    # probed at depths whose approximants read no coefficient beyond c.
+    if truncated and nvars > 1:
+        m_max = min(m_max, min(max(alpha[i] for alpha in d) for i in range(nvars)))
     for m in range(1, m_max + 1):
         fm = tstable_approximant(d, m).poly
         if nvars == 1:

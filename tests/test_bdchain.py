@@ -184,6 +184,10 @@ class TestWrightFisher:
         # the default step 1e-5 exceeds t, so it is clamped to t
         assert wf_residual(Measure.point_mass(3), 5e-6) < 1e-6
 
+    def test_time_zero_second_order(self):
+        # a first-order one-sided difference would read 3.8e-4 here
+        assert wf_residual(Measure.point_mass(3), 0.0) <= 1e-7
+
     def test_sample_cap(self):
         with pytest.raises(ValueError):
             wf_residual(Measure.point_mass(2), 0.1, z_samples=[0.95])
@@ -305,6 +309,19 @@ class TestKingman:
         dec = bp_decompose(ev.to_measure())
         assert dec.q in (0, 1)
         assert dec.residual < 1e-8
+
+    @pytest.mark.parametrize("n", [50, 100, 150, 200, 300, 400, 800])
+    def test_tail_bound_near_tol(self, n):
+        # series tail up to tol/2 plus the rounding of the Poisson weights
+        assert kingman(n, True, 0.5).tail_bound <= 2e-13
+
+    def test_tail_bound_covers_expm(self):
+        n, t = 150, 0.5
+        ev = kingman(n, True, t)
+        oracle = expm(generator(BirthDeathRates.kingman_coalescent(), n) * t)[n]
+        w = ev.poly.coeffs_float()
+        gap = float(np.abs(w - oracle[: len(w)]).sum() + oracle[len(w) :].sum())
+        assert gap <= ev.tail_bound + 1e-13
 
 
 class TestLieSplit:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from stablepgf.measures import (
     Measure,
+    _poisson_weights,
     bp_decompose,
     bp_synthesize,
     marginal_sum,
@@ -65,6 +67,46 @@ class TestPgf:
         m = Measure.poisson(1.0, box=8)
         assert m.tail_bound > 0
         assert abs(m.weights[3] - math.exp(-1) / 6) < 1e-15
+
+
+def decimal_poisson(lam: float, upto: int):
+    """P(X = j) for j = 0..upto and P(X > upto), by the ratio recurrence
+    from the mode in 40-digit decimal, summed until terms fall below 1e-60
+    of the mode's."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        L, mode = Decimal(lam), int(lam)
+        terms = [Decimal(1)]
+        for j in range(mode, 0, -1):
+            terms.append(terms[-1] * j / L)
+        terms.reverse()
+        j = mode
+        while j < upto or terms[-1] > Decimal("1e-60"):
+            terms.append(terms[-1] * L / (j + 1))
+            j += 1
+        total = sum(terms)
+        return [t / total for t in terms[: upto + 1]], sum(terms[upto + 1 :]) / total
+
+
+class TestPoissonWeights:
+    @pytest.mark.parametrize("lam", [1e2, 1e4, 2.2e4, 8e4, 1.6e5])
+    def test_bound_covers_decimal_reference(self, lam):
+        w, err = _poisson_weights(lam, 1e-13, 1)
+        p, tail = decimal_poisson(lam, len(w) - 1)
+        gap = sum(abs(Decimal(float(a)) - b) for a, b in zip(w, p))
+        assert gap + tail <= Decimal(err)
+
+    def test_large_sigma_keeps_its_mass(self):
+        # exp(-800) underflows, so weights built up from it are all zero
+        m = Measure.poisson(800, box=1000)
+        assert m.mass() >= 1 - 1e-11
+        assert poisson_box(800) < 1100
+
+    def test_sliced_mass_goes_to_the_tail(self):
+        m = Measure.poisson(5.0, box=6)
+        p, tail = decimal_poisson(5.0, 6)
+        gap = sum(abs(Decimal(float(a)) - b) for a, b in zip(m.weights, p))
+        assert gap + tail <= Decimal(m.tail_bound) < Decimal(tail) * 2
 
 
 class TestProject:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablepgf.measures import Measure
 from stablepgf.polycore import MultiPoly, UniPoly, exact_real_root_count, polarize, real_roots
 from stablepgf.stability import (
     Verdict,
@@ -282,6 +283,19 @@ class TestCertifyTstable:
         }
         cert = certify_tstable(c, m_max=5)
         assert cert.verdict is not Verdict.REFUTED
+
+    def test_multivariate_truncated_poisson_not_refuted(self):
+        # Poisson(1) x Poisson(1) cut to {0..2}^2 is t-stable; depth-3
+        # approximants would read coefficients the box does not hold
+        m = Measure.product(Measure.poisson(1.0, box=2), Measure.poisson(1.0, box=2))
+        c = {idx: float(v) for idx, v in np.ndenumerate(m.weights)}
+        cert = certify_tstable(c, tail_bound=0.154)
+        assert cert.verdict is not Verdict.REFUTED
+
+    def test_multivariate_truncated_diagonal_mixture_refuted(self):
+        cert = certify_tstable({(0, 0): 0.5, (1, 1): 0.5}, tail_bound=0.1)
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.m == 1
 
 
 class TestCoefficientClosure:
