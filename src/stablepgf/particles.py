@@ -91,6 +91,8 @@ class Configuration:
     counts: tuple
 
     def __post_init__(self):
+        if not all(isinstance(c, (int, np.integer)) for c in self.counts):
+            raise ValueError("occupancies must be integers")
         if any(c < 0 for c in self.counts):
             raise ValueError("negative occupancy")
 
@@ -262,61 +264,86 @@ def gillespie_sample(
 ) -> Configuration:
     """Exact-jump simulation to time t, reproducible per seed.
 
-    The stream is a counter-based Philox generator keyed by the seed, so
+    The stream is a counter-based Philox generator keyed by (seed, 0), so
     disjoint seeds give independent reproducible streams.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    return _gillespie_run(system, init, t, rng, max_events)
+    final = _gillespie_runs(system, init, t, seed, np.zeros(1, dtype=np.uint64), max_events)
+    return Configuration(tuple(final[0].tolist()))
 
 
-def _gillespie_run(system, init, t, rng, max_events):
+def _gillespie_runs(system, init, t, seed, keys, max_events):
+    """Final counts, one row per run, of runs keyed (seed, keys[r]).
+
+    All runs advance together, one event per step.  Each run takes two
+    uniforms per event from its own Philox stream (the waiting time, then
+    the choice) and one for the step that passes t.  The rates of a run
+    sit in a fixed column order, per site birth, death, then jumps i -> j
+    for j != i, and are summed by a row-wise cumsum in that order, so every
+    run draws, sums and ends exactly as it would if simulated alone.
+    """
     n = system.n
-    counts = list(init.counts)
-    if len(counts) != n:
+    if len(init.counts) != n:
         raise ValueError("configuration length does not match site count")
-    now = 0.0
-    jump = system.jump
-    for _ in range(max_events):
-        rates = []
-        total = 0.0
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen, state = np.random.Generator(bits), bits.state  # counter 0, empty buffer
+
+    def blocks(run, width):
+        # The first `width` uniforms of each run's stream.
+        U = np.empty((len(run), width))
+        for out, key in zip(U, keys[run].tolist()):
+            state["state"]["key"][1] = key
+            bits.state = state
+            gen.random(out=out)
+        return U
+
+    eye, off = np.eye(n, dtype=np.int64), ~np.eye(n, dtype=bool)
+    # Change of the counts for each rate column's event.
+    move = np.concatenate([np.vstack([eye[i], -eye[i], eye[off[i]] - eye[i]]) for i in range(n)])
+    jump = system.jump[off].reshape(n, n - 1)
+    table = np.full((n, 0, 2), np.nan)  # (birth, death) rate of each (site, count) met so far
+    sites = np.arange(n)
+    final = np.empty((len(keys), n), dtype=np.int64)
+    run, now = np.arange(len(keys)), np.zeros(len(keys))
+    counts = np.tile(np.asarray(init.counts, dtype=np.int64), (len(keys), 1))
+    U, row = blocks(run, 12), run  # row: each live run's row of U
+    for step in range(max_events):
+        if counts.max() >= table.shape[1]:
+            table = np.concatenate([table, np.full((n, counts.max() + 1, 2), np.nan)], axis=1)
         for i in range(n):
-            br = system.birth_rate(i, counts[i])
-            if br > 0:
-                rates.append((br, i, 1, -1))
-                total += br
-            dr = system.death_rate(i, counts[i])
-            if dr > 0:
-                rates.append((dr, i, -1, -1))
-                total += dr
-            if counts[i] > 0:
-                for j in range(n):
-                    if j != i and jump[i, j] > 0:
-                        r = float(jump[i, j]) * counts[i]
-                        rates.append((r, i, 0, j))
-                        total += r
-        if total <= 0.0:
-            break
-        now += -math.log(rng.random()) / total
-        if now >= t:
-            break
-        u = rng.random() * total
-        acc = 0.0
-        for r, i, d, j in rates:
-            acc += r
-            if u <= acc:
-                if d == 1:
-                    counts[i] += 1
-                elif d == -1:
-                    counts[i] -= 1
-                else:
-                    counts[i] -= 1
-                    counts[j] += 1
-                break
-        else:
-            continue
-    else:
-        raise RuntimeError("event-count cap exceeded")
-    return Configuration(tuple(counts))
+            for k in np.unique(counts[np.isnan(table[i, counts[:, i], 0]), i]).tolist():
+                rate = np.array([system.birth_rate(i, k), system.death_rate(i, k)], dtype=float)
+                table[i, k] = np.where(rate > 0, rate, 0.0)
+                if k == 0 and rate[1] > 0:
+                    raise ValueError(f"death rate at empty site {i} must be 0")
+        acc = np.concatenate([table[sites, counts], counts[:, :, None] * jump], axis=2)
+        acc = acc.reshape(len(run), -1)
+        pos = acc > 0  # a run alone skips the other rates
+        acc[~pos] = 0.0
+        total = np.cumsum(acc, axis=1, out=acc)[:, -1]  # running sums, in place
+        if 2 * step + 2 > U.shape[1]:
+            # same keys: the longer block starts with the old one
+            U, row = blocks(run, 4 * U.shape[1]), np.arange(len(run))
+        live = total > 0
+        # math.log, as a run alone takes it: np.log can differ in the last bit.
+        logs = np.fromiter(map(math.log, U[row[live], 2 * step].tolist()), float, int(live.sum()))
+        now[live] += -logs / total[live]
+        go = live & (now < t)
+        hit = ((U[row, 2 * step + 1] * total)[:, None] <= acc) & pos
+        col = hit.argmax(axis=1)
+        took = go & hit[np.arange(len(run)), col]
+        counts[took] += move[col[took]]
+        del acc, pos, total, hit  # free them before the next step builds its own
+        final[run[~go]] = counts[~go]
+        run, row, counts, now = run[go], row[go], counts[go], now[go]
+        if not len(run):
+            return final
+    raise RuntimeError("event-count cap exceeded")
 
 
 def gillespie_empirical(
@@ -330,18 +357,17 @@ def gillespie_empirical(
 ) -> Measure:
     """Empirical law of the configuration at time t over `samples` runs.
 
-    Each run gets its own Philox key (seed, run index); mass falling
-    outside the box is recorded in tail_bound.
+    Run r (r = 0 .. samples - 1) gets its own Philox key (seed, r + 1);
+    mass falling outside the box is recorded in tail_bound.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if len(box) != system.n:
+        raise ValueError("box length does not match site count")
     shape = tuple(int(b) + 1 for b in box)
-    w = np.zeros(shape)
-    outside = 0
-    for r in range(samples):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, r + 1], dtype=np.uint64)))
-        cfg = _gillespie_run(system, init, t, rng, max_events)
-        if all(c < s for c, s in zip(cfg.counts, shape)):
-            w[cfg.counts] += 1.0
-        else:
-            outside += 1
-    w /= samples
-    return Measure(w, tail_bound=outside / samples + 1e-12)
+    keys = np.arange(1, samples + 1, dtype=np.uint64)
+    final = _gillespie_runs(system, init, t, seed, keys, max_events)
+    inside = (final < shape).all(axis=1)
+    w = np.bincount(np.ravel_multi_index(final[inside].T, shape), minlength=math.prod(shape))
+    w = w.reshape(shape) / samples
+    return Measure(w, tail_bound=int(samples - inside.sum()) / samples + 1e-12)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from stablepgf.measures import Measure, marginal_sum, pgf
@@ -11,6 +13,7 @@ from stablepgf.particles import (
     SiteSystem,
     exact_pgf_transform,
     gillespie_empirical,
+    _gillespie_runs,
     gillespie_sample,
     single_jump_transform,
     truncated_generator_evolve,
@@ -25,6 +28,103 @@ def random_order1(rng, n=2, birth_hi=0.8):
         birth=rng.uniform(0, birth_hi, n),
         death=rng.uniform(0.2, 1.0, n),
     )
+
+
+def reference_gillespie_run(system, init, t, rng, max_events):
+    """One run at a time, one scalar draw at a time: the sampler as it was
+    before runs were batched, kept as the reference for every run's path."""
+    n = system.n
+    counts = list(init.counts)
+    if len(counts) != n:
+        raise ValueError("configuration length does not match site count")
+    now = 0.0
+    jump = system.jump
+    for _ in range(max_events):
+        rates = []
+        total = 0.0
+        for i in range(n):
+            br = system.birth_rate(i, counts[i])
+            if br > 0:
+                rates.append((br, i, 1, -1))
+                total += br
+            dr = system.death_rate(i, counts[i])
+            if dr > 0:
+                rates.append((dr, i, -1, -1))
+                total += dr
+            if counts[i] > 0:
+                for j in range(n):
+                    if j != i and jump[i, j] > 0:
+                        r = float(jump[i, j]) * counts[i]
+                        rates.append((r, i, 0, j))
+                        total += r
+        if total <= 0.0:
+            break
+        now += -math.log(rng.random()) / total
+        if now >= t:
+            break
+        u = rng.random() * total
+        acc = 0.0
+        for r, i, d, j in rates:
+            acc += r
+            if u <= acc:
+                if d == 1:
+                    counts[i] += 1
+                elif d == -1:
+                    counts[i] -= 1
+                else:
+                    counts[i] -= 1
+                    counts[j] += 1
+                break
+        else:
+            continue
+    else:
+        raise RuntimeError("event-count cap exceeded")
+    return Configuration(tuple(counts))
+
+
+class CountingStream:
+    """A scalar Philox stream keyed (seed, key) that counts its draws."""
+
+    def __init__(self, seed, key):
+        self.rng = np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.rng.random()
+
+
+def reference_runs(system, init, t, seed, keys, max_events=1_000_000):
+    """Final counts of the reference runs keyed (seed, k) for k in keys."""
+    return [
+        reference_gillespie_run(system, init, t, CountingStream(seed, k), max_events).counts
+        for k in keys
+    ]
+
+
+def batched_runs(system, init, t, seed, keys, max_events=1_000_000):
+    keys = np.asarray(keys, dtype=np.uint64)
+    return [tuple(row) for row in _gillespie_runs(system, init, t, seed, keys, max_events).tolist()]
+
+
+@st.composite
+def sampler_cases(draw):
+    """A 1-3 site system, order-1 or with general birth and death rates
+    (zero rates included), a start, a time and a seed."""
+    n = draw(st.integers(1, 3))
+    rate = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    jump = np.array([[draw(rate) for _ in range(n)] for _ in range(n)])
+    birth = np.array([draw(rate) for _ in range(n)])
+    death = np.array([draw(rate) for _ in range(n)])
+    fns = {}
+    if draw(st.booleans()):
+        fns = {
+            "birth_fn": lambda i, k: float(birth[i]) / (1 + k),
+            "death_fn": lambda i, k: float(death[i]) * k * (k + 1) / 2,
+        }
+    system = SiteSystem(jump=jump, birth=birth, death=death, **fns)
+    init = Configuration(tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))))
+    return system, init, draw(st.floats(0.0, 3.0)), draw(st.integers(0, 2**63))
 
 
 class TestSingleJump:
@@ -251,3 +351,139 @@ class TestGillespie:
         tv = 0.5 * np.abs(emp.weights - ref.weights).sum()
         states = 10 * 10
         assert tv < 4.0 * math.sqrt(states / samples)
+
+
+class TestBatchedRuns:
+    """Every run of the batched sampler ends where the scalar reference run
+    on the same Philox stream ends."""
+
+    @given(sampler_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_run_matches_reference(self, case):
+        system, init, t, seed = case
+        keys = range(1, 31)
+        expected = reference_runs(system, init, t, seed, keys)
+        assert batched_runs(system, init, t, seed, keys) == expected
+
+    def test_runs_past_their_first_block(self):
+        busy = SiteSystem(jump=np.zeros((1, 1)), birth=np.array([5.0]), death=np.array([5.0]))
+        init, t, seed, keys = Configuration((0,)), 3.0, 17, range(1, 41)
+        streams = [CountingStream(seed, k) for k in keys]
+        ref = [reference_gillespie_run(busy, init, t, s, 1_000_000).counts for s in streams]
+        # the first block holds 12 uniforms, the next 48: runs outgrow both
+        assert max(s.draws for s in streams) > 48
+        assert batched_runs(busy, init, t, seed, keys) == ref
+
+    def test_sample_is_run_zero(self):
+        rng = np.random.default_rng(4)
+        for seed in range(5):
+            system = random_order1(rng, n=2)
+            init, t = Configuration((1, 2)), 1.5
+            got = gillespie_sample(system, init, t, seed=seed)
+            assert got.counts == reference_runs(system, init, t, seed, [0])[0]
+
+    def test_empirical_counts_every_run(self):
+        system = random_order1(np.random.default_rng(8), n=2)
+        init, t, seed, samples = Configuration((1, 0)), 0.8, 23, 400
+        emp = gillespie_empirical(system, init, t, samples, seed=seed, box=(3, 3))
+        w = np.zeros((4, 4))
+        for counts in reference_runs(system, init, t, seed, range(1, samples + 1)):
+            if max(counts) <= 3:
+                w[counts] += 1.0
+        assert np.array_equal(emp.weights, w / samples)
+        assert emp.tail_bound == (samples - w.sum()) / samples + 1e-12
+
+    def test_cap_reached_by_one_run_among_many(self):
+        system = SiteSystem(jump=np.zeros((1, 1)), birth=np.array([1.0]), death=np.array([1.0]))
+        init, t, seed, keys = Configuration((0,)), 2.0, 4, range(1, 41)
+        streams = [CountingStream(seed, k) for k in keys]
+        for s in streams:
+            reference_gillespie_run(system, init, t, s, 1_000_000)
+        # two draws per event, one for the step that passes t
+        events = [(s.draws - 1) // 2 for s in streams]
+        most = max(events)
+        assert events.count(most) == 1
+        with pytest.raises(RuntimeError, match="event-count cap exceeded"):
+            reference_runs(system, init, t, seed, keys, max_events=most)
+        with pytest.raises(RuntimeError, match="event-count cap exceeded"):
+            batched_runs(system, init, t, seed, keys, max_events=most)
+        with pytest.raises(RuntimeError, match="event-count cap exceeded"):
+            gillespie_empirical(system, init, t, len(keys), seed, box=(20,), max_events=most)
+        assert batched_runs(system, init, t, seed, keys, max_events=most + 1) == reference_runs(
+            system, init, t, seed, keys, max_events=most + 1
+        )
+
+    def test_general_rates_called_once_per_site_and_count(self):
+        calls = []
+
+        def birth_fn(i, k):
+            calls.append((i, k))
+            return 0.6 / (1 + k)
+
+        system = SiteSystem(
+            jump=np.array([[0.0, 0.4], [0.3, 0.0]]),
+            birth=np.zeros(2),
+            death=np.array([0.5, 0.7]),
+            birth_fn=birth_fn,
+        )
+        gillespie_empirical(system, Configuration((2, 1)), 2.0, 500, seed=3, box=(8, 8))
+        assert calls and len(calls) == len(set(calls))
+
+    def test_death_at_empty_site_rejected(self):
+        system = SiteSystem(
+            jump=np.zeros((1, 1)), birth=np.zeros(1), death=np.zeros(1), death_fn=lambda i, k: 1.0
+        )
+        with pytest.raises(ValueError, match="empty site"):
+            gillespie_sample(system, Configuration((0,)), 1.0, seed=1)
+
+
+class TestSamplerInputBoundary:
+    system = SiteSystem(jump=np.zeros((1, 1)), birth=np.array([1.0]), death=np.array([1.0]))
+
+    def sample(self, t=1.0, seed=1, counts=(0,)):
+        return gillespie_sample(self.system, Configuration(counts), t, seed=seed)
+
+    def empirical(self, t=1.0, samples=10, seed=1, box=(4,), counts=(0,)):
+        return gillespie_empirical(self.system, Configuration(counts), t, samples, seed, box)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            self.sample(t=t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            self.empirical(t=t)
+
+    def test_negative_t(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            self.sample(t=-0.5)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            self.empirical(t=-0.5)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            self.empirical(samples=samples)
+
+    def test_box_length(self):
+        with pytest.raises(ValueError, match="box length"):
+            self.empirical(box=(4, 4))
+
+    def test_configuration_length(self):
+        with pytest.raises(ValueError, match="configuration length"):
+            self.sample(counts=(0, 0))
+        with pytest.raises(ValueError, match="configuration length"):
+            self.empirical(counts=(0, 0))
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            self.sample(seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            self.empirical(seed=-1)
+
+    @pytest.mark.parametrize("counts", [(1.5,), (np.float64(2.0),)])
+    def test_non_integer_occupancy(self, counts):
+        with pytest.raises(ValueError, match="occupancies must be integers"):
+            Configuration(counts)
+
+    def test_zero_time_keeps_the_start(self):
+        assert self.sample(t=0.0, counts=(3,)).counts == (3,)
