@@ -1,7 +1,7 @@
 """Stable probability generating functions under birth-death and
 particle-system dynamics."""
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .polycore import (
     MultiPoly,
     RootList,

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .measures import Measure, _poisson_weights
 from .polycore import (
     UniPoly,
@@ -119,8 +119,8 @@ class EvolvedPGF:
     def to_measure(self) -> Measure:
         return Measure(np.maximum(self.poly.coeffs_float(), 0.0), tail_bound=self.tail_bound)
 
-    def certificate(self, tol: Tolerances = DEFAULT) -> StabilityCertificate:
-        return is_real_rooted(self.poly, coeff_perturb=self.tail_bound, tol=tol)
+    def certificate(self) -> StabilityCertificate:
+        return is_real_rooted(self.poly, coeff_perturb=self.tail_bound)
 
 
 def generator(rates: BirthDeathRates, N: int) -> np.ndarray:
@@ -195,10 +195,27 @@ def _bd_uniformize(
     return _uniformized_series(v0, step, lam * t, tol, min_terms=N + 4)
 
 
+def _check_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+
+
+def _check_grid(t_grid: Sequence[float]) -> None:
+    """The root-law probes rescale by t, so every time must be positive."""
+    for t in t_grid:
+        _check_time(t)
+        if t == 0:
+            raise ValueError("t must be > 0")
+
+
 def _rate_arrays(rates: BirthDeathRates, N: int):
     beta_arr = np.array([rates.beta(k) for k in range(N + 1)], dtype=float)
     delta_arr = np.array([rates.delta(k) for k in range(N + 1)], dtype=float)
     delta_arr[0] = 0.0
+    if not (np.isfinite(beta_arr).all() and np.isfinite(delta_arr).all()):
+        raise ValueError("rates must be finite")
     if (beta_arr < 0).any() or (delta_arr < 0).any():
         raise ValueError("negative rate on truncation")
     return beta_arr, delta_arr
@@ -211,8 +228,7 @@ def transition(
     tol: float = DEFAULT.uniformization_tol,
 ) -> TruncatedSemigroup:
     """Uniformized transition matrix rows p_t(j, .) on {0..N}."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     beta_arr, delta_arr = _rate_arrays(rates, N)
     P, tail = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, t, tol)
     return TruncatedSemigroup(N=N, t=t, matrix=P[:, :-1], trunc_error=float(P[:, -1].max()) + tail)
@@ -233,9 +249,12 @@ def evolve(
     """
     if mu.ndim != 1:
         raise ValueError("univariate initial laws only")
+    _check_time(t)
     support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
     if N is None:
         b_ref = max(rates.beta(k) for k in range(support + 11))
+        if not math.isfinite(b_ref):
+            raise ValueError("rates must be finite")
         pad = 0 if b_ref == 0 else int(math.ceil(10.0 + 5.0 * b_ref * t))
         N = max(support + pad, support, 1)
     for _ in range(13):
@@ -299,6 +318,7 @@ def wf_residual(
     derivative is exact from the coefficients.  Samples default to 20 real
     points in [-0.9, 0.9].
     """
+    _check_time(t)
     rates = BirthDeathRates.quadratic_death()
     if z_samples is None:
         z_samples = list(np.linspace(-0.9, 0.9, 20))
@@ -342,6 +362,7 @@ def hermite_root_law(
     """
     if w >= 0:
         raise ValueError("w must be negative")
+    _check_grid(t_grid)
     base = UniPoly.from_roots([float(w)] * n)
     if q_factor is not None:
         base = base * q_factor.to_float()
@@ -373,6 +394,7 @@ def kummer_root_law(n: int, t_grid: Sequence[float], tol: float = 1e-14) -> list
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_grid(t_grid)
     records = []
     if n == 1:
         return [{"t": t, "report": 0.0, "roots": []} for t in t_grid]
@@ -393,9 +415,7 @@ def kummer_root_law(n: int, t_grid: Sequence[float], tol: float = 1e-14) -> list
     return records
 
 
-def quadratic_map_counterexample(
-    r: float, t: float, tol: Tolerances = DEFAULT
-) -> tuple[UniPoly, StabilityCertificate]:
+def quadratic_map_counterexample(r: float, t: float) -> tuple[UniPoly, StabilityCertificate]:
     """Image of (x-r)^2 under the quadratic-death transition operator.
 
     The operator is extended linearly over coefficients:
@@ -408,7 +428,7 @@ def quadratic_map_counterexample(
         raise ValueError("t must be >= 0")
     u = math.exp(-2.0 * t)
     poly = UniPoly.from_coeffs([r * r, 1.0 - u - 2.0 * r, u])
-    return poly, is_real_rooted(poly, tol=tol)
+    return poly, is_real_rooted(poly)
 
 
 def birth_monotonicity_probe(
@@ -467,6 +487,9 @@ def lie_split_evolve(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    _check_time(t)
+    if not all(map(math.isfinite, (b0, d1, d2))):
+        raise ValueError("rates must be finite")
     if mu.ndim != 1:
         raise ValueError("univariate initial laws only")
     support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0

@@ -1,4 +1,4 @@
-"""Single source of default numerical tolerances and caps."""
+"""The fixed numerical policy: the one table of tolerances and caps."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default tolerances shared across the package.
+    """Tolerances and caps; every function reads the one instance DEFAULT.
 
     isolation_width: target width of exact-mode isolating intervals.
     im_rel_tol: relative |Im| threshold for declaring a float root real.

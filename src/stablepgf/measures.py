@@ -10,13 +10,13 @@ synthesize / decompose pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
-from .polycore import MultiPoly, UniPoly, real_roots
+from .config import DEFAULT
+from .polycore import MultiPoly, UniPoly, _classify_float
 from .stability import Verdict, certify_tstable
 
 _SLACK = 1e-9
@@ -74,8 +74,8 @@ class Measure:
 
     @classmethod
     def poisson(cls, sigma: float, box: int | None = None, tol: float = 1e-10) -> "Measure":
-        if sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError("sigma must be finite and >= 0")
         if box is None:
             box = poisson_box(sigma, tol)
         w, err = _poisson_weights(sigma, tol, box + 1)
@@ -217,8 +217,8 @@ class BPDecomposition:
 
 def bp_synthesize(q: int, sigma: float, p_list: Sequence[float], box: int) -> Measure:
     """Convolve a point mass at q, a truncated Poisson(sigma), and Bernoullis."""
-    if q < 0 or sigma < 0:
-        raise ValueError("q and sigma must be nonnegative")
+    if q < 0 or not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("q must be >= 0 and sigma finite and >= 0")
     if any(not 0 < p < 1 for p in p_list):
         raise ValueError("Bernoulli parameters must lie in (0,1)")
     if box < q:
@@ -233,7 +233,7 @@ def bp_synthesize(q: int, sigma: float, p_list: Sequence[float], box: int) -> Me
     return Measure(w, tail_bound=max(0.0, 1.0 - float(w.sum())))
 
 
-def bp_decompose(mu: Measure, tol: Tolerances = DEFAULT) -> BPDecomposition:
+def bp_decompose(mu: Measure) -> BPDecomposition:
     """Recover (q, sigma, {p_k}) from a univariate t-stable measure.
 
     q is the order of vanishing at zero; certified negative roots a of the
@@ -253,9 +253,8 @@ def bp_decompose(mu: Measure, tol: Tolerances = DEFAULT) -> BPDecomposition:
     # criterion (sound under the declared tail) rather than raw roots.
     guard = certify_tstable(
         {k: float(v) for k, v in enumerate(w)},
-        m_max=min(tol.m_max_default, len(w) - 1) or 1,
+        m_max=min(DEFAULT.m_max_default, len(w) - 1) or 1,
         tail_bound=mu.tail_bound,
-        tol=tol,
     )
     if guard.verdict is Verdict.REFUTED:
         raise ValueError("not t-stable: approximant criterion refuted the input")
@@ -269,18 +268,16 @@ def bp_decompose(mu: Measure, tol: Tolerances = DEFAULT) -> BPDecomposition:
     # mid-range Bernoulli roots by far more than the trailing mass once
     # rescaled to |z| > 1.  The floor only sheds denormal-level trailing
     # coefficients, whose roots sit far beyond the absorption cutoff.
-    notrim = replace(tol, trim_rel=1e-250)
     g = UniPoly.from_coeffs(list(w[q:]))
     p_list = []
     if g.degree >= 1:
-        rl = real_roots(g, tol=notrim)
-        # Stricter than rl.real on purpose: the radius and condition terms
-        # of the shared policy admit near-real roots of a truncated Poisson
+        # Stricter than the policy's thresholds on purpose: the radius and
+        # condition terms admit near-real roots of a truncated Poisson
         # factor, which would then be fitted as spurious Bernoulli factors
         # and bias sigma.  Only roots real to the two tolerance floors count.
-        for z in rl.roots:
-            thr = max(tol.im_abs_tol, tol.im_rel_tol * max(1.0, abs(z)))
-            if abs(z.imag) <= thr and -tol.bp_root_cutoff <= z.real < 0:
+        for z in _classify_float(g, 1e-250)[0]:
+            thr = max(DEFAULT.im_abs_tol, DEFAULT.im_rel_tol * max(1.0, abs(z)))
+            if abs(z.imag) <= thr and -DEFAULT.bp_root_cutoff <= z.real < 0:
                 p_list.append(1.0 / (1.0 - z.real))
     p_list.sort(reverse=True)
 
@@ -326,7 +323,7 @@ def bp_decompose(mu: Measure, tol: Tolerances = DEFAULT) -> BPDecomposition:
         raise ValueError("nonpositive residual factor; decomposition failed")
     p_list, sigma, residual = best
 
-    if sigma < -tol.bp_sigma_tol:
+    if sigma < -DEFAULT.bp_sigma_tol:
         raise ValueError(f"fitted Poisson rate {sigma} negative beyond tolerance")
     sigma = max(sigma, 0.0)
     return BPDecomposition(q, sigma, tuple(p_list), residual)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .measures import Measure
 
 
@@ -75,7 +75,7 @@ class UpSetFamily:
         return _indicator_rows([self.masks[k]], len(self.cells))[0].astype(float)
 
 
-def enumerate_upsets(shape: Sequence[int], cap: int = DEFAULT.upset_cap) -> UpSetFamily:
+def enumerate_upsets(shape: Sequence[int]) -> UpSetFamily:
     """All upward-closed subsets of the box {0..shape_i} per coordinate.
 
     Cells are added in reverse C order, where every cell above a cell comes
@@ -86,8 +86,8 @@ def enumerate_upsets(shape: Sequence[int], cap: int = DEFAULT.upset_cap) -> UpSe
     """
     shape = tuple(int(s) for s in shape)
     m = math.prod(s + 1 for s in shape)
-    if m > cap:
-        raise CapExceeded(f"box has {m} cells, cap is {cap}")
+    if m > DEFAULT.upset_cap:
+        raise CapExceeded(f"box has {m} cells, cap is {DEFAULT.upset_cap}")
     cells, above, low = _box(shape)
     masks = [0]
     for i in reversed(range(m)):
@@ -137,9 +137,7 @@ def is_na(
     mu: Measure | np.ndarray,
     A: Iterable[int],
     B: Iterable[int],
-    tol: Tolerances = DEFAULT,
     samples: int = 4000,
-    seed: int = 0,
 ) -> NASplitResult:
     """Check E[FG] <= E[F]E[G] over up-set indicator pairs.
 
@@ -163,10 +161,10 @@ def is_na(
     shapeA = tuple(s - 1 for s in joint.shape[: len(A)])
     shapeB = tuple(s - 1 for s in joint.shape[len(A) :])
     M = joint.reshape(math.prod(joint.shape[: len(A)]), -1)
-    if max(M.shape) > tol.upset_cap:
-        return _is_na_sampled(M.astype(float), A, B, shapeA, shapeB, tol, samples, seed)
-    famA = enumerate_upsets(shapeA, cap=tol.upset_cap)
-    famB = enumerate_upsets(shapeB, cap=tol.upset_cap)
+    if max(M.shape) > DEFAULT.upset_cap:
+        return _is_na_sampled(M.astype(float), A, B, shapeA, shapeB, samples)
+    famA = enumerate_upsets(shapeA)
+    famB = enumerate_upsets(shapeB)
 
     exact = M.dtype == object
     if exact:
@@ -182,7 +180,7 @@ def is_na(
     # the first maximum in row-major order
     ka, kb = divmod(int(np.argmax(S)), S.shape[1])
     worst = Fraction(S.item(ka, kb), D * D) if exact else S.item(ka, kb)
-    passed = worst <= (0 if exact else tol.na_slack * float(M.sum()))
+    passed = worst <= (0 if exact else DEFAULT.na_slack * float(M.sum()))
     witness = None if passed else (famA.antichains[ka], famB.antichains[kb])
     return NASplitResult(A, B, bool(passed), worst, witness)
 
@@ -195,8 +193,8 @@ def _random_upset(closure: list, rng) -> int:
     return mask
 
 
-def _is_na_sampled(M, A, B, shapeA, shapeB, tol, samples, seed):
-    rng = np.random.default_rng(seed)
+def _is_na_sampled(M, A, B, shapeA, shapeB, samples):
+    rng = np.random.default_rng(0)
     # each box's cells with the principal up-set of every cell
     boxes = []
     for cells, above, _ in (_box(shapeA), _box(shapeB)):
@@ -208,7 +206,7 @@ def _is_na_sampled(M, A, B, shapeA, shapeB, tol, samples, seed):
     ]
     # the first maximum, as in the exhaustive check
     k = int(np.argmax(slacks))
-    passed = slacks[k] <= tol.na_slack * float(M.sum())
+    passed = slacks[k] <= DEFAULT.na_slack * float(M.sum())
     witness = None
     if not passed:
         witness = tuple(
@@ -234,7 +232,7 @@ class NAReport:
         }
 
 
-def na_all_splits(mu: Measure | np.ndarray, tol: Tolerances = DEFAULT) -> NAReport:
+def na_all_splits(mu: Measure | np.ndarray) -> NAReport:
     """Run is_na over every unordered pair of disjoint nonempty index sets."""
     weights = mu.weights if isinstance(mu, Measure) else np.asarray(mu)
     n = weights.ndim
@@ -252,6 +250,6 @@ def na_all_splits(mu: Measure | np.ndarray, tol: Tolerances = DEFAULT) -> NARepo
                     if key in seen:
                         continue
                     seen.add(key)
-                    results.append(is_na(mu, A, B, tol=tol))
+                    results.append(is_na(mu, A, B))
     worst = max(r.worst_slack for r in results)
     return NAReport(tuple(results), all(r.passed for r in results), worst)

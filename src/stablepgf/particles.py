@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .bdchain import _uniformized_series
+from .bdchain import _check_time, _uniformized_series
 from .config import DEFAULT
 from .measures import Measure
 from .polycore import MultiPoly
@@ -52,6 +52,8 @@ class SiteSystem:
         n = jump.shape[0]
         if jump.shape != (n, n) or birth.shape != (n,) or death.shape != (n,):
             raise ValueError("inconsistent system dimensions")
+        if not (np.isfinite(jump).all() and np.isfinite(birth).all() and np.isfinite(death).all()):
+            raise ValueError("rates must be finite")
         if (jump < 0).any() or (birth < 0).any() or (death < 0).any():
             raise ValueError("rates must be nonnegative")
 
@@ -166,6 +168,7 @@ def exact_pgf_transform(
     """
     if not system.is_order1:
         raise ValueError("exact transform requires order-1 rates")
+    _check_time(t)
     if isinstance(f, MultiPoly):
         f = PGFWithExpFactor(f, (0.0,) * f.nvars)
     n = system.n
@@ -197,6 +200,7 @@ def truncated_generator_evolve(
     result's tail_bound.  An escape above tol means the box is too small
     and raises instead of silently degrading.
     """
+    _check_time(t)
     if box is None:
         box = tuple(s - 1 for s in mu.shape)
     shape = tuple(int(b) + 1 for b in box)
@@ -213,6 +217,8 @@ def truncated_generator_evolve(
         k = occ[i]
         birth = np.array([system.birth_rate(i, m) for m in range(shape[i])])
         death = np.array([system.death_rate(i, m) for m in range(shape[i])])
+        if not (np.isfinite(birth).all() and np.isfinite(death).all()):
+            raise ValueError("rates must be finite")
         if death[0] > 0:
             raise ValueError(f"death rate at empty site {i} must be 0")
         moves.append((np.where(k < shape[i] - 1, state + stride[i], OVER), birth[k]))
@@ -284,10 +290,7 @@ def _gillespie_runs(system, init, t, seed, keys, max_events):
     n = system.n
     if len(init.counts) != n:
         raise ValueError("configuration length does not match site count")
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     if seed < 0:
         raise ValueError("seed must be >= 0")
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
@@ -318,6 +321,8 @@ def _gillespie_runs(system, init, t, seed, keys, max_events):
         for i in range(n):
             for k in np.unique(counts[np.isnan(table[i, counts[:, i], 0]), i]).tolist():
                 rate = np.array([system.birth_rate(i, k), system.death_rate(i, k)], dtype=float)
+                if not np.isfinite(rate).all():
+                    raise ValueError("rates must be finite")
                 table[i, k] = np.where(rate > 0, rate, 0.0)
                 if k == 0 and rate[1] > 0:
                     raise ValueError(f"death rate at empty site {i} must be 0")

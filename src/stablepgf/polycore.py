@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 
 EPS = float(np.finfo(float).eps)
 _U = EPS / 2.0  # unit roundoff
@@ -787,17 +787,17 @@ def trim_for_roots(coeffs: Sequence[float], trim_rel: float):
     return c, dropped
 
 
-def _classify_float(g: UniPoly, tol: Tolerances, perturb: float = 0.0):
+def _classify_float(g: UniPoly, trim_rel: float, perturb: float = 0.0):
     """Locate the roots of a nonconstant float polynomial and judge each.
 
-    Trimming only feeds the companion matrix and the Newton polish; every
-    bound is evaluated on g itself at its full degree n.  perturb is an l1
-    bound on unknown coefficient error, which widens each threshold by the
-    first-order root shift it can cause.  Returns (roots, radii,
-    thresholds); a root counts as real when |Im z| <= its threshold.
+    Trimming at trim_rel only feeds the companion matrix and the Newton
+    polish; every bound is evaluated on g itself at its full degree n.
+    perturb is an l1 bound on unknown coefficient error, which widens each
+    threshold by the first-order root shift it can cause.  Returns (roots,
+    radii, thresholds); a root counts as real when |Im z| <= its threshold.
     """
     n, lead, dg = g.degree, abs(g.lead), g.derivative()
-    cs, _ = trim_for_roots(g.coeffs, tol.trim_rel)
+    cs, _ = trim_for_roots(g.coeffs, trim_rel)
     roots = [_newton_polish(np.array(cs, dtype=float), z) for z in _float_companion_roots(cs)]
     radii, thresholds = [], []
     for z in roots:
@@ -819,37 +819,35 @@ def _classify_float(g: UniPoly, tol: Tolerances, perturb: float = 0.0):
         if abs(dval) > derr:
             rad = min(rad, n * (abs(val) + err) / (abs(dval) - derr))
         radii.append(rad)
-        floor = max(tol.im_abs_tol, tol.im_rel_tol * max(1.0, abs(z)))
+        floor = max(DEFAULT.im_abs_tol, DEFAULT.im_rel_tol * max(1.0, abs(z)))
         thresholds.append(max(floor, cond * _U, shift, rad))
     return roots, radii, thresholds
 
 
-def real_roots(p: UniPoly, width: float | None = None, tol: Tolerances = DEFAULT) -> RootList:
+def real_roots(p: UniPoly) -> RootList:
     """Locate all roots of p; see RootList for the certification semantics."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if width is None:
-        width = tol.isolation_width
     if p.degree == 0:
         return RootList((), (), (), p.exact)
 
     if not p.exact:
-        roots, radii, thresholds = _classify_float(p, tol)
+        roots, radii, thresholds = _classify_float(p, DEFAULT.trim_rel)
         real = tuple(abs(z.imag) <= thr for z, thr in zip(roots, thresholds))
         return RootList(tuple(roots), tuple(radii), real, False)
 
     roots, radii, real = [], [], []
-    # an exact factor is not a truncated series: locate all of its roots
-    untrimmed = replace(tol, trim_rel=0.0)
+    width = Fraction(DEFAULT.isolation_width).limit_denominator(10**18)
     for fac, mult in _yun_squarefree(list(p.coeffs)):
-        intervals = _isolate_roots(fac, Fraction(width).limit_denominator(10**18))
+        intervals = _isolate_roots(fac, width)
         located = []
         for lo, hi in intervals:
             mid = float((lo + hi) / 2)
             located.append((complex(mid, 0.0), float(hi - lo) / 2 + abs(mid) * EPS, True))
         ncomplex = _fdeg(fac) - len(intervals)
         if ncomplex > 0:
-            zs, rads, _ = _classify_float(UniPoly.from_coeffs([float(v) for v in fac]), untrimmed)
+            # an exact factor is not a truncated series: locate all of its roots
+            zs, rads, _ = _classify_float(UniPoly.from_coeffs([float(v) for v in fac]), 0.0)
             pairs = sorted(zip(zs, rads), key=lambda zr: abs(zr[0].imag), reverse=True)
             located += [(z, rad, False) for z, rad in pairs[:ncomplex]]
         for z, rad, is_real in located:

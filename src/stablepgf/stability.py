@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .polycore import (
     MultiPoly,
     UniPoly,
@@ -94,17 +94,15 @@ def _refutes(g: UniPoly, z: complex, perturb: float, m: int) -> bool:
     return abs(val) + err + slack < (lead - perturb) * abs(z.imag) ** m
 
 
-def is_real_rooted(
-    p: UniPoly,
-    coeff_perturb: float = 0.0,
-    tol: Tolerances = DEFAULT,
-) -> StabilityCertificate:
+def is_real_rooted(p: UniPoly, coeff_perturb: float = 0.0) -> StabilityCertificate:
     """Certify or refute that every root of p is real.
 
     coeff_perturb is an l1 bound on unknown coefficient error (e.g. mass
     truncated away from a generating function); refutation is only issued
     when it survives that perturbation.
     """
+    if not (math.isfinite(coeff_perturb) and coeff_perturb >= 0):
+        raise ValueError("coeff_perturb must be finite and >= 0")
     if p.is_zero:
         return StabilityCertificate(
             Verdict.INCONCLUSIVE, note="zero polynomial: limit of stable polynomials"
@@ -116,13 +114,13 @@ def is_real_rooted(
         cnt = exact_real_root_count(p)
         if cnt == p.degree:
             return StabilityCertificate(Verdict.STABLE, tolerance_used=0.0)
-        w = _best_complex_witness(UniPoly.from_coeffs(p.coeffs_float()), tol)
+        w = _best_complex_witness(UniPoly.from_coeffs(p.coeffs_float()))
         return StabilityCertificate(
             Verdict.REFUTED, witness=(w,), tolerance_used=0.0, note="exact root count deficit"
         )
 
     g = UniPoly.from_coeffs([float(c) for c in p.coeffs])
-    roots, _, thresholds = _classify_float(g, tol, coeff_perturb)
+    roots, _, thresholds = _classify_float(g, DEFAULT.trim_rel, coeff_perturb)
     if not roots:
         return StabilityCertificate(
             Verdict.INCONCLUSIVE, tolerance_used=coeff_perturb, note="no locatable roots"
@@ -141,13 +139,13 @@ def is_real_rooted(
                 note="certified complex root",
             )
 
-    worst_thr = tol.im_abs_tol
+    worst_thr = DEFAULT.im_abs_tol
     all_real = True
     for z, thr in zip(roots, thresholds):
         if abs(z.imag) > thr:
             all_real = False
         else:
-            worst_thr = max(worst_thr, min(thr, max(tol.im_abs_tol, abs(z.imag) * 2)))
+            worst_thr = max(worst_thr, min(thr, max(DEFAULT.im_abs_tol, abs(z.imag) * 2)))
     if all_real:
         return StabilityCertificate(Verdict.STABLE, tolerance_used=worst_thr)
     return StabilityCertificate(
@@ -157,8 +155,8 @@ def is_real_rooted(
     )
 
 
-def _best_complex_witness(g: UniPoly, tol: Tolerances) -> complex:
-    roots, _, _ = _classify_float(g, replace(tol, trim_rel=0.0))
+def _best_complex_witness(g: UniPoly) -> complex:
+    roots, _, _ = _classify_float(g, 0.0)
     ups = [z for z in roots if z.imag > 0]
     if not ups:
         ups = [z.conjugate() for z in roots if z.imag < 0]
@@ -170,12 +168,7 @@ def _best_complex_witness(g: UniPoly, tol: Tolerances) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def is_stable_multi(
-    f: MultiPoly,
-    budget: int = 200,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT,
-) -> StabilityCertificate:
+def is_stable_multi(f: MultiPoly, budget: int = 200) -> StabilityCertificate:
     """Search for zeros of f in the open upper half-space.
 
     Strategy: a point of H^n lies on a line a + x*b with a real, b positive
@@ -191,12 +184,12 @@ def is_stable_multi(
     if f.total_degree() == 0:
         return StabilityCertificate(Verdict.STABLE)
     if f.nvars == 1:
-        return is_real_rooted(f.to_uni(), tol=tol)
+        return is_real_rooted(f.to_uni())
 
     multi_affine = f.is_multi_affine()
     if multi_affine and f.is_symmetric():
         diag = f.diagonal()
-        cert = is_real_rooted(diag, tol=tol)
+        cert = is_real_rooted(diag)
         if cert.verdict is Verdict.STABLE:
             return StabilityCertificate(
                 Verdict.STABLE,
@@ -215,7 +208,7 @@ def is_stable_multi(
     if multi_affine and f.nvars == 2 and f.exact:
         return _rayleigh_bivariate(f)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = f.nvars
     for trial in range(budget):
         scale = (0.25, 1.0, 4.0)[trial % 3]
@@ -224,7 +217,7 @@ def is_stable_multi(
         g = f.restrict_line(a, b)
         if g.is_zero or g.degree == 0:
             continue
-        cert = is_real_rooted(g, tol=tol)
+        cert = is_real_rooted(g)
         if cert.verdict is Verdict.REFUTED:
             x0 = cert.witness[0]
             z = tuple(complex(ai + x0 * bi) for ai, bi in zip(a, b))
@@ -238,7 +231,7 @@ def is_stable_multi(
     if multi_affine:
         return StabilityCertificate(
             Verdict.STABLE,
-            tolerance_used=tol.im_rel_tol,
+            tolerance_used=DEFAULT.im_rel_tol,
             note=f"multi-affine, no refutation in {budget} line samples",
         )
     return StabilityCertificate(
@@ -327,8 +320,6 @@ def certify_tstable(
     c: Mapping,
     m_max: int = DEFAULT.m_max_default,
     tail_bound: float = 0.0,
-    tol: Tolerances = DEFAULT,
-    budget: int = 60,
 ) -> StabilityCertificate:
     """Three-valued t-stability verdict for a nonnegative coefficient map.
 
@@ -340,8 +331,8 @@ def certify_tstable(
     stable, which supplies both confirmations and a direct refutation
     fallback.  Everything else is inconclusive.
     """
-    if tail_bound < 0:
-        raise ValueError("tail_bound must be >= 0")
+    if not (math.isfinite(tail_bound) and tail_bound >= 0):
+        raise ValueError("tail_bound must be finite and >= 0")
     d, nvars = _normalize_coeff_map(c)
     for alpha, val in d.items():
         if val < 0:
@@ -354,9 +345,9 @@ def certify_tstable(
     if not truncated:
         f = MultiPoly.from_dict(d, nvars)
         if nvars == 1:
-            direct = is_real_rooted(f.to_uni(), tol=tol)
+            direct = is_real_rooted(f.to_uni())
         else:
-            direct = is_stable_multi(f, budget=budget, tol=tol)
+            direct = is_stable_multi(f, budget=60)
         if direct.verdict is Verdict.STABLE:
             return StabilityCertificate(
                 Verdict.STABLE,
@@ -373,9 +364,9 @@ def certify_tstable(
     for m in range(1, m_max + 1):
         fm = tstable_approximant(d, m).poly
         if nvars == 1:
-            cert = is_real_rooted(fm.to_uni(), coeff_perturb=tail_bound, tol=tol)
+            cert = is_real_rooted(fm.to_uni(), coeff_perturb=tail_bound)
         else:
-            cert = is_stable_multi(fm, budget=budget, tol=tol)
+            cert = is_stable_multi(fm, budget=60)
         if cert.verdict is Verdict.REFUTED:
             return StabilityCertificate(
                 Verdict.REFUTED,

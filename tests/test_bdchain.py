@@ -20,7 +20,8 @@ from stablepgf.bdchain import (
     wf_residual,
 )
 from stablepgf.measures import Measure, bp_decompose
-from stablepgf.polycore import UniPoly
+from stablepgf.particles import SiteSystem, exact_pgf_transform, truncated_generator_evolve
+from stablepgf.polycore import MultiPoly, UniPoly
 from stablepgf.stability import Verdict
 
 
@@ -393,3 +394,52 @@ class TestPreservation:
             mu = random_real_rooted_measure(rng, deg_max=5)
             ev = evolve(mu, rates, 0.4, tol=1e-12)
             assert ev.certificate().verdict is not Verdict.REFUTED
+
+
+class TestInputBoundary:
+    still = BirthDeathRates.from_sequences([0.0])  # every rate 0
+    site = SiteSystem(jump=np.zeros((1, 1)), birth=np.array([1.0]), death=np.array([1.0]))
+    still_site = SiteSystem(jump=np.zeros((1, 1)), birth=np.zeros(1), death=np.zeros(1))
+    callers = {
+        "evolve": lambda t: evolve(Measure.point_mass(2), BirthDeathRates.mm_infty(1.0, 1.0), t),
+        "evolve-zero-rates": lambda t: evolve(Measure.point_mass(2), TestInputBoundary.still, t),
+        "transition": lambda t: transition(BirthDeathRates.quadratic_death(), t, 8),
+        "transition-zero-rates": lambda t: transition(TestInputBoundary.still, t, 4),
+        "kingman": lambda t: kingman(5, True, t),
+        "wf_residual": lambda t: wf_residual(Measure.point_mass(3), t),
+        "lie_split_evolve": lambda t: lie_split_evolve(Measure.point_mass(1), 1.0, 1.0, 1.0, t, 4),
+        "truncated_generator_evolve": lambda t: truncated_generator_evolve(
+            Measure.point_mass((1,)), TestInputBoundary.site, t, box=(30,)
+        ),
+        "truncated_generator_evolve-zero-rates": lambda t: truncated_generator_evolve(
+            Measure.point_mass((1,)), TestInputBoundary.still_site, t
+        ),
+        "exact_pgf_transform": lambda t: exact_pgf_transform(
+            MultiPoly.from_dict({(1,): 1.0}, 1), TestInputBoundary.site, t
+        ),
+        "hermite_root_law": lambda t: hermite_root_law(-0.5, 2, None, [0.01, t]),
+        "kummer_root_law": lambda t: kummer_root_law(3, [0.01, t]),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(callers))
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bad_time(self, caller, t):
+        with pytest.raises(ValueError, match="t must be >= 0" if t < 0 else "t must be finite"):
+            self.callers[caller](t)
+
+    @pytest.mark.parametrize("caller", ["hermite_root_law", "kummer_root_law"])
+    def test_root_laws_need_positive_time(self, caller):
+        with pytest.raises(ValueError, match="t must be > 0"):
+            self.callers[caller](0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates(self, bad):
+        mu = Measure.point_mass(2)
+        with pytest.raises(ValueError, match="rates must be finite"):
+            evolve(mu, BirthDeathRates.mm_infty(bad, 1.0), 0.5)
+        with pytest.raises(ValueError, match="rates must be finite"):
+            evolve(mu, BirthDeathRates.from_sequences([1.0, bad, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="rates must be finite"):
+            transition(BirthDeathRates.from_sequences([1.0], [0.0, bad]), 0.5, 8)
+        with pytest.raises(ValueError, match="rates must be finite"):
+            lie_split_evolve(mu, bad, 1.0, 1.0, 0.5, 4)

@@ -196,6 +196,13 @@ class TestBpSynthesize:
         with pytest.raises(ValueError):
             bp_synthesize(3, 0.0, [], box=2)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma finite and >= 0"):
+            bp_synthesize(0, sigma, [], box=5)
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            Measure.poisson(sigma)
+
 
 class TestBpDecompose:
     def test_bernoulli_third(self):

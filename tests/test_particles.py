@@ -487,3 +487,23 @@ class TestSamplerInputBoundary:
 
     def test_zero_time_keeps_the_start(self):
         assert self.sample(t=0.0, counts=(3,)).counts == (3,)
+
+
+class TestNonFiniteRates:
+    @pytest.mark.parametrize("field", ["jump", "birth", "death"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_site_system(self, field, bad):
+        rates = {"jump": np.zeros((2, 2)), "birth": np.ones(2), "death": np.ones(2)}
+        rates[field].flat[1] = bad
+        with pytest.raises(ValueError, match="rates must be finite"):
+            SiteSystem(**rates)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rate_functions(self, bad):
+        system = SiteSystem(
+            jump=np.zeros((1, 1)), birth=np.ones(1), death=np.zeros(1), birth_fn=lambda i, k: bad
+        )
+        with pytest.raises(ValueError, match="rates must be finite"):
+            truncated_generator_evolve(Measure.point_mass((0,)), system, 0.5, box=(4,))
+        with pytest.raises(ValueError, match="rates must be finite"):
+            gillespie_sample(system, Configuration((0,)), 0.5, seed=1)

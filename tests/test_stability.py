@@ -51,6 +51,11 @@ class TestIsRealRooted:
         p = UniPoly.from_coeffs([0.2500001, -1.0, 1.0])
         assert is_real_rooted(p, coeff_perturb=1e-3).verdict is not Verdict.REFUTED
 
+    @pytest.mark.parametrize("perturb", [math.inf, math.nan, -1.0])
+    def test_bad_perturbation_rejected(self, perturb):
+        with pytest.raises(ValueError, match="coeff_perturb must be finite and >= 0"):
+            is_real_rooted(UniPoly.from_coeffs([1.0, 0.0, 1.0]), coeff_perturb=perturb)
+
     @given(neg_rational_roots)
     @settings(max_examples=30, deadline=None)
     def test_exact_stable_reproducible(self, roots):
@@ -253,6 +258,11 @@ class TestCertifyTstable:
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
             certify_tstable({0: 0.25, 1: -0.9, 2: 0.9})
+
+    @pytest.mark.parametrize("tail", [math.nan, math.inf, -1.0])
+    def test_bad_tail_bound_rejected(self, tail):
+        with pytest.raises(ValueError, match="tail_bound must be finite and >= 0"):
+            certify_tstable({0: 0.5, 1: 0.5}, tail_bound=tail)
 
     def test_uniform_three_refuted(self):
         cert = certify_tstable({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
