@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .measures import Measure, _poisson_weights
+from .measures import Measure, _check_tol, _poisson_weights
 from .polycore import (
     UniPoly,
     hermite_sum_form,
@@ -28,6 +28,12 @@ from .polycore import (
 )
 from .stability import StabilityCertificate, is_real_rooted, tstable_approximant
 
+# Fixed truncation tolerances of the probes: kingman and the backward and
+# Wright-Fisher residuals use _PROBE_TOL, the root-law probes and the Lie
+# split the finer _ROOT_LAW_TOL.
+_PROBE_TOL = 1e-13
+_ROOT_LAW_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class BirthDeathRates:
@@ -35,7 +41,6 @@ class BirthDeathRates:
 
     beta: Callable[[int], float]
     delta: Callable[[int], float]
-    description: str = ""
 
     def __post_init__(self):
         if self.delta(0) != 0.0:
@@ -44,35 +49,22 @@ class BirthDeathRates:
     @classmethod
     def from_polynomial(cls, b0: float, d1: float, d2: float) -> "BirthDeathRates":
         """Constant birth b0 with death d1*k + d2*k*(k-1)."""
-        return cls(
-            beta=lambda k: b0,
-            delta=lambda k: d1 * k + d2 * k * (k - 1),
-            description=f"constant-birth {b0}, death {d1}k + {d2}k(k-1)",
-        )
+        _check_finite(b0, d1, d2)
+        return cls(beta=lambda k: b0, delta=lambda k: d1 * k + d2 * k * (k - 1))
 
     @classmethod
     def quadratic_death(cls, scale: float = 1.0) -> "BirthDeathRates":
-        return cls(
-            beta=lambda k: 0.0,
-            delta=lambda k: scale * k * (k - 1),
-            description=f"pure quadratic death {scale}k(k-1)",
-        )
+        _check_finite(scale)
+        return cls(beta=lambda k: 0.0, delta=lambda k: scale * k * (k - 1))
 
     @classmethod
     def kingman_coalescent(cls) -> "BirthDeathRates":
-        return cls(
-            beta=lambda k: 0.0,
-            delta=lambda k: k * (k - 1) / 2.0,
-            description="coalescent block count, death k(k-1)/2",
-        )
+        return cls(beta=lambda k: 0.0, delta=lambda k: k * (k - 1) / 2.0)
 
     @classmethod
     def mm_infty(cls, b: float, d: float) -> "BirthDeathRates":
-        return cls(
-            beta=lambda k: b,
-            delta=lambda k: d * k,
-            description=f"M/M/inf birth {b}, death {d}k",
-        )
+        _check_finite(b, d)
+        return cls(beta=lambda k: b, delta=lambda k: d * k)
 
     @classmethod
     def from_sequences(
@@ -90,7 +82,13 @@ class BirthDeathRates:
         def delta(k: int) -> float:
             return deltas[k] if k < len(deltas) else 0.0
 
-        return cls(beta=beta, delta=delta, description=f"head rates beta={betas}")
+        return cls(beta=beta, delta=delta)
+
+
+def _check_finite(*params: float) -> None:
+    # Before the rates exist: delta(0) of a NaN parameter would be NaN.
+    if not all(map(math.isfinite, params)):
+        raise ValueError("rates must be finite")
 
 
 @dataclass(frozen=True)
@@ -127,18 +125,9 @@ def generator(rates: BirthDeathRates, N: int) -> np.ndarray:
     """Tridiagonal generator on {0..N} with the birth rate clamped at N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    Q = np.zeros((N + 1, N + 1))
-    for k in range(N + 1):
-        b = rates.beta(k) if k < N else 0.0
-        d = rates.delta(k)
-        if b < 0 or d < 0:
-            raise ValueError("negative rate")
-        if k < N:
-            Q[k, k + 1] = b
-        if k > 0:
-            Q[k, k - 1] = d
-        Q[k, k] = -(b + d)
-    return Q
+    beta_arr, delta_arr = _rate_arrays(rates, N)
+    beta_arr[N] = 0.0
+    return np.diag(beta_arr[:-1], 1) + np.diag(delta_arr[1:], -1) - np.diag(beta_arr + delta_arr)
 
 
 def _uniformized_series(v0: np.ndarray, step: Callable, lam_t: float, tol: float, min_terms: int):
@@ -153,9 +142,8 @@ def _uniformized_series(v0: np.ndarray, step: Callable, lam_t: float, tol: float
     may converge long before rare states receive their leading-order term
     (paths of length up to the box size); where it stops depends on lam_t,
     tol and min_terms only, so every row of a block shares the same tail.
+    Callers have checked t and tol.
     """
-    if lam_t < 0.0:
-        raise ValueError("t must be >= 0")
     v = np.array(v0, dtype=float)
     if lam_t == 0.0:
         return v, 0.0
@@ -228,6 +216,7 @@ def transition(
     tol: float = DEFAULT.uniformization_tol,
 ) -> TruncatedSemigroup:
     """Uniformized transition matrix rows p_t(j, .) on {0..N}."""
+    _check_tol(tol)
     _check_time(t)
     beta_arr, delta_arr = _rate_arrays(rates, N)
     P, tail = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, t, tol)
@@ -247,6 +236,7 @@ def evolve(
     birth headroom) and doubles until the certified escaping mass is
     below tol, at most 12 times.
     """
+    _check_tol(tol)
     if mu.ndim != 1:
         raise ValueError("univariate initial laws only")
     _check_time(t)
@@ -278,8 +268,6 @@ def backward_residual(
     semigroup: TruncatedSemigroup,
     j: int,
     k: int,
-    h: float | None = None,
-    tol: float = 1e-13,
 ) -> float:
     """Defect of the backward equation at (j,k).
 
@@ -289,11 +277,10 @@ def backward_residual(
     N, t = semigroup.N, semigroup.t
     if not (0 < j < N):
         raise ValueError("interior start states only")
-    if h is None:
-        h = 1e-4 * max(t, 1.0)
+    h = 1e-4 * max(t, 1.0)
     h = min(h, t) if t > 0 else h
-    plus = transition(rates, t + h, N, tol=tol).matrix
-    minus = transition(rates, t - h, N, tol=tol).matrix if t - h > 0 else transition(rates, 0.0, N, tol=tol).matrix
+    plus = transition(rates, t + h, N, tol=_PROBE_TOL).matrix
+    minus = transition(rates, t - h if t - h > 0 else 0.0, N, tol=_PROBE_TOL).matrix
     dt = (plus[j, k] - minus[j, k]) / (2 * h if t - h > 0 else (t + h))
     P = semigroup.matrix
     rhs = (
@@ -304,37 +291,26 @@ def backward_residual(
     return abs(dt - rhs)
 
 
-def wf_residual(
-    mu: Measure,
-    t: float,
-    z_samples: Sequence[complex] | None = None,
-    h: float | None = None,
-    tol: float = 1e-13,
-) -> float:
+def wf_residual(mu: Measure, t: float) -> float:
     """Defect of d/dt phi = z(1-z) d^2/dz^2 phi under death rate k(k-1).
 
     The time derivative uses centered differences, or at t = 0 the
     second-order one-sided (-3 phi(0) + 4 phi(h) - phi(2h)) / 2h; the space
-    derivative is exact from the coefficients.  Samples default to 20 real
+    derivative is exact from the coefficients.  The samples are 20 real
     points in [-0.9, 0.9].
     """
     _check_time(t)
     rates = BirthDeathRates.quadratic_death()
-    if z_samples is None:
-        z_samples = list(np.linspace(-0.9, 0.9, 20))
-    if any(abs(z) > 0.9 + 1e-12 for z in z_samples):
-        raise ValueError("samples must satisfy |z| <= 0.9")
-    if h is None:
-        h = 1e-5 * max(t, 1.0)
+    h = 1e-5 * max(t, 1.0)
     if t > 0:
         h = min(h, t)
         stencil = ((t - h, -1.0), (t + h, 1.0))
     else:
         stencil = ((0.0, -3.0), (h, 4.0), (2 * h, -1.0))
-    phis = [(evolve(mu, rates, s, tol=tol).poly, c) for s, c in stencil]
-    d2 = evolve(mu, rates, t, tol=tol).poly.derivative().derivative()
+    phis = [(evolve(mu, rates, s, tol=_PROBE_TOL).poly, c) for s, c in stencil]
+    d2 = evolve(mu, rates, t, tol=_PROBE_TOL).poly.derivative().derivative()
     worst = 0.0
-    for z in z_samples:
+    for z in np.linspace(-0.9, 0.9, 20):
         dt = sum(c * phi(z) for phi, c in phis) / (2 * h)
         res = abs(dt - z * (1 - z) * d2(z))
         worst = max(worst, res)
@@ -351,7 +327,6 @@ def hermite_root_law(
     n: int,
     q_factor: UniPoly | None,
     t_grid: Sequence[float],
-    tol: float = 1e-14,
 ) -> list:
     """Track the n roots splitting from a multiplicity-n root at w < 0.
 
@@ -377,7 +352,7 @@ def hermite_root_law(
     scale = math.sqrt(w * (w - 1.0))
     records = []
     for t in t_grid:
-        ev = evolve(mu, rates, t, tol=tol)
+        ev = evolve(mu, rates, t, tol=_ROOT_LAW_TOL)
         roots = sorted(real_roots(ev.poly).roots, key=lambda z: abs(z - w))[:n]
         rescaled = sorted((z.real - w) / math.sqrt(t) for z in roots)
         report = max(abs(r - scale * h) for r, h in zip(rescaled, targets))
@@ -385,7 +360,7 @@ def hermite_root_law(
     return records
 
 
-def kummer_root_law(n: int, t_grid: Sequence[float], tol: float = 1e-14) -> list:
+def kummer_root_law(n: int, t_grid: Sequence[float]) -> list:
     """Track the n-1 small roots of the law started from n particles.
 
     Under death rate k(k-1) they behave like z_i * t where z_i are the
@@ -403,7 +378,7 @@ def kummer_root_law(n: int, t_grid: Sequence[float], tol: float = 1e-14) -> list
     mu = Measure.point_mass(n)
     rates = BirthDeathRates.quadratic_death()
     for t in t_grid:
-        ev = evolve(mu, rates, t, tol=tol)
+        ev = evolve(mu, rates, t, tol=_ROOT_LAW_TOL)
         # coefficient 0 is exactly zero (the chain is absorbed at 1), so
         # divide out the root at the origin before tracking.
         coeffs = ev.poly.coeffs_float()
@@ -424,8 +399,7 @@ def quadratic_map_counterexample(r: float, t: float) -> tuple[UniPoly, Stability
     """
     if not 0 < r < 1:
         raise ValueError("r must lie in (0,1)")
-    if not t >= 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     u = math.exp(-2.0 * t)
     poly = UniPoly.from_coeffs([r * r, 1.0 - u - 2.0 * r, u])
     return poly, is_real_rooted(poly)
@@ -435,7 +409,6 @@ def birth_monotonicity_probe(
     rates: BirthDeathRates,
     k: int,
     t_grid: Sequence[float],
-    tol: float = 1e-14,
 ) -> list:
     """Verdicts of the depth-(k+2) approximant of the law started at k.
 
@@ -448,7 +421,7 @@ def birth_monotonicity_probe(
     m = k + 2
     records = []
     for t in t_grid:
-        ev = evolve(Measure.point_mass(k), rates, t, tol=tol, N=max(2 * (k + 2) + 10, 16))
+        ev = evolve(Measure.point_mass(k), rates, t, tol=_ROOT_LAW_TOL, N=max(2 * (k + 2) + 10, 16))
         coeffs = ev.poly.coeffs_float()
         cmap = {j: float(coeffs[j]) for j in range(min(len(coeffs), m + 1))}
         fm = tstable_approximant(cmap, m).poly.to_uni()
@@ -457,14 +430,14 @@ def birth_monotonicity_probe(
     return records
 
 
-def kingman(n: int, coalescent: bool, t: float, tol: float = 1e-13) -> EvolvedPGF:
+def kingman(n: int, coalescent: bool, t: float) -> EvolvedPGF:
     """Law of the ancestral block count started from n lineages."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rates = (
         BirthDeathRates.kingman_coalescent() if coalescent else BirthDeathRates.quadratic_death()
     )
-    return evolve(Measure.point_mass(n), rates, t, tol=tol)
+    return evolve(Measure.point_mass(n), rates, t, tol=_PROBE_TOL)
 
 
 def lie_split_evolve(
@@ -474,7 +447,6 @@ def lie_split_evolve(
     d2: float,
     t: float,
     steps: int,
-    tol: float = 1e-14,
     N: int | None = None,
 ) -> EvolvedPGF:
     """Alternate exact sub-steps of the two half-chains.
@@ -488,15 +460,14 @@ def lie_split_evolve(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_time(t)
-    if not all(map(math.isfinite, (b0, d1, d2))):
-        raise ValueError("rates must be finite")
+    chain1, chain2 = BirthDeathRates.mm_infty(b0, d1), BirthDeathRates.quadratic_death(d2)
     if mu.ndim != 1:
         raise ValueError("univariate initial laws only")
     support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
     if N is None:
         N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
-    b1, d1a = _rate_arrays(BirthDeathRates.mm_infty(b0, d1), N)
-    b2, d2a = _rate_arrays(BirthDeathRates.quadratic_death(d2), N)
+    b1, d1a = _rate_arrays(chain1, N)
+    b2, d2a = _rate_arrays(chain2, N)
     h = t / steps
     v = np.zeros(N + 1)
     v[: support + 1] = mu.weights[: support + 1]
@@ -505,9 +476,9 @@ def lie_split_evolve(
         # Each sub-step is a fixed propagator: the rows of one block series
         # from the identity, with the escaped mass in its last column.
         eye = np.eye(N + 1, N + 2)
-        half1 = _bd_uniformize(eye, b1, d1a, h / 2.0, tol)
-        full1 = _bd_uniformize(eye, b1, d1a, h, tol)
-        full2 = _bd_uniformize(eye, b2, d2a, h, tol)
+        half1 = _bd_uniformize(eye, b1, d1a, h / 2.0, _ROOT_LAW_TOL)
+        full1 = _bd_uniformize(eye, b1, d1a, h, _ROOT_LAW_TOL)
+        full2 = _bd_uniformize(eye, b2, d2a, h, _ROOT_LAW_TOL)
 
         def substep(v, propagator):
             P, tail = propagator

@@ -149,7 +149,7 @@ def _run_kummer_law(p, seed, tol):
 
 def _run_kingman_bp(p, seed, tol):
     n, t = int(p["n"]), float(p["t"])
-    ev = bdchain.kingman(n, True, t, tol=1e-13)
+    ev = bdchain.kingman(n, True, t)
     cert = ev.certificate()
     dec = measures.bp_decompose(ev.to_measure())
     ok = (
@@ -185,7 +185,7 @@ def _run_trotter_split(p, seed, tol):
     ref = bdchain.evolve(mu, combined, t, tol=1e-14)
     tvs = []
     for steps in (16, 64, 256, 1024, 4096):
-        split = bdchain.lie_split_evolve(mu, b0, d1, d2, t, steps, tol=1e-14)
+        split = bdchain.lie_split_evolve(mu, b0, d1, d2, t, steps)
         tvs.append({"steps": steps, "tv": bdchain.tv_distance(split, ref)})
     vals = [r["tv"] for r in tvs]
     ok = all(a > b for a, b in zip(vals, vals[1:])) and vals[-1] < 1e-6

@@ -20,6 +20,7 @@ from .polycore import MultiPoly, UniPoly, _classify_float
 from .stability import Verdict, certify_tstable
 
 _SLACK = 1e-9
+_POISSON_TOL = 1e-10  # truncation tolerance of Measure.poisson
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +74,12 @@ class Measure:
         return cls(np.array([1 - p, p]))
 
     @classmethod
-    def poisson(cls, sigma: float, box: int | None = None, tol: float = 1e-10) -> "Measure":
+    def poisson(cls, sigma: float, box: int | None = None) -> "Measure":
         if not (math.isfinite(sigma) and sigma >= 0):
             raise ValueError("sigma must be finite and >= 0")
         if box is None:
-            box = poisson_box(sigma, tol)
-        w, err = _poisson_weights(sigma, tol, box + 1)
+            box = poisson_box(sigma, _POISSON_TOL)
+        w, err = _poisson_weights(sigma, _POISSON_TOL, box + 1)
         return cls(w[: box + 1], tail_bound=err + math.fsum(w[box + 1 :]))
 
     @classmethod
@@ -89,23 +90,17 @@ class Measure:
             out = np.multiply.outer(out, a)
         return cls(out, tail_bound=sum(m.tail_bound for m in measures))
 
-    def to_json(self) -> dict:
-        return {
-            "shape": [int(s - 1) for s in self.shape],
-            "weights": [float(v) for v in self.weights.ravel()],
-            "tail_bound": float(self.tail_bound),
-        }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Measure":
-        shape = tuple(int(s) + 1 for s in data["shape"])
-        w = np.array(data["weights"], dtype=float).reshape(shape)
-        return cls(w, tail_bound=float(data.get("tail_bound", 0.0)))
+def _check_tol(tol: float) -> None:
+    # A NaN or nonpositive tol would never stop the Poisson weight loop.
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and > 0")
 
 
-def poisson_box(sigma: float, tol: float = 1e-10) -> int:
+def poisson_box(sigma: float, tol: float = _POISSON_TOL) -> int:
     """Smallest truncation at or above the mode whose certified Poisson tail
     mass is at most tol / 2."""
+    _check_tol(tol)
     return len(_poisson_weights(sigma, tol, 1)[0]) - 1
 
 

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 
 from .bdchain import _check_time, _uniformized_series
 from .config import DEFAULT
-from .measures import Measure
+from .measures import Measure, _check_tol
 from .polycore import MultiPoly
 
 
@@ -70,22 +70,6 @@ class SiteSystem:
 
     def death_rate(self, i: int, k: int) -> float:
         return self.death_fn(i, k) if self.death_fn else float(self.death[i]) * k
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "jump": self.jump.tolist(),
-            "birth": self.birth.tolist(),
-            "death": self.death.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SiteSystem":
-        return cls(
-            jump=np.array(data["jump"], dtype=float),
-            birth=np.array(data["birth"], dtype=float),
-            death=np.array(data["death"], dtype=float),
-        )
 
 
 @dataclass(frozen=True)
@@ -200,6 +184,7 @@ def truncated_generator_evolve(
     result's tail_bound.  An escape above tol means the box is too small
     and raises instead of silently degrading.
     """
+    _check_tol(tol)
     _check_time(t)
     if box is None:
         box = tuple(s - 1 for s in mu.shape)

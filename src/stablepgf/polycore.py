@@ -69,8 +69,8 @@ class UniPoly:
         return cls((Fraction(1),), True)
 
     @classmethod
-    def from_roots(cls, roots: Sequence, lead=1) -> "UniPoly":
-        p = cls.from_coeffs([lead])
+    def from_roots(cls, roots: Sequence) -> "UniPoly":
+        p = cls.from_coeffs([1])
         for r in roots:
             p = p * cls.from_coeffs([-r, type(r)(1) if isinstance(r, Fraction) else 1])
         return p
@@ -199,11 +199,6 @@ class UniPoly:
         if self.exact:
             return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
         return [float(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Sequence) -> "UniPoly":
-        vals = [Fraction(v) if isinstance(v, str) else v for v in data]
-        return cls.from_coeffs(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -431,23 +426,6 @@ class MultiPoly:
         if self.nvars != 1:
             raise ValueError("not univariate")
         return self.diagonal()
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> list:
-        recs = []
-        for a, c in self.terms:
-            cv = f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else float(c)
-            recs.append({"alpha": list(a), "c": cv})
-        return recs
-
-    @classmethod
-    def from_json(cls, data: Sequence, nvars: int) -> "MultiPoly":
-        d = {}
-        for rec in data:
-            c = rec["c"]
-            d[tuple(rec["alpha"])] = Fraction(c) if isinstance(c, str) else c
-        return cls.from_dict(d, nvars)
 
 
 def _mul_terms(p: list, q: list) -> list:
@@ -739,7 +717,6 @@ class RootList:
     roots: tuple
     radii: tuple
     real: tuple
-    exact_mode: bool
 
     @property
     def certified_real_count(self) -> int:
@@ -829,12 +806,12 @@ def real_roots(p: UniPoly) -> RootList:
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
-        return RootList((), (), (), p.exact)
+        return RootList((), (), ())
 
     if not p.exact:
         roots, radii, thresholds = _classify_float(p, DEFAULT.trim_rel)
         real = tuple(abs(z.imag) <= thr for z, thr in zip(roots, thresholds))
-        return RootList(tuple(roots), tuple(radii), real, False)
+        return RootList(tuple(roots), tuple(radii), real)
 
     roots, radii, real = [], [], []
     width = Fraction(DEFAULT.isolation_width).limit_denominator(10**18)
@@ -854,7 +831,7 @@ def real_roots(p: UniPoly) -> RootList:
             roots += [z] * mult
             radii += [rad] * mult
             real += [is_real] * mult
-    return RootList(tuple(roots), tuple(radii), tuple(real), True)
+    return RootList(tuple(roots), tuple(radii), tuple(real))
 
 
 # ---------------------------------------------------------------------------

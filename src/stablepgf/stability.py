@@ -10,7 +10,6 @@ float mode, everything else is reported as inconclusive.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -51,9 +50,6 @@ class StabilityCertificate:
         if self.note:
             out["note"] = self.note
         return out
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def witness_is_valid(f, witness: Sequence[complex], coeff_perturb: float = 0.0) -> bool:

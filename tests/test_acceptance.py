@@ -107,12 +107,12 @@ def test_c05_kummer_law():
 
 def test_c06_kingman_bernoulli_poisson():
     start = time.time()
-    ev100 = kingman(100, True, 0.5, tol=1e-13)
+    ev100 = kingman(100, True, 0.5)
     assert ev100.certificate().verdict is not Verdict.REFUTED
     d100 = bp_decompose(ev100.to_measure())
     assert d100.residual < 1e-8
     assert d100.q in (0, 1)
-    ev200 = kingman(200, True, 0.5, tol=1e-13)
+    ev200 = kingman(200, True, 0.5)
     d200 = bp_decompose(ev200.to_measure())
     assert d200.residual < 1e-8
     ratio = d200.residual / max(d100.residual, 1e-300)
@@ -136,7 +136,7 @@ def test_c08_trotter_split():
     ref = evolve(mu, BirthDeathRates.from_polynomial(1.0, 1.0, 1.0), 0.5, tol=1e-14)
     tvs = []
     for steps in (16, 64, 256, 1024, 4096):
-        split = lie_split_evolve(mu, 1.0, 1.0, 1.0, 0.5, steps, tol=1e-14)
+        split = lie_split_evolve(mu, 1.0, 1.0, 1.0, 0.5, steps)
         tvs.append(tv_distance(split, ref))
     assert all(a > b for a, b in zip(tvs, tvs[1:]))
     assert tvs[-1] < 1e-6

@@ -19,17 +19,11 @@ from stablepgf.bdchain import (
     tv_distance,
     wf_residual,
 )
-from stablepgf.measures import Measure, bp_decompose
+from stablepgf.cli import _random_real_rooted
+from stablepgf.measures import Measure, bp_decompose, poisson_box
 from stablepgf.particles import SiteSystem, exact_pgf_transform, truncated_generator_evolve
 from stablepgf.polycore import MultiPoly, UniPoly
 from stablepgf.stability import Verdict
-
-
-def random_real_rooted_measure(rng, deg_max=8):
-    deg = int(rng.integers(1, deg_max + 1))
-    roots = rng.uniform(-3.0, -1e-3, size=deg)
-    w = UniPoly.from_roots([float(r) for r in roots]).coeffs_float()
-    return Measure(w / w.sum())
 
 
 class TestGenerator:
@@ -45,6 +39,10 @@ class TestGenerator:
     def test_kingman_rate(self):
         Q = generator(BirthDeathRates.kingman_coalescent(), 5)
         assert Q[3, 2] == 3.0
+
+    def test_non_finite_rate(self):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            generator(BirthDeathRates(lambda k: math.nan, lambda k: 0.0), 2)
 
     def test_delta0_enforced(self):
         with pytest.raises(ValueError):
@@ -120,7 +118,7 @@ class TestEvolve:
 
     def test_probability_conserved(self):
         rng = np.random.default_rng(2)
-        mu = random_real_rooted_measure(rng)
+        mu = _random_real_rooted(rng)
         ev = evolve(mu, BirthDeathRates.from_polynomial(1.0, 0.5, 0.5), 0.7, tol=1e-12)
         assert abs(ev.poly.coeffs_float().sum() - 1.0) <= ev.tail_bound + 1e-12
 
@@ -135,12 +133,10 @@ class TestEvolve:
         # finitely many nonzero rates: beta_k = n-k, delta_k = k preserves
         # real-rootedness for inputs of degree <= n
         n = 6
-        rates = BirthDeathRates(
-            lambda k: float(max(n - k, 0)), lambda k: float(k), "ehrenfest"
-        )
+        rates = BirthDeathRates(lambda k: float(max(n - k, 0)), lambda k: float(k))
         rng = np.random.default_rng(3)
         for _ in range(10):
-            mu = random_real_rooted_measure(rng, deg_max=n)
+            mu = _random_real_rooted(rng, deg_max=n)
             for t in (0.05, 0.3, 1.0):
                 ev = evolve(mu, rates, t, tol=1e-13, N=n)
                 assert ev.certificate().verdict is not Verdict.REFUTED
@@ -188,10 +184,6 @@ class TestWrightFisher:
     def test_time_zero_second_order(self):
         # a first-order one-sided difference would read 3.8e-4 here
         assert wf_residual(Measure.point_mass(3), 0.0) <= 1e-7
-
-    def test_sample_cap(self):
-        with pytest.raises(ValueError):
-            wf_residual(Measure.point_mass(2), 0.1, z_samples=[0.95])
 
 
 class TestHermiteLaw:
@@ -300,13 +292,13 @@ class TestKingman:
 
     def test_two_lineages_closed_form(self):
         t = 0.9
-        ev = kingman(2, True, t, tol=1e-13)
+        ev = kingman(2, True, t)
         w = ev.poly.coeffs_float()
         assert w[1] == pytest.approx(1 - math.exp(-t), abs=1e-12)
         assert w[2] == pytest.approx(math.exp(-t), abs=1e-12)
 
     def test_big_n_decomposes(self):
-        ev = kingman(100, True, 0.5, tol=1e-13)
+        ev = kingman(100, True, 0.5)
         dec = bp_decompose(ev.to_measure())
         assert dec.q in (0, 1)
         assert dec.residual < 1e-8
@@ -335,7 +327,7 @@ class TestLieSplit:
         mu = Measure.point_mass(5)
         ref = evolve(mu, BirthDeathRates.from_polynomial(1.0, 1.0, 1.0), 0.5, tol=1e-14)
         tvs = [
-            tv_distance(lie_split_evolve(mu, 1.0, 1.0, 1.0, 0.5, s, tol=1e-14), ref)
+            tv_distance(lie_split_evolve(mu, 1.0, 1.0, 1.0, 0.5, s), ref)
             for s in (16, 64, 256)
         ]
         assert tvs[0] > tvs[1] > tvs[2]
@@ -361,7 +353,7 @@ class TestLieSplit:
         ref = ref @ half1
         for i in range(steps):
             ref = ref @ full2 @ (full1 if i < steps - 1 else half1)
-        ev = lie_split_evolve(Measure.point_mass(5), b0, d1, d2, t, steps, tol=1e-14, N=N)
+        ev = lie_split_evolve(Measure.point_mass(5), b0, d1, d2, t, steps, N=N)
         w = np.zeros(N + 1)
         w[: ev.poly.degree + 1] = ev.poly.coeffs_float()
         assert np.abs(w - ref).sum() <= ev.tail_bound + 1e-11
@@ -370,7 +362,7 @@ class TestLieSplit:
         mu = Measure.point_mass(5)
         ref = evolve(mu, BirthDeathRates.from_polynomial(1.0, 0.0, 1.0), 0.5, tol=1e-14)
         tvs = [
-            tv_distance(lie_split_evolve(mu, 1.0, 0.0, 1.0, 0.5, s, tol=1e-14), ref)
+            tv_distance(lie_split_evolve(mu, 1.0, 0.0, 1.0, 0.5, s), ref)
             for s in (8, 32, 128)
         ]
         assert tvs[0] > tvs[1] > tvs[2]
@@ -381,7 +373,7 @@ class TestPreservation:
         rng = np.random.default_rng(7)
         rates = BirthDeathRates.quadratic_death()
         for _ in range(20):
-            mu = random_real_rooted_measure(rng)
+            mu = _random_real_rooted(rng)
             for t in np.logspace(-3, 0, 4):
                 ev = evolve(mu, rates, float(t), tol=1e-13)
                 assert ev.certificate().verdict is not Verdict.REFUTED
@@ -391,7 +383,7 @@ class TestPreservation:
         for _ in range(10):
             b0, d1, d2 = rng.uniform(0, 2, size=3)
             rates = BirthDeathRates.from_polynomial(float(b0), float(d1), float(d2))
-            mu = random_real_rooted_measure(rng, deg_max=5)
+            mu = _random_real_rooted(rng, deg_max=5)
             ev = evolve(mu, rates, 0.4, tol=1e-12)
             assert ev.certificate().verdict is not Verdict.REFUTED
 
@@ -419,6 +411,16 @@ class TestInputBoundary:
         ),
         "hermite_root_law": lambda t: hermite_root_law(-0.5, 2, None, [0.01, t]),
         "kummer_root_law": lambda t: kummer_root_law(3, [0.01, t]),
+        "quadratic_map_counterexample": lambda t: quadratic_map_counterexample(0.5, t),
+    }
+    # Every rate is 0, so each call would return at once without the tol check.
+    tol_callers = {
+        "evolve": lambda tol: evolve(Measure.point_mass(2), TestInputBoundary.still, 0.5, tol=tol),
+        "transition": lambda tol: transition(TestInputBoundary.still, 0.5, 4, tol=tol),
+        "truncated_generator_evolve": lambda tol: truncated_generator_evolve(
+            Measure.point_mass((1,)), TestInputBoundary.still_site, 0.5, tol=tol
+        ),
+        "poisson_box": lambda tol: poisson_box(0.0, tol),
     }
 
     @pytest.mark.parametrize("caller", sorted(callers))
@@ -426,6 +428,12 @@ class TestInputBoundary:
     def test_bad_time(self, caller, t):
         with pytest.raises(ValueError, match="t must be >= 0" if t < 0 else "t must be finite"):
             self.callers[caller](t)
+
+    @pytest.mark.parametrize("caller", sorted(tol_callers))
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol(self, caller, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            self.tol_callers[caller](tol)
 
     @pytest.mark.parametrize("caller", ["hermite_root_law", "kummer_root_law"])
     def test_root_laws_need_positive_time(self, caller):
@@ -443,3 +451,18 @@ class TestInputBoundary:
             transition(BirthDeathRates.from_sequences([1.0], [0.0, bad]), 0.5, 8)
         with pytest.raises(ValueError, match="rates must be finite"):
             lie_split_evolve(mu, bad, 1.0, 1.0, 0.5, 4)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bad: BirthDeathRates.from_polynomial(1.0, bad, 1.0),
+            lambda bad: BirthDeathRates.from_polynomial(1.0, 1.0, bad),
+            lambda bad: BirthDeathRates.mm_infty(1.0, bad),
+            lambda bad: BirthDeathRates.quadratic_death(bad),
+        ],
+        ids=["from_polynomial-d1", "from_polynomial-d2", "mm_infty", "quadratic_death"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rate_constructors_reject_non_finite(self, make, bad):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            make(bad)

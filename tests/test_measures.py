@@ -46,12 +46,6 @@ class TestMeasureBasics:
         with pytest.raises(ValueError):
             Measure(np.array([0.5, 0.1]), tail_bound=0.0)
 
-    def test_json_round_trip(self):
-        m = Measure.product(Measure.bernoulli(0.25), Measure.bernoulli(0.75))
-        back = Measure.from_json(m.to_json())
-        assert np.allclose(back.weights, m.weights)
-        assert back.shape == m.shape
-
 
 class TestPgf:
     def test_point_mass(self):

@@ -286,15 +286,6 @@ class TestTruncatedEvolve:
             truncated_generator_evolve(Measure.point_mass((0,)), sys1, 2.0, box=(2,), tol=1e-10)
 
 
-def test_site_system_json_round_trip():
-    rng = np.random.default_rng(2)
-    system = random_order1(rng, n=3)
-    back = SiteSystem.from_json(system.to_json())
-    assert np.allclose(back.jump, system.jump)
-    assert np.allclose(back.birth, system.birth)
-    assert np.allclose(back.death, system.death)
-
-
 class TestGillespie:
     def test_zero_rates(self):
         sys0 = SiteSystem(jump=np.zeros((2, 2)), birth=np.zeros(2), death=np.zeros(2))
