@@ -218,6 +218,8 @@ def transition(
     """Uniformized transition matrix rows p_t(j, .) on {0..N}."""
     _check_tol(tol)
     _check_time(t)
+    if N < 1:
+        raise ValueError("N must be >= 1")
     beta_arr, delta_arr = _rate_arrays(rates, N)
     P, tail = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, t, tol)
     return TruncatedSemigroup(N=N, t=t, matrix=P[:, :-1], trunc_error=float(P[:, -1].max()) + tail)
@@ -247,6 +249,8 @@ def evolve(
             raise ValueError("rates must be finite")
         pad = 0 if b_ref == 0 else int(math.ceil(10.0 + 5.0 * b_ref * t))
         N = max(support + pad, support, 1)
+    if N < support:
+        raise ValueError(f"N={N} is below the initial law's support {support}")
     for _ in range(13):
         beta_arr, delta_arr = _rate_arrays(rates, N)
         v0 = np.zeros(N + 2)
@@ -337,6 +341,8 @@ def hermite_root_law(
     """
     if w >= 0:
         raise ValueError("w must be negative")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _check_grid(t_grid)
     base = UniPoly.from_roots([float(w)] * n)
     if q_factor is not None:
@@ -466,6 +472,8 @@ def lie_split_evolve(
     support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
     if N is None:
         N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
+    if N < support:
+        raise ValueError(f"N={N} is below the initial law's support {support}")
     b1, d1a = _rate_arrays(chain1, N)
     b2, d2a = _rate_arrays(chain2, N)
     h = t / steps

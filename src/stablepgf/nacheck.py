@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .measures import Measure
+from .polycore import _numerators
 
 
 class CapExceeded(ValueError):
@@ -170,9 +171,7 @@ def is_na(
     if exact:
         # integer numerators over a common denominator D keep the arithmetic
         # exact and cheap; every slack comes out D**2 times its value
-        fracs = [Fraction(x) for x in M.flat]
-        D = math.lcm(*(x.denominator for x in fracs))
-        nums = [x.numerator * (D // x.denominator) for x in fracs]
+        nums, D = _numerators([Fraction(x) for x in M.flat])
         M = np.array(nums, dtype=object).reshape(M.shape)
     else:
         M = M.astype(float)

@@ -4,7 +4,7 @@ Order-1 systems (constant birth, linear death, linear jumps) admit an
 exact generating-function transform: each particle moves independently
 under a per-particle matrix exponential, so the PGF pulls back through an
 affine substitution, while births contribute an exponential factor with
-rates obtained from an augmented block-matrix exponential.  A product
+rates obtained from the same augmented block-matrix exponential.  A product
 state-space uniformizer and a Gillespie sampler serve as independent
 cross-checks and also accept general per-site rates.
 """
@@ -147,8 +147,8 @@ def exact_pgf_transform(
     Each variable is substituted by the affine per-particle transition
     s_i(t) = P(dead by t | i) + sum_j P(at j at t | i) x_j, and constant
     births multiply in an exponential factor whose rates are the
-    birth-vector integral of the semigroup, computed from the augmented
-    block matrix [[G, I], [0, 0]].
+    birth-vector integral of the semigroup; the top blocks of the
+    exponential of [[G, I], [0, 0]] t are e^{Gt} and that integral.
     """
     if not system.is_order1:
         raise ValueError("exact transform requires order-1 rates")
@@ -158,13 +158,11 @@ def exact_pgf_transform(
     n = system.n
     if f.nvars != n:
         raise ValueError("variable count does not match site count")
-    G = _site_generator(system)
-    M = expm(G * t)
-    dead = 1.0 - M.sum(axis=1)
     aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = G
+    aug[:n, :n] = _site_generator(system)
     aug[:n, n:] = np.eye(n)
-    A = expm(aug * t)[:n, n:]  # integral_0^t e^{G u} du
+    M, A = np.hsplit(expm(aug * t)[:n], 2)  # e^{Gt} and integral_0^t e^{G u} du
+    dead = 1.0 - M.sum(axis=1)
     lam_new = system.birth @ A
     lam_through = np.asarray(f.exp_rates, dtype=float) @ M
     poly = f.poly.compose_affine(list(dead), M.tolist())
@@ -204,6 +202,8 @@ def truncated_generator_evolve(
         death = np.array([system.death_rate(i, m) for m in range(shape[i])])
         if not (np.isfinite(birth).all() and np.isfinite(death).all()):
             raise ValueError("rates must be finite")
+        if (birth < 0).any() or (death < 0).any():
+            raise ValueError("rates must be nonnegative")
         if death[0] > 0:
             raise ValueError(f"death rate at empty site {i} must be 0")
         moves.append((np.where(k < shape[i] - 1, state + stride[i], OVER), birth[k]))
@@ -308,7 +308,9 @@ def _gillespie_runs(system, init, t, seed, keys, max_events):
                 rate = np.array([system.birth_rate(i, k), system.death_rate(i, k)], dtype=float)
                 if not np.isfinite(rate).all():
                     raise ValueError("rates must be finite")
-                table[i, k] = np.where(rate > 0, rate, 0.0)
+                if (rate < 0).any():
+                    raise ValueError("rates must be nonnegative")
+                table[i, k] = rate
                 if k == 0 and rate[1] > 0:
                     raise ValueError(f"death rate at empty site {i} must be 0")
         acc = np.concatenate([table[sites, counts], counts[:, :, None] * jump], axis=2)

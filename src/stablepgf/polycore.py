@@ -4,9 +4,9 @@ Univariate polynomials are dense; multivariate ones are sparse maps from
 multi-indices to coefficients.  Coefficients constructed from ints or
 Fractions stay exact rationals; anything else is coerced to float and every
 evaluation then returns a certified forward error bound alongside the value.
-Real-root counting is exact (Sturm sequences over the rationals) in the
-exact regime and companion-matrix based with per-root radius bounds in the
-float regime.
+Real-root counting is exact (Sturm sequences of primitive integer
+polynomials) in the exact regime and companion-matrix based with per-root
+radius bounds in the float regime.
 """
 
 from __future__ import annotations
@@ -469,18 +469,7 @@ def polarize(p: UniPoly, N: int) -> MultiPoly:
     The coefficient a_k of x^k becomes a_k / C(N,k) times the k-th
     elementary symmetric polynomial, so the diagonal restriction recovers p.
     """
-    if p.degree > N:
-        raise ValueError(f"degree {p.degree} exceeds N={N}")
-    d: dict = {}
-    for k, a_k in enumerate(p.coeffs):
-        if a_k == 0:
-            continue
-        cnk = math.comb(N, k)
-        coeff = Fraction(a_k, cnk) if isinstance(a_k, Fraction) else float(a_k) / cnk
-        for combo in itertools.combinations(range(N), k):
-            alpha = tuple(1 if i in combo else 0 for i in range(N))
-            d[alpha] = d.get(alpha, 0) + coeff
-    return MultiPoly.from_dict(d, N)
+    return polarize_multi(MultiPoly.from_dict({(k,): c for k, c in enumerate(p.coeffs)}, 1), N)
 
 
 def polarize_multi(f: MultiPoly, N: int) -> MultiPoly:
@@ -509,102 +498,104 @@ def polarize_multi(f: MultiPoly, N: int) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact real-root machinery (Sturm sequences over Q)
+# exact real-root machinery (Sturm sequences of primitive integer polynomials)
 # ---------------------------------------------------------------------------
 
 
-def _fdeg(c: list) -> int:
-    return len(c) - 1
+def _numerators(values: Sequence) -> tuple:
+    """Integer numerators of rationals over their least common denominator D, and D."""
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
 
 
-def _fderiv(c: list) -> list:
-    if len(c) == 1:
-        return [Fraction(0)]
-    return _trim_trailing([Fraction(k) * v for k, v in enumerate(c)][1:])
+def _primitive(f: list) -> list:
+    """f divided by its content, signed so that the leading coefficient is
+    positive; [0] stays [0]."""
+    g = math.gcd(*f) or 1
+    return [v // g for v in f] if f[-1] > 0 else [-v // g for v in f]
 
 
-def _fdivmod(a: list, b: list):
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+def _deriv(f: list) -> list:
+    return [k * v for k, v in enumerate(f)][1:]  # f is not constant
+
+
+def _prem(a: list, b: list) -> list:
+    """Remainder of |lc(b)|^k a modulo b, k the number of reduction steps.
+
+    Multiplying by |lc(b)| only, never by lc(b), makes the result a
+    positive multiple of the remainder of a by b over the rationals.
+    """
     r = list(a)
-    db, lb = _fdeg(b), b[-1]
-    while _fdeg(r) >= db and r != [Fraction(0)]:
-        shift = _fdeg(r) - db
-        factor = r[-1] / lb
-        q[shift] += factor
-        for i in range(len(b)):
-            r[shift + i] -= factor * b[i]
+    lb, sb = abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(r) >= len(b) and r != [0]:
+        f, shift = r[-1] * sb, len(r) - len(b)
+        r = [lb * v for v in r]
+        for i, v in enumerate(b):
+            r[shift + i] -= f * v
         r = _trim_trailing(r)
-        if _fdeg(r) < db or (len(r) == 1 and r[0] == 0):
-            break
-    return _trim_trailing(q), _trim_trailing(r)
+    return r
 
 
-def _fgcd(a: list, b: list) -> list:
-    a, b = _trim_trailing(a), _trim_trailing(b)
-    while b != [Fraction(0)]:
-        _, r = _fdivmod(a, b)
-        a, b = b, r
-    if a[-1] != 0:
-        a = [v / a[-1] for v in a]
-    return a
+def _div_exact(a: list, b: list) -> list:
+    """a / b for a primitive b that divides a over the rationals; by
+    Gauss's lemma the quotient is integral, so every step divides exactly."""
+    r = list(a)
+    q = [0] * max(1, len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        f = r[shift + len(b) - 1] // b[-1]
+        q[shift] = f
+        for i, v in enumerate(b):
+            r[shift + i] -= f * v
+    return q
 
 
-def _fsub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _trim_trailing(out)
+def _gcd(a: list, b: list) -> list:
+    """Primitive gcd with a positive leading coefficient (primitive
+    pseudo-remainder sequence)."""
+    while b != [0]:
+        a, b = b, _primitive(_prem(a, b))
+    return _primitive(a)
 
 
-def _yun_squarefree(c: list):
-    """Yun's algorithm: return [(factor, multiplicity)] with p ~ prod f_i^i."""
-    dp = _fderiv(c)
-    g = _fgcd(c, dp)
-    if _fdeg(g) == 0:
+def _yun_squarefree(c: Sequence) -> list:
+    """Yun's algorithm on rational coefficients c: [(factor, multiplicity)]
+    with c a rational multiple of prod f_i^i.
+
+    Each factor is a primitive integer polynomial with a positive leading
+    coefficient.  w and y are always divided by the same polynomial, so
+    they keep the ratio that Yun's z = y - w' needs.
+    """
+    c = _primitive(_numerators(c)[0])
+    dc = _deriv(c)
+    g = _gcd(c, dc)
+    if len(g) == 1:
         return [(c, 1)]
-    w, _ = _fdivmod(c, g)
-    y, _ = _fdivmod(dp, g)
-    out = []
-    i = 1
-    while _fdeg(w) > 0:
-        z = _fsub(y, _fderiv(w))
-        fi = _fgcd(w, z)
-        if _fdeg(fi) > 0:
+    w, y = _div_exact(c, g), _div_exact(dc, g)
+    out, i = [], 1
+    while len(w) > 1:
+        dw = _deriv(w)
+        z = _trim_trailing([u - v for u, v in itertools.zip_longest(y, dw, fillvalue=0)])
+        fi = _gcd(w, z)
+        if len(fi) > 1:
             out.append((fi, i))
-        w, _ = _fdivmod(w, fi)
-        y, _ = _fdivmod(z, fi)
+        w, y = _div_exact(w, fi), _div_exact(z, fi)
         i += 1
     return out
 
 
 def _sturm_chain(c: list) -> list:
-    chain = [c, _fderiv(c)]
-    while _fdeg(chain[-1]) > 0:
-        _, r = _fdivmod(chain[-2], chain[-1])
-        if r == [Fraction(0)]:
+    """Sturm chain of a primitive integer polynomial c with a positive
+    leading coefficient.  Each member is primitive and a positive multiple
+    of the chain's member over the rationals, so every sign, and with it
+    every Sturm count, is the same."""
+    chain = [c, _primitive(_deriv(c))]
+    while len(chain[-1]) > 1:
+        r = _prem(chain[-2], chain[-1])
+        if r == [0]:
             break
-        chain.append([-v for v in r])
+        g = math.gcd(*r)
+        chain.append([-v // g for v in r])
     return chain
-
-
-def _integer_chain(c: list) -> list:
-    """Sturm chain of c, each member scaled to coprime integer coefficients.
-
-    The scale factors are positive, so every sign, and with it every
-    Sturm count, is that of the rational chain.
-    """
-    out = []
-    for f in _sturm_chain(c):
-        den = math.lcm(*(v.denominator for v in f))
-        ints = [v.numerator * (den // v.denominator) for v in f]
-        g = math.gcd(*ints)
-        out.append([v // g for v in ints])
-    return out
 
 
 def _sign_at(f: list, x: Fraction) -> int:
@@ -627,13 +618,14 @@ def _sign_variations(chain: list, x: Fraction) -> int:
 
 
 def _cauchy_bound(c: list) -> Fraction:
-    lead = c[-1]
-    m = max((abs(v / lead) for v in c[:-1]), default=Fraction(0))
-    return Fraction(1) + m
+    """1 + max |c_k / c_n|: every root lies in (-B, B), whatever c's scale."""
+    lead = abs(c[-1])
+    return Fraction(1) + max((Fraction(abs(v), lead) for v in c[:-1]), default=Fraction(0))
 
 
 def _isolate_roots(c: list, width: Fraction):
-    """Isolating intervals (a, b] of width <= width for a square-free poly.
+    """Isolating intervals (a, b] of width <= width for a square-free
+    primitive integer polynomial c.
 
     Bisection of (-B, B] keeps the halves that hold roots, judged by Sturm
     counts until an interval holds one root and from then on by the sign
@@ -641,17 +633,16 @@ def _isolate_roots(c: list, width: Fraction):
     interval.  The midpoints and the halves kept are those of Sturm
     bisection throughout.
     """
-    chain = _integer_chain(c)
-    fac = chain[0]
+    chain = _sturm_chain(c)
     out = []
 
     def refine(lo, hi):
         # one root in (lo, hi], kept half-open as the counts are: the root
         # is hi when s_hi is 0, and then no midpoint sign is 0 or matches
-        s_hi = _sign_at(fac, hi)
+        s_hi = _sign_at(c, hi)
         while hi - lo > width:
             mid = (lo + hi) / 2
-            s_mid = _sign_at(fac, mid)
+            s_mid = _sign_at(c, mid)
             if s_mid == 0 or s_mid == s_hi:
                 hi, s_hi = mid, s_mid
             else:
@@ -681,9 +672,8 @@ def exact_real_root_count(p: UniPoly) -> int:
     if p.degree == 0:
         return 0
     total = 0
-    for fac, mult in _yun_squarefree(list(p.coeffs)):
-        chain = _integer_chain(fac)
-        B = _cauchy_bound(fac)
+    for fac, mult in _yun_squarefree(p.coeffs):
+        chain, B = _sturm_chain(fac), _cauchy_bound(fac)
         total += mult * (_sign_variations(chain, -B) - _sign_variations(chain, B))
     return total
 
@@ -815,16 +805,20 @@ def real_roots(p: UniPoly) -> RootList:
 
     roots, radii, real = [], [], []
     width = Fraction(DEFAULT.isolation_width).limit_denominator(10**18)
-    for fac, mult in _yun_squarefree(list(p.coeffs)):
+    factors = _yun_squarefree(p.coeffs)
+    for fac, mult in factors:
         intervals = _isolate_roots(fac, width)
         located = []
         for lo, hi in intervals:
             mid = float((lo + hi) / 2)
             located.append((complex(mid, 0.0), float(hi - lo) / 2 + abs(mid) * EPS, True))
-        ncomplex = _fdeg(fac) - len(intervals)
+        ncomplex = len(fac) - 1 - len(intervals)
         if ncomplex > 0:
-            # an exact factor is not a truncated series: locate all of its roots
-            zs, rads, _ = _classify_float(UniPoly.from_coeffs([float(v) for v in fac]), 0.0)
+            # an exact factor is not a truncated series: locate all of its
+            # roots, on p itself when p is square-free, else on the monic
+            # factor, whose float copy cannot overflow
+            g = p.coeffs if factors == [(fac, 1)] else [Fraction(v, fac[-1]) for v in fac]
+            zs, rads, _ = _classify_float(UniPoly.from_coeffs([float(v) for v in g]), 0.0)
             pairs = sorted(zip(zs, rads), key=lambda zr: abs(zr[0].imag), reverse=True)
             located += [(z, rad, False) for z, rad in pairs[:ncomplex]]
         for z, rad, is_real in located:

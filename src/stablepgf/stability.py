@@ -339,11 +339,7 @@ def certify_tstable(
     truncated = tail_bound > 0.0
     direct = None
     if not truncated:
-        f = MultiPoly.from_dict(d, nvars)
-        if nvars == 1:
-            direct = is_real_rooted(f.to_uni())
-        else:
-            direct = is_stable_multi(f, budget=60)
+        direct = is_stable_multi(MultiPoly.from_dict(d, nvars), budget=60)
         if direct.verdict is Verdict.STABLE:
             return StabilityCertificate(
                 Verdict.STABLE,

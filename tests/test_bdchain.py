@@ -440,6 +440,24 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match="t must be > 0"):
             self.callers[caller](0.0)
 
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_transition_needs_a_state_above_zero(self, N):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            transition(BirthDeathRates.mm_infty(1.0, 1.0), 0.1, N)
+
+    @pytest.mark.parametrize("N", [1, 0, -1])
+    def test_box_below_initial_support(self, N):
+        mu = Measure.point_mass(2)
+        with pytest.raises(ValueError, match="below the initial law's support 2"):
+            evolve(mu, BirthDeathRates.mm_infty(1.0, 1.0), 0.1, N=N)
+        with pytest.raises(ValueError, match="below the initial law's support 2"):
+            lie_split_evolve(mu, 1.0, 1.0, 1.0, 0.1, 4, N=N)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_hermite_root_law_needs_a_root(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            hermite_root_law(-0.5, n, None, [0.01])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rates(self, bad):
         mu = Measure.point_mass(2)

@@ -498,3 +498,17 @@ class TestNonFiniteRates:
             truncated_generator_evolve(Measure.point_mass((0,)), system, 0.5, box=(4,))
         with pytest.raises(ValueError, match="rates must be finite"):
             gillespie_sample(system, Configuration((0,)), 0.5, seed=1)
+
+
+class TestNegativeRates:
+    @pytest.mark.parametrize("fn", ["birth_fn", "death_fn"])
+    def test_rate_functions(self, fn):
+        system = SiteSystem(
+            jump=np.zeros((1, 1)), birth=np.ones(1), death=np.ones(1), **{fn: lambda i, k: -1.0}
+        )
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            truncated_generator_evolve(Measure.point_mass((1,)), system, 0.5, box=(4,))
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            gillespie_sample(system, Configuration((1,)), 0.5, seed=1)
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            gillespie_empirical(system, Configuration((1,)), 0.5, 10, seed=1, box=(4,))

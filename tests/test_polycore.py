@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stablepgf.polycore import (
     MultiPoly,
     UniPoly,
-    _cauchy_bound,
     _isolate_roots,
     _sturm_chain,
     _yun_squarefree,
@@ -28,7 +27,36 @@ from stablepgf.polycore import (
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
 
-# reference isolator: Sturm counts over the rationals at every bisection step
+# reference isolator: Sturm counts over the rationals at every bisection
+# step, on a Euclidean chain of Fraction remainders (zero is [])
+
+
+def _ref_divmod(a, b):
+    q, r = [F(0)] * max(1, len(a) - len(b) + 1), [F(v) for v in a]
+    while len(r) >= len(b):
+        f, shift = r[-1] / b[-1], len(r) - len(b)
+        q[shift] = f
+        for i, v in enumerate(b):
+            r[shift + i] -= f * v
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def _positive_multiple(g, h):
+    """g = q h for a rational q > 0."""
+    q = F(g[-1]) / h[-1]
+    return len(g) == len(h) and q > 0 and all(u == q * v for u, v in zip(g, h))
+
+
+def _ref_sturm_chain(c):
+    chain = [[F(v) for v in c], [F(k * v) for k, v in enumerate(c)][1:]]
+    while len(chain[-1]) > 1:
+        _, r = _ref_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-v for v in r])
+    return chain
 
 
 def _ref_eval(c, x):
@@ -48,8 +76,8 @@ def _ref_count(chain, a, b):
 
 
 def _ref_isolate_roots(c, width):
-    chain = _sturm_chain(c)
-    B = _cauchy_bound(c)
+    chain = _ref_sturm_chain(c)
+    B = 1 + max((abs(F(v, c[-1])) for v in c[:-1]), default=0)
     out = []
 
     def recurse(lo, hi, cnt):
@@ -278,10 +306,10 @@ class TestExactIsolation:
     @settings(max_examples=40, deadline=None)
     def test_intervals_match_sturm_bisection(self, planted, width):
         p, roots = planted
-        for fac, mult in _yun_squarefree(list(p.coeffs)):
+        for fac, mult in _yun_squarefree(p.coeffs):
             got = _isolate_roots(fac, width)
             assert got == _ref_isolate_roots(fac, width)
-            chain = _sturm_chain(fac)
+            chain = _ref_sturm_chain(fac)
             for lo, hi in got:
                 assert hi - lo <= width
                 assert _ref_count(chain, lo, hi) == 1
@@ -291,6 +319,31 @@ class TestExactIsolation:
                 assert sum(lo < r <= hi for lo, hi in got) == 1
         assert exact_real_root_count(p) == sum(m for _, m in roots)
         assert real_roots(p).certified_real_count == sum(m for _, m in roots)
+
+    @given(planted_polys())
+    @example(_planted([F(0), F(1, 2), F(-1)], [2, 3, 1]))
+    @example(_planted([F(-2, 3)], [3], quad=[5, 2, 1]))
+    @example(_planted([F(0), F(3, 4)], [1, 2], quad=[2, 0, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_layer_is_a_positive_multiple_of_the_rational(self, planted):
+        p, roots = planted
+        # the monic square-free factors by construction: the planted roots
+        # of each multiplicity, with the planted quadratic, if any, in the first
+        linear = UniPoly.from_roots([r for r, m in roots for _ in range(m)])
+        quad, rest = _ref_divmod([c / p.lead for c in p.coeffs], linear.coeffs)
+        assert not rest
+        expected = {}
+        for r, m in roots:
+            expected[m] = expected.get(m, UniPoly.one()) * UniPoly.from_roots([r])
+        if len(quad) > 1:
+            expected[1] = expected.get(1, UniPoly.one()) * UniPoly.from_coeffs(quad)
+        got = _yun_squarefree(p.coeffs)
+        assert [m for _, m in got] == sorted(expected)
+        for fac, m in got:
+            assert all(type(v) is int for v in fac) and math.gcd(*fac) == 1
+            assert _positive_multiple(fac, expected[m].coeffs)
+            chain, ref = _sturm_chain(fac), _ref_sturm_chain(fac)
+            assert len(chain) == len(ref) and all(map(_positive_multiple, chain, ref))
 
     def test_degree_40_product(self):
         planted = [F(k, 7) for k in range(-20, 20)]
