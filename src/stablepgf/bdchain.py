@@ -190,6 +190,13 @@ def _check_time(t: float) -> None:
         raise ValueError("t must be >= 0")
 
 
+def _check_rates(*rates: np.ndarray) -> None:
+    if not all(np.isfinite(r).all() for r in rates):
+        raise ValueError("rates must be finite")
+    if any((r < 0).any() for r in rates):
+        raise ValueError("rates must be nonnegative")
+
+
 def _check_grid(t_grid: Sequence[float]) -> None:
     """The root-law probes rescale by t, so every time must be positive."""
     for t in t_grid:
@@ -202,10 +209,7 @@ def _rate_arrays(rates: BirthDeathRates, N: int):
     beta_arr = np.array([rates.beta(k) for k in range(N + 1)], dtype=float)
     delta_arr = np.array([rates.delta(k) for k in range(N + 1)], dtype=float)
     delta_arr[0] = 0.0
-    if not (np.isfinite(beta_arr).all() and np.isfinite(delta_arr).all()):
-        raise ValueError("rates must be finite")
-    if (beta_arr < 0).any() or (delta_arr < 0).any():
-        raise ValueError("negative rate on truncation")
+    _check_rates(beta_arr, delta_arr)
     return beta_arr, delta_arr
 
 
@@ -263,7 +267,7 @@ def evolve(
                 t=t,
                 tail_bound=mu.tail_bound + absorbed + tail,
             )
-        N *= 2
+        N = max(2 * N, 1)
     raise RuntimeError("truncation level cap reached before meeting tolerance")
 
 

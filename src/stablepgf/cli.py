@@ -52,11 +52,11 @@ def _random_real_rooted(rng, deg_max: int = 8):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (passed, payload, csv or None)
+# experiment runners: each returns (passed, payload, CSV rows or None)
 # ---------------------------------------------------------------------------
 
 
-def _run_quad_death_preserve(p, seed, tol):
+def _run_quad_death_preserve(p, seed):
     rng = np.random.default_rng(seed)
     rates = bdchain.BirthDeathRates.quadratic_death()
     t_grid = list(np.logspace(-3, 0, int(p["t_points"])))
@@ -74,7 +74,7 @@ def _run_quad_death_preserve(p, seed, tol):
     return refuted == 0, payload, None
 
 
-def _run_double_root(p, seed, tol):
+def _run_double_root(p, seed):
     r, t = float(p["r"]), float(p["t"])
     poly, cert = bdchain.quadratic_map_counterexample(r, t)
     disc = float(poly.coeffs[1]) ** 2 - 4.0 * float(poly.coeffs[0]) * float(poly.coeffs[2])
@@ -96,7 +96,7 @@ def _run_double_root(p, seed, tol):
     return ok, payload, None
 
 
-def _run_birth_monotonicity(p, seed, tol):
+def _run_birth_monotonicity(p, seed):
     t_grid = [float(x) for x in str(p["t_grid"]).split(";")]
     inc = bdchain.BirthDeathRates.from_sequences([1.0, 2.0], beta_rest=1.0)
     dec = bdchain.BirthDeathRates.from_sequences([2.0, 1.0], beta_rest=1.0)
@@ -113,7 +113,11 @@ def _run_birth_monotonicity(p, seed, tol):
     return ok, payload, None
 
 
-def _run_hermite_law(p, seed, tol):
+def _root_rows(recs) -> list:
+    return [(r["t"], i, z.real, z.imag) for r in recs for i, z in enumerate(r["roots"])]
+
+
+def _run_hermite_law(p, seed):
     n, w = int(p["n"]), float(p["w"])
     t_grid = [4.0 ** (-j) for j in range(3, 11)]
     recs = bdchain.hermite_root_law(w, n, None, t_grid + [1e-6])
@@ -125,13 +129,10 @@ def _run_hermite_law(p, seed, tol):
         "w": w,
         "records": [{"t": r["t"], "report": r["report"]} for r in recs],
     }
-    rows = [
-        (r["t"], i, z.real, z.imag) for r in recs for i, z in enumerate(r["roots"])
-    ]
-    return ok, payload, ("root_trajectories", ["t", "root_index", "re", "im"], rows)
+    return ok, payload, _root_rows(recs)
 
 
-def _run_kummer_law(p, seed, tol):
+def _run_kummer_law(p, seed):
     n = int(p["n"])
     recs = bdchain.kummer_root_law(n, [1e-4, 1e-5])
     zeros = polycore.negative_x_zeros_of_series(polycore.kummer_series_poly(n))
@@ -141,13 +142,10 @@ def _run_kummer_law(p, seed, tol):
         "records": [{"t": r["t"], "report": r["report"]} for r in recs],
         "kummer_series_zero_count": len(zeros),
     }
-    rows = [
-        (r["t"], i, z.real, z.imag) for r in recs for i, z in enumerate(r["roots"])
-    ]
-    return ok, payload, ("small_root_trajectories", ["t", "root_index", "re", "im"], rows)
+    return ok, payload, _root_rows(recs)
 
 
-def _run_kingman_bp(p, seed, tol):
+def _run_kingman_bp(p, seed):
     n, t = int(p["n"]), float(p["t"])
     ev = bdchain.kingman(n, True, t)
     cert = ev.certificate()
@@ -166,7 +164,7 @@ def _run_kingman_bp(p, seed, tol):
     return ok, payload, None
 
 
-def _run_wright_fisher(p, seed, tol):
+def _run_wright_fisher(p, seed):
     start = int(p["start"])
     residuals = {}
     ok = True
@@ -178,7 +176,7 @@ def _run_wright_fisher(p, seed, tol):
     return ok, payload, None
 
 
-def _run_trotter_split(p, seed, tol):
+def _run_trotter_split(p, seed):
     mu = Measure.point_mass(int(p["start"]))
     b0, d1, d2, t = (float(p[k]) for k in ("b0", "d1", "d2", "t"))
     combined = bdchain.BirthDeathRates.from_polynomial(b0, d1, d2)
@@ -222,7 +220,7 @@ def _ts_fixture(rng):
     return w
 
 
-def _run_particles_na(p, seed, tol):
+def _run_particles_na(p, seed):
     rng = np.random.default_rng(seed)
     count = int(p["count"])
     worst = Fraction(0)
@@ -245,7 +243,7 @@ def _run_particles_na(p, seed, tol):
     return ok, payload, None
 
 
-def _run_tstable_certify(p, seed, tol):
+def _run_tstable_certify(p, seed):
     sigma = Fraction(str(p["sigma"]))
     trunc = int(p["trunc"])
     m_max = int(p["m_max"])
@@ -315,12 +313,14 @@ EXPERIMENTS = {
         "params": {"n": (int, 3), "w": (float, -0.5)},
         "valid": {"n": lambda n: n >= 1, "w": lambda w: -math.inf < w < 0},
         "run": _run_hermite_law,
+        "csv": ("root_trajectories", ["t", "root_index", "re", "im"]),
     },
     "kummer-law": {
         "claim": "roots leaving the origin scale linearly with cluster-polynomial zeros",
         "params": {"n": (int, 3)},
         "valid": {"n": lambda n: n >= 1},
         "run": _run_kummer_law,
+        "csv": ("small_root_trajectories", ["t", "root_index", "re", "im"]),
     },
     "kingman-bp": {
         "claim": "coalescent block counts decompose into Bernoulli and Poisson parts",
@@ -408,7 +408,7 @@ def _coerce_params(name: str, overrides: dict) -> dict:
 
 def run_experiment(name: str, params: dict, seed: int, tol: float, outdir: str) -> int:
     spec = EXPERIMENTS[name]
-    passed, payload, csv = spec["run"](params, seed, tol)
+    passed, payload, rows = spec["run"](params, seed)
     artifact = {
         "schema_version": SCHEMA_VERSION,
         "experiment": name,
@@ -420,8 +420,8 @@ def run_experiment(name: str, params: dict, seed: int, tol: float, outdir: str) 
         "results": payload,
     }
     _write_json(os.path.join(outdir, f"{name}.json"), artifact)
-    if csv is not None:
-        stem, header, rows = csv
+    if "csv" in spec:
+        stem, header = spec["csv"]
         _write_csv(os.path.join(outdir, f"{name}.{stem}.csv"), header, rows)
     print(f"{name}: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
@@ -462,9 +462,7 @@ def main(argv: list | None = None) -> int:
                 k: {"type": t.__name__, "default": d} for k, (t, d) in spec["params"].items()
             },
             "artifacts": [f"{args.name}.json"],
-            "csv_columns": ["t", "root_index", "re", "im"]
-            if args.name in ("hermite-law", "kummer-law")
-            else None,
+            "csv_columns": spec["csv"][1] if "csv" in spec else None,
         }
         print(json.dumps(schema, sort_keys=True, indent=2))
         return 0

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .bdchain import _check_time, _uniformized_series
+from .bdchain import _check_rates, _check_time, _uniformized_series
 from .config import DEFAULT
 from .measures import Measure, _check_tol
 from .polycore import MultiPoly
@@ -52,10 +52,7 @@ class SiteSystem:
         n = jump.shape[0]
         if jump.shape != (n, n) or birth.shape != (n,) or death.shape != (n,):
             raise ValueError("inconsistent system dimensions")
-        if not (np.isfinite(jump).all() and np.isfinite(birth).all() and np.isfinite(death).all()):
-            raise ValueError("rates must be finite")
-        if (jump < 0).any() or (birth < 0).any() or (death < 0).any():
-            raise ValueError("rates must be nonnegative")
+        _check_rates(jump, birth, death)
 
     @property
     def n(self) -> int:
@@ -200,10 +197,7 @@ def truncated_generator_evolve(
         k = occ[i]
         birth = np.array([system.birth_rate(i, m) for m in range(shape[i])])
         death = np.array([system.death_rate(i, m) for m in range(shape[i])])
-        if not (np.isfinite(birth).all() and np.isfinite(death).all()):
-            raise ValueError("rates must be finite")
-        if (birth < 0).any() or (death < 0).any():
-            raise ValueError("rates must be nonnegative")
+        _check_rates(birth, death)
         if death[0] > 0:
             raise ValueError(f"death rate at empty site {i} must be 0")
         moves.append((np.where(k < shape[i] - 1, state + stride[i], OVER), birth[k]))
@@ -306,10 +300,7 @@ def _gillespie_runs(system, init, t, seed, keys, max_events):
         for i in range(n):
             for k in np.unique(counts[np.isnan(table[i, counts[:, i], 0]), i]).tolist():
                 rate = np.array([system.birth_rate(i, k), system.death_rate(i, k)], dtype=float)
-                if not np.isfinite(rate).all():
-                    raise ValueError("rates must be finite")
-                if (rate < 0).any():
-                    raise ValueError("rates must be nonnegative")
+                _check_rates(rate)
                 table[i, k] = rate
                 if k == 0 and rate[1] > 0:
                     raise ValueError(f"death rate at empty site {i} must be 0")

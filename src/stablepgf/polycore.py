@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -583,21 +583,6 @@ def _yun_squarefree(c: Sequence) -> list:
     return out
 
 
-def _sturm_chain(c: list) -> list:
-    """Sturm chain of a primitive integer polynomial c with a positive
-    leading coefficient.  Each member is primitive and a positive multiple
-    of the chain's member over the rationals, so every sign, and with it
-    every Sturm count, is the same."""
-    chain = [c, _primitive(_deriv(c))]
-    while len(chain[-1]) > 1:
-        r = _prem(chain[-2], chain[-1])
-        if r == [0]:
-            break
-        g = math.gcd(*r)
-        chain.append([-v // g for v in r])
-    return chain
-
-
 def _sign_at(f: list, x: Fraction) -> int:
     """Sign of the integer polynomial f at x = m/q (q > 0).
 
@@ -617,32 +602,65 @@ def _sign_variations(chain: list, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _cauchy_bound(c: list) -> Fraction:
-    """1 + max |c_k / c_n|: every root lies in (-B, B), whatever c's scale."""
-    lead = abs(c[-1])
-    return Fraction(1) + max((Fraction(abs(v), lead) for v in c[:-1]), default=Fraction(0))
+class _SturmFactor(NamedTuple):
+    """A square-free Yun factor, its multiplicity, Sturm chain and Cauchy
+    bound B, and the chain's sign variations at -B and B, whose difference
+    counts the factor's real roots."""
+
+    coeffs: list
+    mult: int
+    chain: list
+    bound: Fraction
+    v_lo: int
+    v_hi: int
+
+    @property
+    def nonreal_count(self) -> int:
+        return len(self.coeffs) - 1 - (self.v_lo - self.v_hi)
 
 
-def _isolate_roots(c: list, width: Fraction):
-    """Isolating intervals (a, b] of width <= width for a square-free
-    primitive integer polynomial c.
+def _sturm_factors(c: Sequence) -> list:
+    """The exact pass over nonconstant rational coefficients c: each Yun
+    factor with its _SturmFactor data.
+
+    Each member of the Sturm chain is primitive and a positive multiple of
+    the chain's member over the rationals, so every sign, and with it every
+    Sturm count, is the same.  Every root lies in (-B, B) for the Cauchy
+    bound B = 1 + max |c_k / c_n|, whatever the factor's scale.
+    """
+    out = []
+    for fac, mult in _yun_squarefree(c):
+        chain = [fac, _primitive(_deriv(fac))]
+        while len(chain[-1]) > 1:
+            r = _prem(chain[-2], chain[-1])
+            if r == [0]:
+                break
+            g = math.gcd(*r)
+            chain.append([-v // g for v in r])
+        B = 1 + max(Fraction(abs(v), fac[-1]) for v in fac[:-1])
+        v_lo, v_hi = _sign_variations(chain, -B), _sign_variations(chain, B)
+        out.append(_SturmFactor(fac, mult, chain, B, v_lo, v_hi))
+    return out
+
+
+def _isolate_roots(f: _SturmFactor, width: Fraction):
+    """Isolating intervals (a, b] of width <= width for the roots of f.
 
     Bisection of (-B, B] keeps the halves that hold roots, judged by Sturm
     counts until an interval holds one root and from then on by the sign
-    of c alone: a simple root is the only sign change of c in its
-    interval.  The midpoints and the halves kept are those of Sturm
-    bisection throughout.
+    of the factor alone: a simple root is the only sign change of the
+    factor in its interval.  The midpoints and the halves kept are those
+    of Sturm bisection throughout.
     """
-    chain = _sturm_chain(c)
     out = []
 
     def refine(lo, hi):
         # one root in (lo, hi], kept half-open as the counts are: the root
         # is hi when s_hi is 0, and then no midpoint sign is 0 or matches
-        s_hi = _sign_at(c, hi)
+        s_hi = _sign_at(f.coeffs, hi)
         while hi - lo > width:
             mid = (lo + hi) / 2
-            s_mid = _sign_at(c, mid)
+            s_mid = _sign_at(f.coeffs, mid)
             if s_mid == 0 or s_mid == s_hi:
                 hi, s_hi = mid, s_mid
             else:
@@ -654,12 +672,11 @@ def _isolate_roots(c: list, width: Fraction):
             refine(lo, hi)
         elif v_lo - v_hi > 1:
             mid = (lo + hi) / 2
-            v_mid = _sign_variations(chain, mid)
+            v_mid = _sign_variations(f.chain, mid)
             split(lo, mid, v_lo, v_mid)
             split(mid, hi, v_mid, v_hi)
 
-    B = _cauchy_bound(c)
-    split(-B, B, _sign_variations(chain, -B), _sign_variations(chain, B))
+    split(-f.bound, f.bound, f.v_lo, f.v_hi)
     return out
 
 
@@ -671,11 +688,7 @@ def exact_real_root_count(p: UniPoly) -> int:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0
-    total = 0
-    for fac, mult in _yun_squarefree(p.coeffs):
-        chain, B = _sturm_chain(fac), _cauchy_bound(fac)
-        total += mult * (_sign_variations(chain, -B) - _sign_variations(chain, B))
-    return total
+    return sum(f.mult * (f.v_lo - f.v_hi) for f in _sturm_factors(p.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +804,17 @@ def _classify_float(g: UniPoly, trim_rel: float, perturb: float = 0.0):
     return roots, radii, thresholds
 
 
+def _nonreal_roots(f: _SturmFactor) -> list:
+    """(root, radius) of the non-real roots of the exact factor f, by
+    decreasing |Im z|.  An exact factor is not a truncated series, so all
+    of its roots are located, on its monic float copy c_k / c_n, whose
+    coefficients do not depend on the scale of the input."""
+    g = UniPoly.from_coeffs([float(Fraction(v, f.coeffs[-1])) for v in f.coeffs])
+    zs, rads, _ = _classify_float(g, 0.0)
+    pairs = sorted(zip(zs, rads), key=lambda zr: abs(zr[0].imag), reverse=True)
+    return pairs[: f.nonreal_count]
+
+
 def real_roots(p: UniPoly) -> RootList:
     """Locate all roots of p; see RootList for the certification semantics."""
     if p.is_zero:
@@ -805,26 +829,17 @@ def real_roots(p: UniPoly) -> RootList:
 
     roots, radii, real = [], [], []
     width = Fraction(DEFAULT.isolation_width).limit_denominator(10**18)
-    factors = _yun_squarefree(p.coeffs)
-    for fac, mult in factors:
-        intervals = _isolate_roots(fac, width)
+    for f in _sturm_factors(p.coeffs):
         located = []
-        for lo, hi in intervals:
+        for lo, hi in _isolate_roots(f, width):
             mid = float((lo + hi) / 2)
             located.append((complex(mid, 0.0), float(hi - lo) / 2 + abs(mid) * EPS, True))
-        ncomplex = len(fac) - 1 - len(intervals)
-        if ncomplex > 0:
-            # an exact factor is not a truncated series: locate all of its
-            # roots, on p itself when p is square-free, else on the monic
-            # factor, whose float copy cannot overflow
-            g = p.coeffs if factors == [(fac, 1)] else [Fraction(v, fac[-1]) for v in fac]
-            zs, rads, _ = _classify_float(UniPoly.from_coeffs([float(v) for v in g]), 0.0)
-            pairs = sorted(zip(zs, rads), key=lambda zr: abs(zr[0].imag), reverse=True)
-            located += [(z, rad, False) for z, rad in pairs[:ncomplex]]
+        if f.nonreal_count:
+            located += [(z, rad, False) for z, rad in _nonreal_roots(f)]
         for z, rad, is_real in located:
-            roots += [z] * mult
-            radii += [rad] * mult
-            real += [is_real] * mult
+            roots += [z] * f.mult
+            radii += [rad] * f.mult
+            real += [is_real] * f.mult
     return RootList(tuple(roots), tuple(radii), tuple(real))
 
 

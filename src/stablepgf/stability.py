@@ -19,12 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .polycore import (
-    MultiPoly,
-    UniPoly,
-    _classify_float,
-    exact_real_root_count,
-)
+from .polycore import MultiPoly, UniPoly, _classify_float, _nonreal_roots, _sturm_factors
 
 
 class Verdict(str, Enum):
@@ -107,10 +102,13 @@ def is_real_rooted(p: UniPoly, coeff_perturb: float = 0.0) -> StabilityCertifica
         return StabilityCertificate(Verdict.STABLE, tolerance_used=0.0)
 
     if p.exact and coeff_perturb == 0.0:
-        cnt = exact_real_root_count(p)
-        if cnt == p.degree:
+        # a factor whose Sturm count falls short of its degree has non-real
+        # roots; the one farthest from the real axis is the witness
+        short = [f for f in _sturm_factors(p.coeffs) if f.nonreal_count]
+        if not short:
             return StabilityCertificate(Verdict.STABLE, tolerance_used=0.0)
-        w = _best_complex_witness(UniPoly.from_coeffs(p.coeffs_float()))
+        z = max((z for f in short for z, _ in _nonreal_roots(f)), key=lambda z: abs(z.imag))
+        w = complex(z.real, abs(z.imag))
         return StabilityCertificate(
             Verdict.REFUTED, witness=(w,), tolerance_used=0.0, note="exact root count deficit"
         )
@@ -149,14 +147,6 @@ def is_real_rooted(p: UniPoly, coeff_perturb: float = 0.0) -> StabilityCertifica
         tolerance_used=coeff_perturb,
         note="complex-looking roots within perturbation ambiguity",
     )
-
-
-def _best_complex_witness(g: UniPoly) -> complex:
-    roots, _, _ = _classify_float(g, 0.0)
-    ups = [z for z in roots if z.imag > 0]
-    if not ups:
-        ups = [z.conjugate() for z in roots if z.imag < 0]
-    return max(ups, key=lambda z: z.imag)
 
 
 # ---------------------------------------------------------------------------

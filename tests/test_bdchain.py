@@ -453,6 +453,16 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match="below the initial law's support 2"):
             lie_split_evolve(mu, 1.0, 1.0, 1.0, 0.1, 4, N=N)
 
+    def test_box_of_one_state_grows(self):
+        # M/M/infinity from 0 is Poisson with mean 1 - e^{-t}
+        ev = evolve(Measure.point_mass(0), BirthDeathRates.mm_infty(1.0, 1.0), 0.5, N=0)
+        mean = 1.0 - math.exp(-0.5)
+        ref = [math.exp(-mean) * mean**k / math.factorial(k) for k in range(ev.poly.degree + 1)]
+        gap = sum(abs(c - r) for c, r in zip(ev.poly.coeffs, ref)) + 1.0 - sum(ref)
+        assert gap <= ev.tail_bound
+        ev = evolve(Measure.point_mass(0), self.still, 0.5, N=0)
+        assert ev.poly.coeffs == (1.0,) and ev.tail_bound == 0.0
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_hermite_root_law_needs_a_root(self, n):
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -469,6 +479,20 @@ class TestInputBoundary:
             transition(BirthDeathRates.from_sequences([1.0], [0.0, bad]), 0.5, 8)
         with pytest.raises(ValueError, match="rates must be finite"):
             lie_split_evolve(mu, bad, 1.0, 1.0, 0.5, 4)
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            BirthDeathRates.from_sequences([1.0, -1.0, 1.0]),
+            BirthDeathRates.from_sequences([1.0], [0.0, -2.0]),
+        ],
+        ids=["birth", "death"],
+    )
+    def test_negative_rates(self, rates):
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            transition(rates, 0.5, 4)
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            evolve(Measure.point_mass(1), rates, 0.5)
 
     @pytest.mark.parametrize(
         "make",

@@ -129,7 +129,7 @@ class TestRun:
         assert "Traceback" not in err
 
     def test_error_inside_a_run_is_not_a_config_error(self, tmp_path, monkeypatch):
-        def broken(p, seed, tol):
+        def broken(p, seed):
             raise ValueError("internal")
 
         monkeypatch.setitem(EXPERIMENTS["kummer-law"], "run", broken)

@@ -10,8 +10,7 @@ from stablepgf.polycore import (
     MultiPoly,
     UniPoly,
     _isolate_roots,
-    _sturm_chain,
-    _yun_squarefree,
+    _sturm_factors,
     elem_sym,
     elem_sym_all,
     exact_real_root_count,
@@ -23,6 +22,7 @@ from stablepgf.polycore import (
     quadratic_death_cluster_poly,
     real_roots,
 )
+from stablepgf.stability import Verdict, is_real_rooted
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
@@ -293,6 +293,14 @@ def _planted(roots, mults=None, quad=None):
     return p, list(zip(roots, mults))
 
 
+def _planted_quadratic(p, roots):
+    """The monic planted quadratic of a planted_polys value, or [1]."""
+    linear = UniPoly.from_roots([r for r, m in roots for _ in range(m)])
+    quad, rest = _ref_divmod([c / p.lead for c in p.coeffs], linear.coeffs)
+    assert not rest
+    return quad
+
+
 DEFAULT_WIDTH = F(1e-12).limit_denominator(10**18)
 
 
@@ -306,14 +314,14 @@ class TestExactIsolation:
     @settings(max_examples=40, deadline=None)
     def test_intervals_match_sturm_bisection(self, planted, width):
         p, roots = planted
-        for fac, mult in _yun_squarefree(p.coeffs):
-            got = _isolate_roots(fac, width)
-            assert got == _ref_isolate_roots(fac, width)
-            chain = _ref_sturm_chain(fac)
+        for f in _sturm_factors(p.coeffs):
+            got = _isolate_roots(f, width)
+            assert got == _ref_isolate_roots(f.coeffs, width)
+            chain = _ref_sturm_chain(f.coeffs)
             for lo, hi in got:
                 assert hi - lo <= width
                 assert _ref_count(chain, lo, hi) == 1
-            mine = [r for r, m in roots if m == mult]
+            mine = [r for r, m in roots if m == f.mult]
             assert len(got) == len(mine)
             for r in mine:
                 assert sum(lo < r <= hi for lo, hi in got) == 1
@@ -329,21 +337,20 @@ class TestExactIsolation:
         p, roots = planted
         # the monic square-free factors by construction: the planted roots
         # of each multiplicity, with the planted quadratic, if any, in the first
-        linear = UniPoly.from_roots([r for r, m in roots for _ in range(m)])
-        quad, rest = _ref_divmod([c / p.lead for c in p.coeffs], linear.coeffs)
-        assert not rest
+        quad = _planted_quadratic(p, roots)
         expected = {}
         for r, m in roots:
             expected[m] = expected.get(m, UniPoly.one()) * UniPoly.from_roots([r])
         if len(quad) > 1:
             expected[1] = expected.get(1, UniPoly.one()) * UniPoly.from_coeffs(quad)
-        got = _yun_squarefree(p.coeffs)
-        assert [m for _, m in got] == sorted(expected)
-        for fac, m in got:
+        got = _sturm_factors(p.coeffs)
+        assert [f.mult for f in got] == sorted(expected)
+        for f in got:
+            fac = f.coeffs
             assert all(type(v) is int for v in fac) and math.gcd(*fac) == 1
-            assert _positive_multiple(fac, expected[m].coeffs)
-            chain, ref = _sturm_chain(fac), _ref_sturm_chain(fac)
-            assert len(chain) == len(ref) and all(map(_positive_multiple, chain, ref))
+            assert _positive_multiple(fac, expected[f.mult].coeffs)
+            ref = _ref_sturm_chain(fac)
+            assert len(f.chain) == len(ref) and all(map(_positive_multiple, f.chain, ref))
 
     def test_degree_40_product(self):
         planted = [F(k, 7) for k in range(-20, 20)]
@@ -352,6 +359,44 @@ class TestExactIsolation:
         found = sorted(zip(rl.roots, rl.radii), key=lambda zr: zr[0].real)
         for (z, rad), r in zip(found, planted):
             assert abs(z - float(r)) <= rad
+
+
+class TestExactVerdict:
+    @given(planted_polys())
+    @example(_planted([F(1, 2)], [3], quad=[F(1, 4) + F(1, 10**12), -1, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_refuted_exactly_when_a_quadratic_is_planted(self, planted):
+        p, roots = planted
+        quad = _planted_quadratic(p, roots)
+        cert = is_real_rooted(p)
+        if len(quad) == 1:
+            assert cert.verdict is Verdict.STABLE
+            return
+        assert cert.verdict is Verdict.REFUTED
+        a = -quad[1] / 2  # quad = x^2 - 2a x + a^2 + b^2
+        b = math.sqrt(quad[0] - a * a)
+        assert abs(cert.witness[0] - complex(a, b)) <= 1e-9
+
+    # the non-real roots +-10^(-e/2) i lie closer to the real multiple root
+    # than the roots of p's float copy can be told apart
+    @pytest.mark.parametrize("mult, e", [(4, 12), (3, 10), (6, 8)])
+    def test_witness_is_a_root_of_the_deficient_factor(self, mult, e):
+        p = UniPoly.from_roots([F(1)] * mult) * UniPoly.from_coeffs([F(1, 10**e), 0, 1])
+        cert = is_real_rooted(p)
+        assert cert.verdict is Verdict.REFUTED
+        rl = real_roots(p)
+        rads = [rad for z, rad in zip(rl.roots, rl.radii) if z == cert.witness[0]]
+        assert rads and abs(cert.witness[0] - 1j * 10 ** (-e / 2)) <= rads[0]
+
+    @pytest.mark.parametrize("scale", [F(10) ** 400, F(1, 10**400)], ids=["1e400", "1e-400"])
+    def test_scale_beyond_float_range(self, scale):
+        p = UniPoly.from_coeffs([scale, 0, scale])
+        rl = real_roots(p)
+        assert rl.real == (False, False)
+        for z, rad in zip(rl.roots, rl.radii):
+            assert min(abs(z - 1j), abs(z + 1j)) <= rad
+        cert = is_real_rooted(p)
+        assert cert.verdict is Verdict.REFUTED and abs(cert.witness[0] - 1j) <= rl.radii[0]
 
 
 @st.composite
