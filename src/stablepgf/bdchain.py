@@ -134,25 +134,38 @@ def _uniformized_series(v0: np.ndarray, step: Callable, lam_t: float, tol: float
     """Poisson-weighted series sum_j P(Poisson(lam_t) = j) v0 S^j; returns (acc, tail).
 
     v0 is one row vector or a block of row vectors over the truncated
-    states plus an absorbing overflow state in the last column, and step
-    applies the one-jump operator S of the uniformized chain to every row.
-    The last column of acc is then the certified mass that left the box,
-    and `tail` bounds the l1 error of the Poisson weights, series tail
-    included.  The series runs to at least min_terms, since mass-wise it
-    may converge long before rare states receive their leading-order term
-    (paths of length up to the box size); where it stops depends on lam_t,
-    tol and min_terms only, so every row of a block shares the same tail.
-    Callers have checked t and tol.
+    states plus an absorbing overflow state in the last column, and
+    step(v, out) writes v S, the one-jump operator S of the uniformized
+    chain applied to every row of v, into out, a buffer of v's shape that
+    it must not read.  The series owns two such buffers and swaps them
+    after each term, and adds each term as fl(acc + fl(w_j v)) through a
+    third one, so no term allocates.  The last column of acc is then the
+    certified mass that left the box, and `tail` bounds the l1 error of
+    the Poisson weights, series tail included.  The series runs to at
+    least min_terms, since mass-wise it may converge long before rare
+    states receive their leading-order term (paths of length up to the box
+    size); where it stops depends on lam_t, tol and min_terms only, so
+    every row of a block shares the same tail.  Callers have checked t and
+    tol.
+
+    The arithmetic of a term and the order of the terms are fixed: the
+    step's products and sums, then one product and one sum into acc.  A
+    reordering, such as BLAS sums, moves the last bits of every law, which
+    perfbench's suite references pin, and wf_residual's centered
+    difference over h = 1e-5 amplifies those bits by 1/(2h).
     """
     v = np.array(v0, dtype=float)
     if lam_t == 0.0:
         return v, 0.0
     w, tail = _poisson_weights(lam_t, tol, min_terms + 1)
     acc = w[0] * v
+    out, term = np.empty_like(v), np.empty_like(v)
     for wj in w[1:].tolist():
-        v = step(v)
+        step(v, out)
+        v, out = out, v
         if wj > 0.0:
-            acc += wj * v
+            np.multiply(v, wj, out=term)
+            acc += term
     return acc, tail
 
 
@@ -164,7 +177,15 @@ def _bd_uniformize(
     tol: float,
 ):
     """The series for a birth-death chain on {0..N}: v0 has N+2 columns,
-    birth out of state N feeds the overflow column N+1."""
+    birth out of state N feeds the overflow column N+1.
+
+    A pure-death chain skips the birth product: with every birth rate 0
+    that product is +-0.0, and adding it changes no entry whose sign bit
+    is clear.  If no entry of v0 has its sign bit set, no entry of any
+    term has, as each is a sum of products of such numbers.  Otherwise
+    (-0.0, or a negative weight within Measure's slack) the step adds the
+    product, which can turn -0.0 into +0.0.
+    """
     N = len(beta_arr) - 1
     out_rate = beta_arr + delta_arr
     lam = float(out_rate.max())
@@ -173,12 +194,24 @@ def _bd_uniformize(
     stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
     up = beta_arr / lam  # k -> k+1, N -> overflow
     down = delta_arr[1:] / lam  # k -> k-1 for 1 <= k <= N
+    add_births = bool(up.any() or np.signbit(v0).any())
+    rows = np.shape(v0)[:-1]
+    born, died = np.empty(rows + (N + 1,)), np.empty(rows + (N,))
+    # id(v) -> slices of v and of out: the series alternates two buffers,
+    # so each v always steps into the same out
+    views = {}
 
-    def step(v):
-        nxt = v * stay
-        nxt[..., 1:] += v[..., :-1] * up
-        nxt[..., :-2] += v[..., 1:-1] * down
-        return nxt
+    def step(v, out):
+        key = id(v)
+        if key not in views:
+            views[key] = (v[..., :-1], v[..., 1:-1], out[..., 1:], out[..., :-2])
+        below, inner, out_up, out_down = views[key]
+        np.multiply(v, stay, out=out)
+        if add_births:
+            np.multiply(below, up, out=born)
+            out_up += born
+        np.multiply(inner, down, out=died)
+        out_down += died
 
     return _uniformized_series(v0, step, lam * t, tol, min_terms=N + 4)
 

@@ -9,6 +9,7 @@ synthesize / decompose pair.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -118,12 +119,12 @@ def _poisson_weights(lam: float, tol: float, min_len: int) -> tuple[np.ndarray, 
     if lam == 0.0:
         return np.eye(1, max(min_len, 1))[0], 0.0
     mode = int(lam)
-    terms = [1.0]
+    lower = [1.0]  # omega_mode, omega_(mode-1), ... down to lo
     for j in range(mode, 0, -1):
-        terms.append(terms[-1] * (j / lam))
-        if terms[-1] == 0.0:
+        lower.append(lower[-1] * (j / lam))
+        if lower[-1] == 0.0:
             break
-    lo, terms = mode + 1 - len(terms), terms[::-1]
+    lo, terms = mode + 1 - len(lower), lower[::-1]
     partial, last, j, R = sum(terms), 1.0, mode, -1
     q = lam / (j + 1)
     while True:
@@ -138,7 +139,9 @@ def _poisson_weights(lam: float, tol: float, min_len: int) -> tuple[np.ndarray, 
         terms.append(last)
         partial += last
         j, q = j + 1, q_next
-    total = math.fsum(terms)
+    # fsum is correctly rounded in any order; from the mode outward it
+    # meets the large terms first and keeps few partial sums.
+    total = math.fsum(itertools.chain(lower, terms[len(lower) :]))
     w = np.zeros(R + 1)
     w[lo:] = np.array(terms[: R + 1 - lo]) / total
     return w, tail / total + (2.0 * math.sqrt(lam + 1.0) + 4.0) * 2.0**-53

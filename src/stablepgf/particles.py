@@ -232,7 +232,11 @@ def truncated_generator_evolve(
         (np.append(stay, rate / lam), (np.append(every, tgt), np.append(every, src))),
         shape=(S + 1, S + 1),
     )
-    acc, tail = _uniformized_series(v, UT.dot, lam * t, tol, min_terms=int(sum(box)) + 4)
+
+    def step(v, out):
+        np.copyto(out, UT.dot(v))
+
+    acc, tail = _uniformized_series(v, step, lam * t, tol, min_terms=int(sum(box)) + 4)
     escaped = float(acc[OVER])
     if escaped > tol:
         raise ValueError(f"box too small for tolerance: escaped mass {escaped:.3e} > {tol:.1e}")

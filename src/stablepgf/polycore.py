@@ -807,12 +807,46 @@ def _classify_float(g: UniPoly, trim_rel: float, perturb: float = 0.0):
 def _nonreal_roots(f: _SturmFactor) -> list:
     """(root, radius) of the non-real roots of the exact factor f, by
     decreasing |Im z|.  An exact factor is not a truncated series, so all
-    of its roots are located, on its monic float copy c_k / c_n, whose
-    coefficients do not depend on the scale of the input."""
-    g = UniPoly.from_coeffs([float(Fraction(v, f.coeffs[-1])) for v in f.coeffs])
-    zs, rads, _ = _classify_float(g, 0.0)
-    pairs = sorted(zip(zs, rads), key=lambda zr: abs(zr[0].imag), reverse=True)
-    return pairs[: f.nonreal_count]
+    of its roots are located, on a monic float copy (_located_roots).  If
+    one that is taken lies on the real axis, rounding the copy has merged
+    a pair of non-real roots near it: f is then shifted exactly to that
+    root's real part c, where the pair sits near 0 and its imaginary parts
+    are resolved, and located again."""
+    pairs = _located_roots(f.coeffs)[: f.nonreal_count]
+    on_axis = [z for z, _ in pairs if z.imag == 0.0]
+    if on_axis:
+        c = on_axis[0].real
+        g = MultiPoly.from_dict({(k,): v for k, v in enumerate(f.coeffs)}, 1)
+        shifted = _located_roots(g.compose_affine([Fraction(c)], [[1]]).to_uni().coeffs)
+        pairs = [(z + c, rad) for z, rad in shifted[: f.nonreal_count]]
+    return pairs
+
+
+def _located_roots(c: Sequence) -> list:
+    """(root, radius) of every root of the polynomial with exact
+    coefficients c, by decreasing |Im z|, located on its monic float copy
+    c_k / c_n, which does not depend on the scale of the input.  When a
+    ratio would overflow or underflow a float, the roots are located on
+    the copy of f(2^s y) instead and scaled back by 2^s, with s from the
+    ratios' bit lengths such that every root y has |y| <= 4 (Fujiwara's
+    bound)."""
+    n = len(c) - 1
+    ratios = [Fraction(v) / c[-1] for v in c]
+    bits = {
+        i: abs(r.numerator).bit_length() - r.denominator.bit_length()
+        for i, r in enumerate(ratios[:-1])
+        if r
+    }
+    s = 0
+    if not all(-1021 <= e <= 1022 for e in bits.values()):
+        s = max(-(-e // (n - i)) for i, e in bits.items())
+        ratios = [r * Fraction(2) ** (s * (i - n)) for i, r in enumerate(ratios)]
+    zs, rads, _ = _classify_float(UniPoly.from_coeffs([float(r) for r in ratios]), 0.0)
+    pairs = [
+        (complex(math.ldexp(z.real, s), math.ldexp(z.imag, s)), math.ldexp(rad, s))
+        for z, rad in zip(zs, rads)
+    ]
+    return sorted(pairs, key=lambda zr: abs(zr[0].imag), reverse=True)
 
 
 def real_roots(p: UniPoly) -> RootList:

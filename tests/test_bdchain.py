@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from stablepgf import particles
 from stablepgf.bdchain import (
     BirthDeathRates,
+    _bd_uniformize,
+    _rate_arrays,
     backward_residual,
     birth_monotonicity_probe,
     evolve,
@@ -20,7 +23,7 @@ from stablepgf.bdchain import (
     wf_residual,
 )
 from stablepgf.cli import _random_real_rooted
-from stablepgf.measures import Measure, bp_decompose, poisson_box
+from stablepgf.measures import Measure, _poisson_weights, bp_decompose, poisson_box
 from stablepgf.particles import SiteSystem, exact_pgf_transform, truncated_generator_evolve
 from stablepgf.polycore import MultiPoly, UniPoly
 from stablepgf.stability import Verdict
@@ -95,6 +98,113 @@ class TestTransition:
         sg = transition(rates, 0.4, N, tol=1e-13)
         P = expm(generator(rates, N) * 0.4)
         assert np.abs(sg.matrix[:15, :15] - P[:15, :15]).max() < 1e-11
+
+
+def reference_series(v0, step, lam_t, tol, min_terms):
+    """The series loop that allocates every term: v = step(v); acc += w_j v."""
+    v = np.array(v0, dtype=float)
+    if lam_t == 0.0:
+        return v, 0.0
+    w, tail = _poisson_weights(lam_t, tol, min_terms + 1)
+    acc = w[0] * v
+    for wj in w[1:].tolist():
+        v = step(v)
+        if wj > 0.0:
+            acc += wj * v
+    return acc, tail
+
+
+def reference_bd_uniformize(v0, beta_arr, delta_arr, t, tol):
+    """The birth-death step as three allocating products, births always added."""
+    N = len(beta_arr) - 1
+    out_rate = beta_arr + delta_arr
+    lam = float(out_rate.max())
+    stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
+    up = beta_arr / lam
+    down = delta_arr[1:] / lam
+
+    def step(v):
+        nxt = v * stay
+        nxt[..., 1:] += v[..., :-1] * up
+        nxt[..., :-2] += v[..., 1:-1] * down
+        return nxt
+
+    return reference_series(v0, step, lam * t, tol, N + 4)
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestUniformizedSeries:
+    """The in-place series against the allocating loop, bit for bit."""
+
+    rates = {
+        "quadratic-death": BirthDeathRates.quadratic_death(1.3),
+        "kingman": BirthDeathRates.kingman_coalescent(),
+        "birth-death": BirthDeathRates.from_polynomial(0.9, 0.5, 0.3),
+        "mm-infty": BirthDeathRates.mm_infty(2.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(rates))
+    @pytest.mark.parametrize("t", [0.0, 0.05, 0.7])
+    @pytest.mark.parametrize("block", [False, True])
+    def test_matches_reference(self, name, t, block):
+        N = 24
+        beta, delta = _rate_arrays(self.rates[name], N)
+        if block:
+            v0 = np.eye(N + 1, N + 2)
+        else:
+            v0 = np.zeros(N + 2)
+            v0[5:12] = np.arange(1.0, 8.0) / 28.0
+        acc, tail = _bd_uniformize(v0, beta, delta, t, 1e-13)
+        ref, ref_tail = reference_bd_uniformize(v0, beta, delta, t, 1e-13)
+        assert_same_bits(acc, ref)
+        assert tail == ref_tail
+
+    def test_kingman_with_underflowing_weights(self):
+        n, t = 150, 0.5
+        beta, delta = _rate_arrays(BirthDeathRates.kingman_coalescent(), n)
+        w, _ = _poisson_weights(float(delta.max()) * t, 1e-13, n + 5)
+        assert w[0] == 0.0 and w[-1] > 0.0
+        v0 = np.zeros(n + 2)
+        v0[n] = 1.0
+        acc, tail = _bd_uniformize(v0, beta, delta, t, 1e-13)
+        ref, ref_tail = reference_bd_uniformize(v0, beta, delta, t, 1e-13)
+        assert_same_bits(acc, ref)
+        assert tail == ref_tail
+        coeffs = kingman(n, True, t).poly.coeffs_float()  # trailing zeros trimmed
+        assert np.array_equal(coeffs, ref[: len(coeffs)]) and not ref[len(coeffs) : -1].any()
+
+    @pytest.mark.parametrize("v0", [[0.5, -0.0, 0.5], [1.0, 1.0, -0.0], [1.0, -1e-10, 0.0]])
+    def test_signed_input_without_births(self, v0):
+        # the birth product turns -0.0 into +0.0 here, so it is not skipped
+        beta, delta = np.zeros(2), np.array([0.0, 1.0])
+        acc, tail = _bd_uniformize(np.array(v0), beta, delta, 0.5, 1e-13)
+        ref, ref_tail = reference_bd_uniformize(np.array(v0), beta, delta, 0.5, 1e-13)
+        assert_same_bits(acc, ref)
+        assert tail == ref_tail
+
+    def test_two_site_product_space(self, monkeypatch):
+        system = SiteSystem(
+            jump=np.array([[0.0, 0.7], [0.4, 0.0]]), birth=np.array([0.5, 0.2]), death=np.array([1.0, 0.6])
+        )
+        mu = Measure.product(Measure.bernoulli(0.3), Measure.bernoulli(0.6))
+        out = truncated_generator_evolve(mu, system, 0.4, box=(12, 12))
+
+        def allocating(v0, step, lam_t, tol, min_terms):
+            def fresh(v):
+                nxt = np.empty_like(v)
+                step(v, nxt)
+                return nxt
+
+            return reference_series(v0, fresh, lam_t, tol, min_terms)
+
+        monkeypatch.setattr(particles, "_uniformized_series", allocating)
+        ref = truncated_generator_evolve(mu, system, 0.4, box=(12, 12))
+        assert_same_bits(out.weights, ref.weights)
+        assert out.tail_bound == ref.tail_bound
 
 
 class TestEvolve:

@@ -82,6 +82,36 @@ def decimal_poisson(lam: float, upto: int):
         return [t / total for t in terms[: upto + 1]], sum(terms[upto + 1 :]) / total
 
 
+def reference_poisson_weights(lam: float, tol: float, min_len: int):
+    """_poisson_weights with its normalizer summed by fsum in ascending index order."""
+    if lam == 0.0:
+        return np.eye(1, max(min_len, 1))[0], 0.0
+    mode = int(lam)
+    terms = [1.0]
+    for j in range(mode, 0, -1):
+        terms.append(terms[-1] * (j / lam))
+        if terms[-1] == 0.0:
+            break
+    lo, terms = mode + 1 - len(terms), terms[::-1]
+    partial, last, j, R = sum(terms), 1.0, mode, -1
+    q = lam / (j + 1)
+    while True:
+        q_next = lam / (j + 2)
+        rest = last * q / (1.0 - q_next)
+        if R < 0 and j >= min_len - 1 and rest <= 0.5 * tol * partial:
+            R, tail = j, rest
+        if R >= 0 and rest < 2.0**-60 * partial:
+            break
+        last *= q
+        terms.append(last)
+        partial += last
+        j, q = j + 1, q_next
+    total = math.fsum(terms)
+    w = np.zeros(R + 1)
+    w[lo:] = np.array(terms[: R + 1 - lo]) / total
+    return w, tail / total + (2.0 * math.sqrt(lam + 1.0) + 4.0) * 2.0**-53
+
+
 class TestPoissonWeights:
     @pytest.mark.parametrize("lam", [1e2, 1e4, 2.2e4, 8e4, 1.6e5])
     def test_bound_covers_decimal_reference(self, lam):
@@ -89,6 +119,14 @@ class TestPoissonWeights:
         p, tail = decimal_poisson(lam, len(w) - 1)
         gap = sum(abs(Decimal(float(a)) - b) for a, b in zip(w, p))
         assert gap + tail <= Decimal(err)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.5, 7.25, 99.5, 2475.0, 22425.0, 8e4, 1.6e5])
+    @pytest.mark.parametrize("tol,min_len", [(1e-13, 1), (1e-10, 60), (1e-14, 3000)])
+    def test_normalizer_equals_ascending_fsum(self, lam, tol, min_len):
+        w, err = _poisson_weights(lam, tol, min_len)
+        ref, ref_err = reference_poisson_weights(lam, tol, min_len)
+        assert np.array_equal(w, ref)
+        assert err == ref_err
 
     def test_large_sigma_keeps_its_mass(self):
         # exp(-800) underflows, so weights built up from it are all zero

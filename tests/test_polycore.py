@@ -22,7 +22,7 @@ from stablepgf.polycore import (
     quadratic_death_cluster_poly,
     real_roots,
 )
-from stablepgf.stability import Verdict, is_real_rooted
+from stablepgf.stability import Verdict, is_real_rooted, witness_is_valid
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
@@ -397,6 +397,31 @@ class TestExactVerdict:
             assert min(abs(z - 1j), abs(z + 1j)) <= rad
         cert = is_real_rooted(p)
         assert cert.verdict is Verdict.REFUTED and abs(cert.witness[0] - 1j) <= rl.radii[0]
+
+
+    # roots +-10^(-+200) i: the ratio 10^(+-400) of the monic copy is no float
+    @pytest.mark.parametrize("e", [400, -400])
+    def test_roots_beyond_float_range(self, e):
+        p = UniPoly.from_coeffs([1, 0, F(10) ** -e])
+        root = 1j * 10.0 ** (e // 2)
+        rl = real_roots(p)
+        assert rl.real == (False, False)
+        assert sorted(z.imag for z in rl.roots) == pytest.approx([-root.imag, root.imag], rel=1e-9)
+        for z, rad in zip(rl.roots, rl.radii):
+            assert min(abs(z - root), abs(z + root)) <= rad
+        cert = is_real_rooted(p)
+        assert cert.verdict is Verdict.REFUTED
+        assert abs(cert.witness[0] - root) <= 1e-9 * abs(root)
+
+    def test_pair_rounded_onto_the_real_axis(self):
+        # the monic copy of x^2 - 2x + 1 + 10^-20 is (x - 1)^2
+        p = UniPoly.from_coeffs([1 + F(1, 10**20), -2, 1])
+        cert = is_real_rooted(p)
+        assert cert.verdict is Verdict.REFUTED
+        assert abs(cert.witness[0] - (1 + 1e-10j)) <= 1e-9 * 1e-10
+        assert witness_is_valid(p, cert.witness)
+        rl = real_roots(p)
+        assert sorted(z.imag for z in rl.roots) == pytest.approx([-1e-10, 1e-10], rel=1e-9)
 
 
 @st.composite
