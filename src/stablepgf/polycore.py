@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -30,6 +31,11 @@ def _coerce_coeffs(values: Iterable):
     if all(isinstance(v, (int, Fraction)) for v in vals):
         return [Fraction(v) for v in vals], True
     return [float(v) for v in vals], False
+
+
+def _horner_gamma(n: int) -> float:
+    """gamma_{4n}, the relative bound of eval_with_bound for n coefficients."""
+    return 4 * n * _U / (1 - 4 * n * _U)
 
 
 def _trim_trailing(coeffs: list) -> list:
@@ -119,17 +125,22 @@ class UniPoly:
         """
         if self.exact and isinstance(x, (int, Fraction)):
             return self(x), 0.0
-        val = self(x)
-        n = len(self.coeffs)
-        g = 4 * n * _U / (1 - 4 * n * _U)
-        return val, g * self.abs_eval(abs(x))
+        val, mag = self.eval_with_abs(x)
+        return val, _horner_gamma(len(self.coeffs)) * mag
 
-    def abs_eval(self, r: float) -> float:
-        acc = 0.0
-        r = float(r)
-        for c in reversed(self.coeffs):
-            acc = acc * r + abs(float(c))
-        return acc
+    def eval_with_abs(self, x):
+        """(p(x), sum |a_k||x|^k) from one Horner pass over float coefficients.
+
+        Each accumulator takes exactly the steps of its own Horner loop, so
+        the value has the bits of self(x) at a non-exact point.
+        """
+        cs = [float(c) for c in self.coeffs] if self.exact else self.coeffs
+        r = float(abs(x))
+        acc = mag = 0.0
+        for c in reversed(cs):
+            acc = acc * x + c
+            mag = mag * r + abs(c)
+        return acc, mag
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -260,13 +271,20 @@ class MultiPoly:
         return all(e <= 1 for a, _ in self.terms for e in a)
 
     def is_symmetric(self) -> bool:
-        """True when coefficients are invariant under variable permutation."""
+        """True when coefficients are invariant under variable permutation.
+
+        The multi-indices are distinct, so a group of them sharing one sorted
+        form holds all its permutations exactly when it has as many members
+        as there are distinct permutations, len! / prod(mult!).
+        """
         groups: dict = {}
         for a, c in self.terms:
             groups.setdefault(tuple(sorted(a)), []).append((a, c))
         for key, members in groups.items():
-            perms = set(itertools.permutations(key))
-            if len(members) != len(perms):
+            perms = math.factorial(len(key))
+            for mult in Counter(key).values():
+                perms //= math.factorial(mult)
+            if len(members) != perms:
                 return False
             ref = members[0][1]
             if any(c != ref for _, c in members):
@@ -726,45 +744,55 @@ class RootList:
         return sum(self.real)
 
 
-def _newton_polish(coeffs_float: np.ndarray, z: complex, iters: int = 4) -> complex:
-    dcoeffs = np.array([k * c for k, c in enumerate(coeffs_float)][1:], dtype=float)
-    for _ in range(iters):
-        pv = 0.0 + 0.0j
-        for c in coeffs_float[::-1]:
-            pv = pv * z + c
-        dv = 0.0 + 0.0j
-        for c in dcoeffs[::-1]:
-            dv = dv * z + c
-        if dv == 0:
-            break
-        step = pv / dv
-        if not np.isfinite(step.real) or not np.isfinite(step.imag):
-            break
-        z = z - step
-    return z
+def _newton_polish(cs: list, zs: Iterable, iters: int = 4) -> list:
+    """Each of zs after up to iters Newton steps on the float coefficients
+    cs, in Python complex arithmetic; the derivative's coefficients are
+    formed once for all of them."""
+    rc = cs[::-1]
+    rd = [k * c for k, c in enumerate(cs)][:0:-1]
+    out = []
+    for z in zs:
+        for _ in range(iters):
+            pv = 0.0 + 0.0j
+            for c in rc:
+                pv = pv * z + c
+            dv = 0.0 + 0.0j
+            for c in rd:
+                dv = dv * z + c
+            if dv == 0:
+                break
+            step = pv / dv
+            if not (math.isfinite(step.real) and math.isfinite(step.imag)):
+                break
+            z = z - step
+        out.append(z)
+    return out
 
 
-def _float_companion_roots(coeffs_float: Sequence[float]) -> list:
-    c = _trim_trailing([float(v) for v in coeffs_float])
-    if len(c) <= 1:
-        return []
-    return [complex(z) for z in np.roots(np.array(c[::-1], dtype=float))]
+def _float_companion_roots(cs: list) -> list:
+    """Roots of the float polynomial cs, whose last coefficient is nonzero:
+    the eigenvalues of the companion matrix that np.roots builds, then one
+    root 0 per vanishing low-order coefficient, in np.roots' order."""
+    k = next(i for i, v in enumerate(cs) if v != 0)
+    p = np.array(cs[k:][::-1])
+    if len(p) == 1:
+        return [0j] * k
+    A = np.diag(np.ones(len(p) - 2), -1)
+    A[0, :] = -p[1:] / p[0]
+    return [complex(z) for z in np.linalg.eigvals(A).tolist()] + [0j] * k
 
 
-def trim_for_roots(coeffs: Sequence[float], trim_rel: float):
-    """Drop trailing coefficients below trim_rel * max|c|.
-
-    Returns (trimmed coefficient list, l1 mass of dropped coefficients).
-    """
+def trim_for_roots(coeffs: Sequence[float], trim_rel: float) -> list:
+    """The float coefficients without the trailing ones at or below
+    trim_rel * max|c|."""
     c = [float(v) for v in coeffs]
     scale = max((abs(v) for v in c), default=0.0)
     if scale == 0.0:
-        return [0.0], 0.0
+        return [0.0]
     cut = trim_rel * scale
-    dropped = 0.0
     while len(c) > 1 and abs(c[-1]) <= cut:
-        dropped += abs(c.pop())
-    return c, dropped
+        c.pop()
+    return c
 
 
 def _classify_float(g: UniPoly, trim_rel: float, perturb: float = 0.0):
@@ -777,14 +805,18 @@ def _classify_float(g: UniPoly, trim_rel: float, perturb: float = 0.0):
     radii, thresholds); a root counts as real when |Im z| <= its threshold.
     """
     n, lead, dg = g.degree, abs(g.lead), g.derivative()
-    cs, _ = trim_for_roots(g.coeffs, trim_rel)
-    roots = [_newton_polish(np.array(cs, dtype=float), z) for z in _float_companion_roots(cs)]
+    cs = trim_for_roots(g.coeffs, trim_rel)
+    roots = _newton_polish(cs, _float_companion_roots(cs))
+    gamma = _horner_gamma(n + 1)
     radii, thresholds = [], []
     for z in roots:
-        val, err = g.eval_with_bound(z)
+        # one pass gives g(z) and sum |a_k||z|^k, which sets both its
+        # rounding bound (as in eval_with_bound) and the condition number
+        val, mag = g.eval_with_abs(z)
+        err = gamma * mag
         dval, derr = dg.eval_with_bound(z)
         dmag = max(abs(dval), 1e-300)
-        cond = g.abs_eval(abs(z)) / dmag
+        cond = mag / dmag
         # perturb * |z|**n can overflow on its own, so only form it when needed
         shift = perturb * max(1.0, abs(z)) ** n / dmag if perturb > 0 else 0.0
         # nearest-root bounds: some root of g lies within both

@@ -64,8 +64,25 @@ def witness_is_valid(f, witness: Sequence[complex], coeff_perturb: float = 0.0) 
         val, err = f.eval_with_bound(list(witness))
         deg = f.total_degree()
         zmax = max(abs(z) for z in witness)
-    allowance = 8 * err + coeff_perturb * max(1.0, zmax) ** deg
-    return abs(val) <= max(allowance, 1e-250)
+    allowance = 8 * err
+    if coeff_perturb > 0:
+        allowance += _times_power(coeff_perturb, max(1.0, zmax), deg)
+    # an allowance beyond the float range bounds nothing
+    return allowance < math.inf and abs(val) <= max(allowance, 1e-250)
+
+
+def _times_power(c: float, r: float, m: int) -> float:
+    """c * r**m for c, r >= 0, where r**m alone may exceed the float range:
+    then the product is formed on r's mantissa and shifted by its exponent,
+    and it is +inf only if the product itself overflows."""
+    try:
+        return c * r**m
+    except OverflowError:
+        f, e = math.frexp(r)
+        try:
+            return math.ldexp(c * f**m, e * m)
+        except OverflowError:
+            return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +98,8 @@ def _refutes(g: UniPoly, z: complex, perturb: float, m: int) -> bool:
     if lead <= perturb:
         return False
     val, err = g.eval_with_bound(z)
-    slack = perturb * max(1.0, abs(z)) ** m
-    return abs(val) + err + slack < (lead - perturb) * abs(z.imag) ** m
+    slack = _times_power(perturb, max(1.0, abs(z)), m) if perturb > 0 else 0.0
+    return abs(val) + err + slack < _times_power(lead - perturb, abs(z.imag), m)
 
 
 def is_real_rooted(p: UniPoly, coeff_perturb: float = 0.0) -> StabilityCertificate:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -6,9 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from stablepgf import measures, polycore, stability
+from stablepgf.config import DEFAULT
+from stablepgf.measures import Measure, _poisson_weights, bp_decompose
 from stablepgf.polycore import (
+    _U,
     MultiPoly,
     UniPoly,
+    _classify_float,
     _isolate_roots,
     _sturm_factors,
     elem_sym,
@@ -21,6 +27,7 @@ from stablepgf.polycore import (
     polarize_multi,
     quadratic_death_cluster_poly,
     real_roots,
+    trim_for_roots,
 )
 from stablepgf.stability import Verdict, is_real_rooted, witness_is_valid
 
@@ -503,6 +510,219 @@ class TestFloatRootPolicy:
         assert rl.real == (True, True, False, False)
         for z, rad in zip(rl.roots[2:], rl.radii[2:]):
             assert min(abs(z - (-1 + 2j)), abs(z - (-1 - 2j))) <= rad
+
+
+# The float root pass as it was first written, frozen: numpy-scalar Newton
+# steps, np.roots, and separate Horner loops for the value and for
+# sum |a_k||x|^k.  The live pass must reproduce it bit for bit.
+
+
+def reference_abs_eval(p, r):
+    acc = 0.0
+    r = float(r)
+    for c in reversed(p.coeffs):
+        acc = acc * r + abs(float(c))
+    return acc
+
+
+def reference_eval_with_bound(p, x):
+    if p.exact and isinstance(x, (int, F)):
+        return p(x), 0.0
+    val = p(x)
+    n = len(p.coeffs)
+    g = 4 * n * _U / (1 - 4 * n * _U)
+    return val, g * reference_abs_eval(p, abs(x))
+
+
+def reference_newton_polish(coeffs_float, z, iters=4):
+    dcoeffs = np.array([k * c for k, c in enumerate(coeffs_float)][1:], dtype=float)
+    for _ in range(iters):
+        pv = 0.0 + 0.0j
+        for c in coeffs_float[::-1]:
+            pv = pv * z + c
+        dv = 0.0 + 0.0j
+        for c in dcoeffs[::-1]:
+            dv = dv * z + c
+        if dv == 0:
+            break
+        step = pv / dv
+        if not np.isfinite(step.real) or not np.isfinite(step.imag):
+            break
+        z = z - step
+    return z
+
+
+def reference_companion_roots(coeffs_float):
+    c = [float(v) for v in coeffs_float]
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    if len(c) <= 1:
+        return []
+    return [complex(z) for z in np.roots(np.array(c[::-1], dtype=float))]
+
+
+def reference_classify_float(g, trim_rel, perturb=0.0):
+    n, lead, dg = g.degree, abs(g.lead), g.derivative()
+    cs = trim_for_roots(g.coeffs, trim_rel)
+    roots = [
+        reference_newton_polish(np.array(cs, dtype=float), z) for z in reference_companion_roots(cs)
+    ]
+    radii, thresholds = [], []
+    for z in roots:
+        val, err = reference_eval_with_bound(g, z)
+        dval, derr = reference_eval_with_bound(dg, z)
+        dmag = max(abs(dval), 1e-300)
+        cond = reference_abs_eval(g, abs(z)) / dmag
+        shift = perturb * max(1.0, abs(z)) ** n / dmag if perturb > 0 else 0.0
+        rad = ((abs(val) + err) / lead) ** (1.0 / n)
+        if abs(dval) > derr:
+            rad = min(rad, n * (abs(val) + err) / (abs(dval) - derr))
+        radii.append(rad)
+        floor = max(DEFAULT.im_abs_tol, DEFAULT.im_rel_tol * max(1.0, abs(z)))
+        thresholds.append(max(floor, cond * _U, shift, rad))
+    return roots, radii, thresholds
+
+
+def _root_pass_case(kind, deg):
+    """A float polynomial of degree about deg: 'real' roots in [-3, 3], a
+    planted complex 'pair' (near the axis at odd degrees), 'geometric'
+    roots -0.05 * 1.3^k, 'multiple' triple roots, 'trimmed' leading
+    coefficients below trim_rel, or a 'zero-constant' term."""
+    rng = np.random.default_rng(deg)
+    real = rng.uniform(-3, 3, deg)
+    if kind == "real":
+        cs = np.poly(real)
+    elif kind == "pair":
+        a, b = rng.uniform(-2, 2), (1e-6 if deg % 2 else rng.uniform(0.5, 2))
+        cs = np.polymul(np.poly(real[: max(deg - 2, 0)]), [1.0, -2 * a, a * a + b * b])
+    elif kind == "geometric":
+        cs = np.poly(-0.05 * 1.3 ** np.arange(deg))
+    elif kind == "multiple":
+        cs = np.poly(np.repeat(real[: -(-deg // 3)], 3)[:deg])
+    elif kind == "trimmed":
+        cs = np.concatenate([[1e-15, -3e-16][: 1 + deg % 2], np.poly(real[:deg])])
+    else:
+        cs = np.append(np.poly(real[:deg]), 0.0)
+    return UniPoly.from_coeffs(list(cs[::-1]))
+
+
+ROOT_PASS_KINDS = ("real", "pair", "geometric", "multiple", "trimmed", "zero-constant")
+
+
+def _patched(monkeypatch, fn):
+    for mod in (polycore, stability, measures):
+        monkeypatch.setattr(mod, "_classify_float", fn)
+
+
+class TestFloatRootPassBits:
+    """The live float root pass against the frozen reference, by repr."""
+
+    @pytest.mark.parametrize("kind", ROOT_PASS_KINDS)
+    def test_matches_reference(self, kind):
+        configs = [(DEFAULT.trim_rel, d) for d in (0.0, 1e-13, 1e-9)] + [(1e-250, 0.0), (0.0, 0.0)]
+        for deg in range(1, 31):
+            g = _root_pass_case(kind, deg)
+            for trim_rel, perturb in configs:
+                got = _classify_float(g, trim_rel, perturb)
+                assert repr(got) == repr(reference_classify_float(g, trim_rel, perturb))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [1, 0, 1],
+            [5, 2, 1, 0, 3, 1],
+            [0, 0, 2, -1, 1],
+            [1 + F(1, 10**20), -2, 1],
+            [1, 0, F(1, 10**400)],
+            [F(10) ** 400, 0, F(10) ** 400],
+            [F(1, 3), F(-7, 2), 4, 0, 1, F(2, 5), 1],
+        ],
+    )
+    def test_exact_factors_match_reference(self, monkeypatch, coeffs):
+        p = UniPoly.from_coeffs(coeffs) * UniPoly.from_roots([F(-1), F(1, 2)])
+        got = repr((real_roots(p), is_real_rooted(p)))
+        _patched(monkeypatch, reference_classify_float)
+        assert got == repr((real_roots(p), is_real_rooted(p)))
+
+    @pytest.mark.parametrize("ps, sigma", [((0.9, 0.4, 0.15), 0.0), ((0.7, 0.2), 1.5), ((), 3.0)])
+    def test_bp_decompose_matches_reference(self, monkeypatch, ps, sigma):
+        w, tail = _poisson_weights(sigma, 1e-14, 40) if sigma else (np.array([1.0]), 0.0)
+        for p in ps:
+            w = np.convolve(w, [1 - p, p])
+        mu = Measure(w, tail_bound=tail)
+        got = repr(bp_decompose(mu))
+        _patched(monkeypatch, reference_classify_float)
+        assert got == repr(bp_decompose(mu))
+
+    def test_float_verdicts_match_reference(self, monkeypatch):
+        polys = [_root_pass_case(kind, deg) for kind in ROOT_PASS_KINDS for deg in (2, 7, 16, 29)]
+        got = [repr(is_real_rooted(g, d)) for g in polys for d in (0.0, 1e-13, 1e-9)]
+        _patched(monkeypatch, reference_classify_float)
+        assert got == [repr(is_real_rooted(g, d)) for g in polys for d in (0.0, 1e-13, 1e-9)]
+
+
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-308, 1e-200, 1.5e154, -1e308, 1.7e308])
+fused_coeffs = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False) | edge_floats, min_size=1, max_size=12),
+    st.lists(
+        st.fractions(-10**6, 10**6, max_denominator=10**6)
+        | st.sampled_from([F(1, 10**320), F(-(10**308)), F(0)]),
+        min_size=1,
+        max_size=12,
+    ),
+)
+fused_points = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    edge_floats,
+    st.builds(complex, edge_floats, edge_floats),
+)
+
+
+class TestFusedHorner:
+    @given(fused_coeffs, fused_points)
+    @example([1.0, -0.0, 2.0], complex(-0.0, 0.0))
+    @example([1.7e308, 1.7e308], 1.7e308j)
+    @example([F(1, 10**320), F(1)], 5e-324)
+    @settings(max_examples=300, deadline=None)
+    def test_value_and_magnitude_in_one_pass(self, coeffs, x):
+        p = UniPoly.from_coeffs(coeffs)
+        try:
+            want = (p(x), reference_abs_eval(p, abs(x)))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                p.eval_with_abs(x)
+            return
+        assert repr(p.eval_with_abs(x)) == repr(want)
+        assert repr(p.eval_with_bound(x)) == repr(reference_eval_with_bound(p, x))
+
+
+class TestSymmetric:
+    @staticmethod
+    def elementary(n):
+        """sum_k e_k(x_1..x_n) + x_1^2 x_2 + ... (every permutation) on n variables."""
+        d = {alpha: 1 for alpha in itertools.product((0, 1), repeat=n)}
+        for i, j in itertools.permutations(range(n), 2):
+            alpha = [0] * n
+            alpha[i], alpha[j] = 2, 1
+            d[tuple(alpha)] = F(3, 2)
+        return d
+
+    def test_ten_variables(self):
+        assert MultiPoly.from_dict(self.elementary(10), 10).is_symmetric()
+
+    def test_one_permutation_missing(self):
+        d = self.elementary(10)
+        del d[(0,) * 7 + (1, 0, 1)]
+        assert not MultiPoly.from_dict(d, 10).is_symmetric()
+        d = self.elementary(10)
+        del d[(1, 0, 0, 0, 0, 0, 0, 0, 0, 2)]
+        assert not MultiPoly.from_dict(d, 10).is_symmetric()
+
+    def test_one_coefficient_changed(self):
+        d = self.elementary(10)
+        d[(0, 1) * 5] = 2
+        assert not MultiPoly.from_dict(d, 10).is_symmetric()
 
 
 class TestNonFinite:

@@ -10,6 +10,7 @@ from stablepgf.measures import Measure
 from stablepgf.polycore import MultiPoly, UniPoly, exact_real_root_count, polarize, real_roots
 from stablepgf.stability import (
     Verdict,
+    _refutes,
     certify_tstable,
     is_real_rooted,
     is_stable_multi,
@@ -86,6 +87,37 @@ class TestWitnessSoundness:
         if cert.verdict is Verdict.REFUTED:
             assert all(z.imag > 0 for z in cert.witness)
             assert witness_is_valid(p, cert.witness)
+
+
+class TestBeyondFloatRange:
+    """Powers |z|^m past the float range: every check still returns a bool."""
+
+    def test_witness_whose_power_overflows(self):
+        # float(10^-400) is 0, so the evaluation cannot accept the exact root
+        p = UniPoly.from_coeffs([1, 0, F(1, 10**400)])
+        assert witness_is_valid(p, (1e200j,)) is False
+
+    def test_overflowing_allowance_accepts_nothing(self):
+        p = UniPoly.from_coeffs([0.0, 1.0, 0.0, 1e-300])
+        assert witness_is_valid(p, (1e150j,)) is True
+        assert witness_is_valid(p, (1e150j,), coeff_perturb=1e-300) is True
+        # 1e-100 |z|^3 = 1e350 is no float: such an allowance bounds nothing
+        assert witness_is_valid(p, (1e150j,), coeff_perturb=1e-100) is False
+
+    def test_refutation_test_at_a_far_point(self):
+        g = UniPoly.from_coeffs([1.0, 0.0, 1e-300])
+        assert _refutes(g, 1e200j, 0.0, 2) is False
+        assert _refutes(g, 1e200j, 1e-310, 2) is False
+
+    def test_lower_bound_with_an_overflowing_power(self):
+        # x + 1e-300 x^3 vanishes at 1e150 i, where |Im z|^3 = 1e450 but
+        # lead * |Im z|^3 = 1e150 is a float
+        g = UniPoly.from_coeffs([0.0, 1.0, 0.0, 1e-300])
+        assert _refutes(g, 1e150j, 0.0, 3) is True
+        assert _refutes(g, 1e150j, 1e-310, 3) is True
+        # (x^2 - 1) 1e-300 is real-rooted, and |g(z)| >= 1e100 = lead |Im z|^2
+        h = UniPoly.from_coeffs([-1e-300, 0.0, 1e-300])
+        assert _refutes(h, 1e200j, 0.0, 2) is False
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
