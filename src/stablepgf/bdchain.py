@@ -67,22 +67,16 @@ class BirthDeathRates:
         return cls(beta=lambda k: b, delta=lambda k: d * k)
 
     @classmethod
-    def from_sequences(
-        cls, betas: Sequence[float], deltas: Sequence[float] = (), beta_rest: float | None = None
-    ) -> "BirthDeathRates":
-        """Rates given by head sequences; beyond them beta continues with
-        beta_rest (default: last entry) and delta with 0."""
+    def from_sequences(cls, betas: Sequence[float]) -> "BirthDeathRates":
+        """Pure-birth rates given by a head sequence, which beta continues
+        with its last entry; delta is 0."""
         betas = [float(b) for b in betas]
-        deltas = [float(d) for d in deltas]
-        fill = betas[-1] if beta_rest is None and betas else (beta_rest or 0.0)
+        fill = betas[-1] if betas else 0.0
 
         def beta(k: int) -> float:
             return betas[k] if k < len(betas) else fill
 
-        def delta(k: int) -> float:
-            return deltas[k] if k < len(deltas) else 0.0
-
-        return cls(beta=beta, delta=delta)
+        return cls(beta=beta, delta=lambda k: 0.0)
 
 
 def _check_finite(*params: float) -> None:
@@ -484,13 +478,7 @@ def kingman(n: int, coalescent: bool, t: float) -> EvolvedPGF:
 
 
 def lie_split_evolve(
-    mu: Measure,
-    b0: float,
-    d1: float,
-    d2: float,
-    t: float,
-    steps: int,
-    N: int | None = None,
+    mu: Measure, b0: float, d1: float, d2: float, t: float, steps: int
 ) -> EvolvedPGF:
     """Alternate exact sub-steps of the two half-chains.
 
@@ -498,7 +486,9 @@ def lie_split_evolve(
     quadratic death d2*k*(k-1).  The alternation is symmetrized: a half
     sub-step of chain 1 at either end turns the plain product formula into
     its second-order variant, so the composed law converges to the combined
-    chain at O(1/steps^2) in total variation.
+    chain at O(1/steps^2) in total variation.  The box is {0..N} with
+    N = support + ceil(10 + 5*b0*t) + 20, support the initial law's top
+    state; mass that leaves it is counted in tail_bound.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -507,10 +497,7 @@ def lie_split_evolve(
     if mu.ndim != 1:
         raise ValueError("univariate initial laws only")
     support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
-    if N is None:
-        N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
-    if N < support:
-        raise ValueError(f"N={N} is below the initial law's support {support}")
+    N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
     b1, d1a = _rate_arrays(chain1, N)
     b2, d2a = _rate_arrays(chain2, N)
     h = t / steps

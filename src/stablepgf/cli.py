@@ -98,8 +98,8 @@ def _run_double_root(p, seed):
 
 def _run_birth_monotonicity(p, seed):
     t_grid = [float(x) for x in str(p["t_grid"]).split(";")]
-    inc = bdchain.BirthDeathRates.from_sequences([1.0, 2.0], beta_rest=1.0)
-    dec = bdchain.BirthDeathRates.from_sequences([2.0, 1.0], beta_rest=1.0)
+    inc = bdchain.BirthDeathRates.from_sequences([1.0, 2.0, 1.0])
+    dec = bdchain.BirthDeathRates.from_sequences([2.0, 1.0])
     recs_inc = bdchain.birth_monotonicity_probe(inc, 0, t_grid)
     recs_dec = bdchain.birth_monotonicity_probe(dec, 0, t_grid)
     ok = all(r["verdict"] == "Refuted" for r in recs_inc) and all(

@@ -17,11 +17,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .polycore import MultiPoly, UniPoly, _classify_float
+from .polycore import MultiPoly, UniPoly, _classify_float, _im_floor
 from .stability import Verdict, certify_tstable
 
 _SLACK = 1e-9
-_POISSON_TOL = 1e-10  # truncation tolerance of Measure.poisson
+_POISSON_TOL = 1e-10  # truncation tolerance of Measure.poisson and poisson_box
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +50,6 @@ class Measure:
     def shape(self) -> tuple:
         return self.weights.shape
 
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -79,7 +76,7 @@ class Measure:
         if not (math.isfinite(sigma) and sigma >= 0):
             raise ValueError("sigma must be finite and >= 0")
         if box is None:
-            box = poisson_box(sigma, _POISSON_TOL)
+            box = poisson_box(sigma)
         w, err = _poisson_weights(sigma, _POISSON_TOL, box + 1)
         return cls(w[: box + 1], tail_bound=err + math.fsum(w[box + 1 :]))
 
@@ -98,11 +95,10 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be finite and > 0")
 
 
-def poisson_box(sigma: float, tol: float = _POISSON_TOL) -> int:
+def poisson_box(sigma: float) -> int:
     """Smallest truncation at or above the mode whose certified Poisson tail
-    mass is at most tol / 2."""
-    _check_tol(tol)
-    return len(_poisson_weights(sigma, tol, 1)[0]) - 1
+    mass is at most _POISSON_TOL / 2."""
+    return len(_poisson_weights(sigma, _POISSON_TOL, 1)[0]) - 1
 
 
 def _poisson_weights(lam: float, tol: float, min_len: int) -> tuple[np.ndarray, float]:
@@ -274,8 +270,7 @@ def bp_decompose(mu: Measure) -> BPDecomposition:
         # factor, which would then be fitted as spurious Bernoulli factors
         # and bias sigma.  Only roots real to the two tolerance floors count.
         for z in _classify_float(g, 1e-250)[0]:
-            thr = max(DEFAULT.im_abs_tol, DEFAULT.im_rel_tol * max(1.0, abs(z)))
-            if abs(z.imag) <= thr and -DEFAULT.bp_root_cutoff <= z.real < 0:
+            if abs(z.imag) <= _im_floor(z) and -DEFAULT.bp_root_cutoff <= z.real < 0:
                 p_list.append(1.0 / (1.0 - z.real))
     p_list.sort(reverse=True)
 

@@ -23,6 +23,8 @@ from .config import DEFAULT
 from .measures import Measure
 from .polycore import _numerators
 
+_SAMPLES = 4000  # random up-set pairs drawn for a projection past the cell cap
+
 
 class CapExceeded(ValueError):
     pass
@@ -134,12 +136,7 @@ def _slack(F: np.ndarray, G: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (R @ G.T) * M.sum() - np.outer(R.sum(axis=1), G @ M.sum(axis=0))
 
 
-def is_na(
-    mu: Measure | np.ndarray,
-    A: Iterable[int],
-    B: Iterable[int],
-    samples: int = 4000,
-) -> NASplitResult:
+def is_na(mu: Measure | np.ndarray, A: Iterable[int], B: Iterable[int]) -> NASplitResult:
     """Check E[FG] <= E[F]E[G] over up-set indicator pairs.
 
     F runs over up-sets of the A-projection box, G over the B-projection
@@ -147,8 +144,8 @@ def is_na(
     dependence between the two blocks is fully retained.  Object-dtype
     (Fraction) weights give an exact verdict with zero slack.  Projections
     within the cell cap are checked exhaustively; larger ones fall back to
-    `samples` random up-set pairs and a pass is only "sampled-NA" (a
-    violating pair may have been missed).
+    4000 random up-set pairs and a pass is only "sampled-NA" (a violating
+    pair may have been missed).
     """
     weights = mu.weights if isinstance(mu, Measure) else np.asarray(mu)
     A = tuple(sorted(set(int(a) for a in A)))
@@ -163,7 +160,7 @@ def is_na(
     shapeB = tuple(s - 1 for s in joint.shape[len(A) :])
     M = joint.reshape(math.prod(joint.shape[: len(A)]), -1)
     if max(M.shape) > DEFAULT.upset_cap:
-        return _is_na_sampled(M.astype(float), A, B, shapeA, shapeB, samples)
+        return _is_na_sampled(M.astype(float), A, B, shapeA, shapeB, _SAMPLES)
     famA = enumerate_upsets(shapeA)
     famB = enumerate_upsets(shapeB)
 

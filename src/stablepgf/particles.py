@@ -23,6 +23,8 @@ from .config import DEFAULT
 from .measures import Measure, _check_tol
 from .polycore import MultiPoly
 
+_MAX_EVENTS = 1_000_000  # events one Gillespie run may take before it gives up
+
 
 @dataclass(frozen=True)
 class SiteSystem:
@@ -245,18 +247,14 @@ def truncated_generator_evolve(
 
 
 def gillespie_sample(
-    system: SiteSystem,
-    init: Configuration,
-    t: float,
-    seed: int,
-    max_events: int = 1_000_000,
+    system: SiteSystem, init: Configuration, t: float, seed: int
 ) -> Configuration:
     """Exact-jump simulation to time t, reproducible per seed.
 
     The stream is a counter-based Philox generator keyed by (seed, 0), so
     disjoint seeds give independent reproducible streams.
     """
-    final = _gillespie_runs(system, init, t, seed, np.zeros(1, dtype=np.uint64), max_events)
+    final = _gillespie_runs(system, init, t, seed, np.zeros(1, dtype=np.uint64), _MAX_EVENTS)
     return Configuration(tuple(final[0].tolist()))
 
 
@@ -334,13 +332,7 @@ def _gillespie_runs(system, init, t, seed, keys, max_events):
 
 
 def gillespie_empirical(
-    system: SiteSystem,
-    init: Configuration,
-    t: float,
-    samples: int,
-    seed: int,
-    box: Sequence[int],
-    max_events: int = 1_000_000,
+    system: SiteSystem, init: Configuration, t: float, samples: int, seed: int, box: Sequence[int]
 ) -> Measure:
     """Empirical law of the configuration at time t over `samples` runs.
 
@@ -353,7 +345,7 @@ def gillespie_empirical(
         raise ValueError("box length does not match site count")
     shape = tuple(int(b) + 1 for b in box)
     keys = np.arange(1, samples + 1, dtype=np.uint64)
-    final = _gillespie_runs(system, init, t, seed, keys, max_events)
+    final = _gillespie_runs(system, init, t, seed, keys, _MAX_EVENTS)
     inside = (final < shape).all(axis=1)
     w = np.bincount(np.ravel_multi_index(final[inside].T, shape), minlength=math.prod(shape))
     w = w.reshape(shape) / samples

@@ -795,6 +795,35 @@ def trim_for_roots(coeffs: Sequence[float], trim_rel: float) -> list:
     return c
 
 
+def _times_power(c: float, r: float, m: int) -> float:
+    """c * r**m for c, r >= 0, where r**m alone may exceed the float range:
+    then the product is formed on r's mantissa and shifted by its exponent,
+    and it is +inf only if the product itself overflows."""
+    try:
+        return c * r**m
+    except OverflowError:
+        f, e = math.frexp(r)
+        try:
+            return math.ldexp(c * f**m, e * m)
+        except OverflowError:
+            return math.inf
+
+
+def _modulus(w: complex) -> float:
+    """abs(w), or +inf where it exceeds the float range.  CPython's complex
+    abs also raises on NaN parts while errno still holds an earlier caught
+    overflow; those give NaN."""
+    try:
+        return abs(w)
+    except OverflowError:
+        return math.inf if w == w else math.nan
+
+
+def _im_floor(z: complex) -> float:
+    """The tolerance floor on |Im z| below which a float root is real."""
+    return max(DEFAULT.im_abs_tol, DEFAULT.im_rel_tol * max(1.0, abs(z)))
+
+
 def _classify_float(g: UniPoly, trim_rel: float, perturb: float = 0.0):
     """Locate the roots of a nonconstant float polynomial and judge each.
 
@@ -815,10 +844,10 @@ def _classify_float(g: UniPoly, trim_rel: float, perturb: float = 0.0):
         val, mag = g.eval_with_abs(z)
         err = gamma * mag
         dval, derr = dg.eval_with_bound(z)
-        dmag = max(abs(dval), 1e-300)
+        aval, adval = _modulus(val), _modulus(dval)
+        dmag = max(adval, 1e-300)
         cond = mag / dmag
-        # perturb * |z|**n can overflow on its own, so only form it when needed
-        shift = perturb * max(1.0, abs(z)) ** n / dmag if perturb > 0 else 0.0
+        shift = _times_power(perturb, max(1.0, abs(z)), n) / dmag if perturb > 0 else 0.0
         # nearest-root bounds: some root of g lies within both
         # (|g(z)|/|lead|)^(1/n), as |g(z)| = |lead| prod |z - r_i|, and
         # n|g(z)/g'(z)|, as g'/g = sum 1/(z - r_i).  The first stays
@@ -827,12 +856,11 @@ def _classify_float(g: UniPoly, trim_rel: float, perturb: float = 0.0):
         # such as those whose leading coefficients were trimmed; the second
         # does not.  If g is real-rooted its nearest root to z is real, so
         # |Im z| is within either bound.
-        rad = ((abs(val) + err) / lead) ** (1.0 / n)
-        if abs(dval) > derr:
-            rad = min(rad, n * (abs(val) + err) / (abs(dval) - derr))
+        rad = ((aval + err) / lead) ** (1.0 / n)
+        if adval > derr:
+            rad = min(rad, n * (aval + err) / (adval - derr))
         radii.append(rad)
-        floor = max(DEFAULT.im_abs_tol, DEFAULT.im_rel_tol * max(1.0, abs(z)))
-        thresholds.append(max(floor, cond * _U, shift, rad))
+        thresholds.append(max(_im_floor(z), cond * _U, shift, rad))
     return roots, radii, thresholds
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .polycore import MultiPoly, UniPoly, _classify_float, _nonreal_roots, _sturm_factors
+from .polycore import _modulus, _times_power
 
 
 class Verdict(str, Enum):
@@ -50,39 +51,28 @@ class StabilityCertificate:
 def witness_is_valid(f, witness: Sequence[complex], coeff_perturb: float = 0.0) -> bool:
     """Independent re-evaluation check for a refutation witness.
 
-    The witness must be in the open upper half-space and |f| there must not
-    exceed the evaluation error bound plus the coefficient perturbation
-    allowance.
+    The witness must be in the open upper half-space, each coordinate with a
+    modulus within the float range, and |f| there must not exceed the
+    evaluation error bound plus the coefficient perturbation allowance.
     """
     if any(z.imag <= 0 for z in witness):
+        return False
+    moduli = [_modulus(z) for z in witness]
+    if not all(r < math.inf for r in moduli):
         return False
     if isinstance(f, UniPoly):
         val, err = f.eval_with_bound(witness[0])
         deg = f.degree
-        zmax = abs(witness[0])
+        zmax = moduli[0]
     else:
         val, err = f.eval_with_bound(list(witness))
         deg = f.total_degree()
-        zmax = max(abs(z) for z in witness)
+        zmax = max(moduli)
     allowance = 8 * err
     if coeff_perturb > 0:
         allowance += _times_power(coeff_perturb, max(1.0, zmax), deg)
     # an allowance beyond the float range bounds nothing
-    return allowance < math.inf and abs(val) <= max(allowance, 1e-250)
-
-
-def _times_power(c: float, r: float, m: int) -> float:
-    """c * r**m for c, r >= 0, where r**m alone may exceed the float range:
-    then the product is formed on r's mantissa and shifted by its exponent,
-    and it is +inf only if the product itself overflows."""
-    try:
-        return c * r**m
-    except OverflowError:
-        f, e = math.frexp(r)
-        try:
-            return math.ldexp(c * f**m, e * m)
-        except OverflowError:
-            return math.inf
+    return allowance < math.inf and _modulus(val) <= max(allowance, 1e-250)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +89,7 @@ def _refutes(g: UniPoly, z: complex, perturb: float, m: int) -> bool:
         return False
     val, err = g.eval_with_bound(z)
     slack = _times_power(perturb, max(1.0, abs(z)), m) if perturb > 0 else 0.0
-    return abs(val) + err + slack < _times_power(lead - perturb, abs(z.imag), m)
+    return _modulus(val) + err + slack < _times_power(lead - perturb, abs(z.imag), m)
 
 
 def is_real_rooted(p: UniPoly, coeff_perturb: float = 0.0) -> StabilityCertificate:

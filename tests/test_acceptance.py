@@ -70,8 +70,8 @@ def test_c02_double_root_counterexample():
 def test_c03_birth_rate_necessity():
     start = time.time()
     t_grid = [1e-4, 3e-4, 1e-3]
-    inc = BirthDeathRates.from_sequences([1.0, 2.0], beta_rest=1.0)
-    dec = BirthDeathRates.from_sequences([2.0, 1.0], beta_rest=1.0)
+    inc = BirthDeathRates.from_sequences([1.0, 2.0, 1.0])
+    dec = BirthDeathRates.from_sequences([2.0, 1.0])
     for rec in birth_monotonicity_probe(inc, 0, t_grid):
         assert rec["verdict"] == "Refuted"
     for rec in birth_monotonicity_probe(dec, 0, t_grid):

@@ -11,7 +11,6 @@ import inspect
 import stablepgf
 
 OPTIONS = {
-    "BirthDeathRates.from_sequences": ["deltas", "beta_rest"],
     "BirthDeathRates.quadratic_death": ["scale"],
     "Measure.__init__": ["tail_bound"],
     "Measure.point_mass": ["shape"],
@@ -22,13 +21,8 @@ OPTIONS = {
     "UniPoly.zero": ["exact"],
     "certify_tstable": ["m_max", "tail_bound"],
     "evolve": ["tol", "N"],
-    "gillespie_empirical": ["max_events"],
-    "gillespie_sample": ["max_events"],
-    "is_na": ["samples"],
     "is_real_rooted": ["coeff_perturb"],
     "is_stable_multi": ["budget"],
-    "lie_split_evolve": ["N"],
-    "poisson_box": ["tol"],
     "transition": ["tol"],
     "truncated_generator_evolve": ["box", "tol"],
 }

@@ -23,7 +23,7 @@ from stablepgf.bdchain import (
     wf_residual,
 )
 from stablepgf.cli import _random_real_rooted
-from stablepgf.measures import Measure, _poisson_weights, bp_decompose, poisson_box
+from stablepgf.measures import Measure, _poisson_weights, bp_decompose
 from stablepgf.particles import SiteSystem, exact_pgf_transform, truncated_generator_evolve
 from stablepgf.polycore import MultiPoly, UniPoly
 from stablepgf.stability import Verdict
@@ -380,17 +380,17 @@ class TestBirthMonotonicityProbe:
         assert all(r["verdict"] == "Stable" for r in recs)
 
     def test_increasing_birth_refuted(self):
-        rates = BirthDeathRates.from_sequences([1.0, 2.0], beta_rest=1.0)
+        rates = BirthDeathRates.from_sequences([1.0, 2.0, 1.0])
         recs = birth_monotonicity_probe(rates, 0, [1e-4, 3e-4, 1e-3])
         assert all(r["verdict"] == "Refuted" for r in recs)
 
     def test_decreasing_birth_not_refuted(self):
-        rates = BirthDeathRates.from_sequences([2.0, 1.0], beta_rest=1.0)
+        rates = BirthDeathRates.from_sequences([2.0, 1.0])
         recs = birth_monotonicity_probe(rates, 0, [1e-4, 3e-4, 1e-3])
         assert all(r["verdict"] != "Refuted" for r in recs)
 
     def test_interior_start(self):
-        rates = BirthDeathRates.from_sequences([1.0, 1.0, 1.0, 2.0], beta_rest=1.0)
+        rates = BirthDeathRates.from_sequences([1.0, 1.0, 1.0, 2.0, 1.0])
         recs = birth_monotonicity_probe(rates, 2, [1e-4])
         assert recs[0]["verdict"] == "Refuted"
 
@@ -445,8 +445,9 @@ class TestLieSplit:
 
     def test_matches_expm_substep_product(self):
         # the same sub-steps as exact propagators of the truncated chains,
-        # whose birth out of the top state leaves the box
-        b0, d1, d2, t, steps, N = 1.0, 0.5, 1.0, 0.5, 4096, 30
+        # on lie_split_evolve's box, 5 + ceil(10 + 5 b0 t) + 20 = 38, whose
+        # birth out of the top state leaves the box
+        b0, d1, d2, t, steps, N = 1.0, 0.5, 1.0, 0.5, 4096, 38
         ks = np.arange(N + 1, dtype=float)
 
         def propagator(beta, delta, dt):
@@ -463,7 +464,7 @@ class TestLieSplit:
         ref = ref @ half1
         for i in range(steps):
             ref = ref @ full2 @ (full1 if i < steps - 1 else half1)
-        ev = lie_split_evolve(Measure.point_mass(5), b0, d1, d2, t, steps, N=N)
+        ev = lie_split_evolve(Measure.point_mass(5), b0, d1, d2, t, steps)
         w = np.zeros(N + 1)
         w[: ev.poly.degree + 1] = ev.poly.coeffs_float()
         assert np.abs(w - ref).sum() <= ev.tail_bound + 1e-11
@@ -530,7 +531,6 @@ class TestInputBoundary:
         "truncated_generator_evolve": lambda tol: truncated_generator_evolve(
             Measure.point_mass((1,)), TestInputBoundary.still_site, 0.5, tol=tol
         ),
-        "poisson_box": lambda tol: poisson_box(0.0, tol),
     }
 
     @pytest.mark.parametrize("caller", sorted(callers))
@@ -560,8 +560,6 @@ class TestInputBoundary:
         mu = Measure.point_mass(2)
         with pytest.raises(ValueError, match="below the initial law's support 2"):
             evolve(mu, BirthDeathRates.mm_infty(1.0, 1.0), 0.1, N=N)
-        with pytest.raises(ValueError, match="below the initial law's support 2"):
-            lie_split_evolve(mu, 1.0, 1.0, 1.0, 0.1, 4, N=N)
 
     def test_box_of_one_state_grows(self):
         # M/M/infinity from 0 is Poisson with mean 1 - e^{-t}
@@ -586,7 +584,7 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match="rates must be finite"):
             evolve(mu, BirthDeathRates.from_sequences([1.0, bad, 1.0]), 0.5)
         with pytest.raises(ValueError, match="rates must be finite"):
-            transition(BirthDeathRates.from_sequences([1.0], [0.0, bad]), 0.5, 8)
+            transition(BirthDeathRates(lambda k: 1.0, lambda k: bad if k == 1 else 0.0), 0.5, 8)
         with pytest.raises(ValueError, match="rates must be finite"):
             lie_split_evolve(mu, bad, 1.0, 1.0, 0.5, 4)
 
@@ -594,7 +592,7 @@ class TestInputBoundary:
         "rates",
         [
             BirthDeathRates.from_sequences([1.0, -1.0, 1.0]),
-            BirthDeathRates.from_sequences([1.0], [0.0, -2.0]),
+            BirthDeathRates(lambda k: 1.0, lambda k: -2.0 if k == 1 else 0.0),
         ],
         ids=["birth", "death"],
     )

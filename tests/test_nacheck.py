@@ -214,10 +214,10 @@ class TestSampledFallback:
         w = np.zeros((5, 5, 2))
         w[0, 0, 0] = 0.5
         w[4, 4, 1] = 0.5
-        res = is_na(Measure(w), [0, 1], [2], samples=2000)
+        res = is_na(Measure(w), [0, 1], [2])
         assert res.mode == "sampled"
         assert not res.passed
-        # the first of the 2000 draws (seed 0) that reaches the worst slack
+        # the first of the 4000 draws (seed 0) that reaches the worst slack
         assert res.worst_slack == 0.25
         top = tuple((i, j) for i in range(2, 5) for j in range(2, 5))
         assert res.witness_pair == (top, ((1,),))

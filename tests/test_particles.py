@@ -300,7 +300,7 @@ class TestGillespie:
     def test_event_cap(self):
         busy = SiteSystem(jump=np.zeros((1, 1)), birth=np.array([50.0]), death=np.array([1.0]))
         with pytest.raises(RuntimeError):
-            gillespie_sample(busy, Configuration((0,)), 100.0, seed=3, max_events=20)
+            _gillespie_runs(busy, Configuration((0,)), 100.0, 3, np.zeros(1, dtype=np.uint64), 20)
 
     def test_stationary_chi_square(self):
         # single site, birth=death=1, large t: law ~ Poisson(1)
@@ -398,8 +398,6 @@ class TestBatchedRuns:
             reference_runs(system, init, t, seed, keys, max_events=most)
         with pytest.raises(RuntimeError, match="event-count cap exceeded"):
             batched_runs(system, init, t, seed, keys, max_events=most)
-        with pytest.raises(RuntimeError, match="event-count cap exceeded"):
-            gillespie_empirical(system, init, t, len(keys), seed, box=(20,), max_events=most)
         assert batched_runs(system, init, t, seed, keys, max_events=most + 1) == reference_runs(
             system, init, t, seed, keys, max_events=most + 1
         )

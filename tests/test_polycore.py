@@ -16,6 +16,7 @@ from stablepgf.polycore import (
     UniPoly,
     _classify_float,
     _isolate_roots,
+    _modulus,
     _sturm_factors,
     elem_sym,
     elem_sym_all,
@@ -734,6 +735,17 @@ class TestNonFinite:
             MultiPoly.from_dict({(0, 0): 1.0, (1, 0): bad, (1, 1): 1.0}, 2)
         with pytest.raises(ValueError):
             MultiPoly.from_dict({(0, 1): F(1, 2), (1, 0): bad}, 2)
+
+    def test_modulus_beyond_the_float_range(self):
+        assert _modulus(3.0 + 4.0j) == 5.0
+        assert _modulus(1.5e308 + 1.5e308j) == math.inf
+
+    def test_modulus_of_nan_after_a_caught_overflow(self):
+        # a caught float overflow leaves errno set, and complex abs of a
+        # NaN reads it as its own overflow
+        with pytest.raises(OverflowError):
+            10.0**400
+        assert math.isnan(_modulus(complex(math.nan, math.nan)))
 
 
 class TestSpecialFamilies:

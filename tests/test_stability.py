@@ -119,6 +119,40 @@ class TestBeyondFloatRange:
         h = UniPoly.from_coeffs([-1e-300, 0.0, 1e-300])
         assert _refutes(h, 1e200j, 0.0, 2) is False
 
+    def test_root_whose_perturbation_term_overflows(self):
+        # 1 + x^29 + 2e-13 x^30 has a real root near -5e12, where
+        # 1e-20 |z|^30 is no float
+        g = UniPoly.from_coeffs([1.0] + [0.0] * 28 + [1.0, 2e-13])
+        cert = is_real_rooted(g, 1e-20)
+        assert cert.verdict is Verdict.REFUTED
+        assert witness_is_valid(g, cert.witness, 1e-20) is True
+        assert cert.witness == is_real_rooted(g).witness
+
+    def test_refutation_test_after_a_caught_overflow(self):
+        # the non-real roots near 1e6 i overflow g(z) to NaN right after the
+        # slack's own caught overflow, which left errno set for complex abs
+        g = UniPoly.from_coeffs([1.0] * 59 + [1e-13, 1e-12])
+        assert is_real_rooted(g, 1e-20).verdict is not Verdict.STABLE
+
+    def test_witness_whose_modulus_overflows(self):
+        z = 1.5e308 + 1.5e308j
+        assert witness_is_valid(UniPoly.from_coeffs([1.0, 1.0]), (z,)) is False
+        f = MultiPoly.from_dict({(1, 0): 1.0, (0, 1): 1.0}, 2)
+        assert witness_is_valid(f, (1j, z)) is False
+
+    @given(
+        st.integers(8, 30).flatmap(lambda n: st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)),
+        st.floats(1.5e-13, 1e-11),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_leading_coefficient_just_above_the_trim(self, low, a):
+        # the roots that a carries lie near -1/a, where perturb |z|^n overflows
+        g = UniPoly.from_coeffs(low + [a])
+        for perturb in (0.0, 1e-20, 1e-13, 1e-9):
+            cert = is_real_rooted(g, perturb)
+            if cert.verdict is Verdict.REFUTED:
+                assert witness_is_valid(g, cert.witness, perturb) is True
+
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
