@@ -98,6 +98,8 @@ def _check_tol(tol: float) -> None:
 def poisson_box(sigma: float) -> int:
     """Smallest truncation at or above the mode whose certified Poisson tail
     mass is at most _POISSON_TOL / 2."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and >= 0")
     return len(_poisson_weights(sigma, _POISSON_TOL, 1)[0]) - 1
 
 

@@ -831,7 +831,8 @@ def _classify_float(g: UniPoly, trim_rel: float, perturb: float = 0.0):
     polish; every bound is evaluated on g itself at its full degree n.
     perturb is an l1 bound on unknown coefficient error, which widens each
     threshold by the first-order root shift it can cause.  Returns (roots,
-    radii, thresholds); a root counts as real when |Im z| <= its threshold.
+    radii, thresholds); a root counts as real when |Im z| <= its threshold,
+    which is -inf for a root whose radius is NaN or threshold not finite.
     """
     n, lead, dg = g.degree, abs(g.lead), g.derivative()
     cs = trim_for_roots(g.coeffs, trim_rel)
@@ -860,7 +861,10 @@ def _classify_float(g: UniPoly, trim_rel: float, perturb: float = 0.0):
         if adval > derr:
             rad = min(rad, n * (aval + err) / (adval - derr))
         radii.append(rad)
-        thresholds.append(max(_im_floor(z), cond * _U, shift, rad))
+        thr = max(_im_floor(z), cond * _U, shift, rad)
+        # max skips a NaN radius, and no |Im z| exceeds an infinite
+        # threshold: such a root was never judged, so it is not real
+        thresholds.append(thr if math.isfinite(thr) and rad == rad else -math.inf)
     return roots, radii, thresholds
 
 

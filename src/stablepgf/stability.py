@@ -11,6 +11,7 @@ float mode, everything else is reported as inconclusive.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -164,42 +165,39 @@ def is_real_rooted(p: UniPoly, coeff_perturb: float = 0.0) -> StabilityCertifica
 def is_stable_multi(f: MultiPoly, budget: int = 200) -> StabilityCertificate:
     """Search for zeros of f in the open upper half-space.
 
-    Strategy: a point of H^n lies on a line a + x*b with a real, b positive
-    and Im(x) > 0, and on any such line f restricts to a real univariate
-    polynomial, so refutation reduces to univariate non-real-rootedness.
-    Symmetric multi-affine polynomials are decided exactly through their
-    diagonal, bivariate ones with rational coefficients by the Rayleigh
-    criterion; other multi-affine polynomials get a sampled confirmation;
-    everything else can only be refuted or left inconclusive.
+    Exact routes decide f first: a univariate f by its real-rootedness
+    (Sturm counts when exact), a symmetric multi-affine one through its
+    diagonal, and a bivariate multi-affine one with rational coefficients by
+    the Rayleigh criterion.  Rational f with f(0) != 0 that splits into
+    factors in disjoint variables (_disjoint_factors) has the zeros of its
+    factors, so it is proven stable when an exact route proves every
+    factor stable.
+
+    Otherwise f is sampled: a point of H^n lies on a line a + x*b with a
+    real, b positive and Im(x) > 0, and on any such line f restricts to a
+    real univariate polynomial, so refutation reduces to univariate
+    non-real-rootedness.  On rational f a line's refutation stands only
+    when the exact restriction to the same line, read with dyadic
+    rational a and b, has a Sturm count deficit.  Sampling never confirms:
+    no refutation in budget lines is Inconclusive.
     """
     if f.is_zero:
         return StabilityCertificate(Verdict.INCONCLUSIVE, note="zero polynomial")
     if f.total_degree() == 0:
         return StabilityCertificate(Verdict.STABLE)
-    if f.nvars == 1:
-        return is_real_rooted(f.to_uni())
-
-    multi_affine = f.is_multi_affine()
-    if multi_affine and f.is_symmetric():
-        diag = f.diagonal()
-        cert = is_real_rooted(diag)
-        if cert.verdict is Verdict.STABLE:
+    cert = _exact_route(f)
+    if cert is not None:
+        return cert
+    if f.exact:
+        factors = _disjoint_factors(f)
+        if len(factors) > 1 and all(
+            (c := _exact_route(g)) is not None and c.verdict is Verdict.STABLE
+            for _, g in factors
+        ):
             return StabilityCertificate(
                 Verdict.STABLE,
-                tolerance_used=cert.tolerance_used,
-                note="certified via symmetric multi-affine diagonal",
+                note=f"product of {len(factors)} factors in disjoint variables, each proven stable",
             )
-        if cert.verdict is Verdict.REFUTED:
-            z = cert.witness[0]
-            return StabilityCertificate(
-                Verdict.REFUTED,
-                witness=(z,) * f.nvars,
-                tolerance_used=cert.tolerance_used,
-                note="diagonal refutation",
-            )
-
-    if multi_affine and f.nvars == 2 and f.exact:
-        return _rayleigh_bivariate(f)
 
     rng = np.random.default_rng(0)
     n = f.nvars
@@ -214,23 +212,136 @@ def is_stable_multi(f: MultiPoly, budget: int = 200) -> StabilityCertificate:
         if cert.verdict is Verdict.REFUTED:
             x0 = cert.witness[0]
             z = tuple(complex(ai + x0 * bi) for ai, bi in zip(a, b))
-            if all(zi.imag > 0 for zi in z) and witness_is_valid(f, z):
+            if (
+                all(zi.imag > 0 for zi in z)
+                and witness_is_valid(f, z)
+                and (not f.exact or _line_has_nonreal_roots(f, a, b))
+            ):
                 return StabilityCertificate(
                     Verdict.REFUTED,
                     witness=z,
                     tolerance_used=cert.tolerance_used,
                     note="line-restriction witness",
                 )
-    if multi_affine:
-        return StabilityCertificate(
-            Verdict.STABLE,
-            tolerance_used=DEFAULT.im_rel_tol,
-            note=f"multi-affine, no refutation in {budget} line samples",
-        )
     return StabilityCertificate(
-        Verdict.INCONCLUSIVE,
-        note=f"no refutation in {budget} line samples; no finite confirmation available",
+        Verdict.INCONCLUSIVE, note=f"sampled: no refutation in {budget} line samples"
     )
+
+
+def _exact_route(f: MultiPoly) -> StabilityCertificate | None:
+    """The verdict of the route that decides f without sampling, or None."""
+    if f.nvars == 1:
+        return is_real_rooted(f.to_uni())
+    if not f.is_multi_affine():
+        return None
+    if f.is_symmetric():
+        cert = is_real_rooted(f.diagonal())
+        if cert.verdict is Verdict.STABLE:
+            return StabilityCertificate(
+                Verdict.STABLE,
+                tolerance_used=cert.tolerance_used,
+                note="certified via symmetric multi-affine diagonal",
+            )
+        if cert.verdict is Verdict.REFUTED:
+            z = cert.witness[0]
+            return StabilityCertificate(
+                Verdict.REFUTED,
+                witness=(z,) * f.nvars,
+                tolerance_used=cert.tolerance_used,
+                note="diagonal refutation",
+            )
+    if f.nvars == 2 and f.exact:
+        return _rayleigh_bivariate(f)
+    return None
+
+
+def _disjoint_factors(f: MultiPoly) -> list:
+    """The factors of rational f in disjoint variables, as (block, g_B):
+    the block's variables and the factor in them; [] when c0 = f(0) is 0.
+
+    For a partition of the variables f depends on into k blocks B, g_B is f
+    with every variable outside B set to 0, and f c0^(k-1) = prod_B g_B is
+    required exactly.  Then f vanishes exactly where some g_B does.  The
+    blocks start as single variables, and each set of blocks that
+    _split_defect names is merged, at most n - 1 times, until the
+    identity holds.  The terms of f are in lexicographic order, so the
+    parts of a term come before it, and each set named lies within one
+    block of every split of f: the split found is the finest.
+    """
+    coeff = f.terms_dict()
+    c0 = coeff.get((0,) * f.nvars, 0)
+    if c0 == 0:
+        return []
+    block = {i: i for alpha in coeff for i, e in enumerate(alpha) if e}
+    while (merge := _split_defect(coeff, c0, block)) is not None:
+        rep = min(merge)
+        block = {i: rep if b in merge else b for i, b in block.items()}
+    members: dict = {}
+    for i, b in sorted(block.items()):
+        members.setdefault(b, []).append(i)
+    return [
+        (
+            vs,
+            MultiPoly.from_dict(
+                {
+                    tuple(alpha[i] for i in vs): c
+                    for alpha, c in coeff.items()
+                    if all(block[i] == b for i, e in enumerate(alpha) if e)
+                },
+                len(vs),
+            ),
+        )
+        for b, vs in members.items()
+    ]
+
+
+def _split_defect(coeff: dict, c0, block: dict) -> frozenset | None:
+    """A set of blocks to merge, or None when f c0^(k-1) = prod_B g_B.
+
+    The blocks are disjoint, so the product has one term per choice of a
+    term of each g_B, prod_B |g_B| in all.  A term c x^alpha of f that
+    touches the set J of blocks is that of the product exactly when
+    c c0^(|J|-1) is the product of the coefficients of alpha's parts in the
+    blocks of J; the first term that is not names J.  When all are, the
+    terms of f are distinct terms of the product, and the identity holds
+    when they are as many: otherwise a set J that touches fewer terms of f
+    than of the product is named.  The smallest J that touches none adds
+    one block to a set that does, as each block alone does.
+    """
+    n = len(next(iter(coeff)))
+    touched: Counter = Counter()
+    for alpha, c in coeff.items():
+        parts: dict = {}
+        for i, e in enumerate(alpha):
+            if e:
+                parts.setdefault(block[i], [0] * n)[i] = e
+        J = frozenset(parts)
+        if len(J) > 1 and c * c0 ** (len(J) - 1) != math.prod(
+            coeff.get(tuple(p), 0) for p in parts.values()
+        ):
+            return J
+        touched[J] += 1
+    # the nonconstant terms of each g_B
+    size = {b: touched[frozenset((b,))] for b in set(block.values())}
+    for J, count in touched.items():
+        if count != math.prod(size[b] for b in J):
+            return J
+    if len(coeff) == math.prod(s + 1 for s in size.values()):
+        return None
+    return next(J | {b} for J in touched for b in size if J | {b} not in touched)
+
+
+def _line_has_nonreal_roots(f: MultiPoly, a: Sequence, b: Sequence) -> bool:
+    """Whether the exact restriction x -> f(a + x*b) of rational f, with the
+    float a and b read as the dyadic rationals they are, has a Sturm count
+    deficit; with b > 0 its non-real roots give zeros of f in H^n."""
+    n = f.nvars
+    # every variable's substitute is a_i + b_i x_0, so the result is
+    # univariate in x_0 and its diagonal is the restriction
+    line = f.compose_affine(
+        [Fraction(float(v)) for v in a], [[Fraction(float(v))] + [0] * (n - 1) for v in b]
+    ).diagonal()
+    return line.degree > 0 and any(fac.nonreal_count for fac in _sturm_factors(line.coeffs))
 
 
 def _rayleigh_bivariate(f: MultiPoly) -> StabilityCertificate:

@@ -512,10 +512,26 @@ class TestFloatRootPolicy:
         for z, rad in zip(rl.roots[2:], rl.radii[2:]):
             assert min(abs(z - (-1 + 2j)), abs(z - (-1 - 2j))) <= rad
 
+    @pytest.mark.parametrize(
+        "coeffs", [[1.0] * 59 + [1e-13, 1e-12], [1.0] + [0.0] * 28 + [1.0, 2e-13]]
+    )
+    def test_unjudged_roots_never_real(self, coeffs):
+        # at perturbation 1e-20 the roots near +-1e6i get a NaN radius in the
+        # first, and the root near -5e12 a shift past the float range in the
+        # second; neither was judged, so neither counts as real
+        roots, radii, thresholds = _classify_float(UniPoly.from_coeffs(coeffs), DEFAULT.trim_rel, 1e-20)
+        unjudged = [thr for z, thr in zip(roots, thresholds) if not math.isfinite(thr)]
+        assert unjudged and all(thr == -math.inf for thr in unjudged)
+        for z, rad, thr in zip(roots, radii, thresholds):
+            if math.isnan(rad):
+                assert not abs(z.imag) <= thr
+
 
 # The float root pass as it was first written, frozen: numpy-scalar Newton
 # steps, np.roots, and separate Horner loops for the value and for
-# sum |a_k||x|^k.  The live pass must reproduce it bit for bit.
+# sum |a_k||x|^k.  The live pass must reproduce it bit for bit.  Its one
+# later policy rule, that a root whose radius is NaN or threshold infinite
+# is not real, changes no finite threshold.
 
 
 def reference_abs_eval(p, r):
@@ -580,7 +596,9 @@ def reference_classify_float(g, trim_rel, perturb=0.0):
             rad = min(rad, n * (abs(val) + err) / (abs(dval) - derr))
         radii.append(rad)
         floor = max(DEFAULT.im_abs_tol, DEFAULT.im_rel_tol * max(1.0, abs(z)))
-        thresholds.append(max(floor, cond * _U, shift, rad))
+        thr = max(floor, cond * _U, shift, rad)
+        # a root with a NaN radius or an infinite threshold was never judged
+        thresholds.append(thr if math.isfinite(thr) and not math.isnan(rad) else -math.inf)
     return roots, radii, thresholds
 
 

@@ -10,6 +10,7 @@ from stablepgf.measures import Measure
 from stablepgf.polycore import MultiPoly, UniPoly, exact_real_root_count, polarize, real_roots
 from stablepgf.stability import (
     Verdict,
+    _disjoint_factors,
     _refutes,
     certify_tstable,
     is_real_rooted,
@@ -276,12 +277,166 @@ class TestIsStableMulti:
         cert = is_stable_multi(polarize(p, 2 + extra))
         assert cert.verdict is Verdict.REFUTED
 
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_square_of_positive_form_never_refuted(self, n):
+        # every line restriction of (1 + x/3 + 2y/3)^2 and (1 + sum x_i/8)^2
+        # has a double real root, which float roots split into a near-real pair
+        weights = [F(1, 3), F(2, 3)] if n == 2 else [F(1, 8)] * n
+        form = MultiPoly.from_dict(
+            {(0,) * n: 1, **{tuple(int(k == i) for k in range(n)): w for i, w in enumerate(weights)}}, n
+        )
+        assert is_stable_multi(form * form).verdict is not Verdict.REFUTED
+
+    def test_exact_line_refutation_confirmed(self):
+        # (1 + x^2)(1 + y)(1 + 2z): its factor 1 + x^2 has roots +-i
+        f = MultiPoly.from_dict({(0, 0, 0): 1, (2, 0, 0): 1}, 3)
+        f = f * MultiPoly.from_dict({(0, 0, 0): 1, (0, 1, 0): 1}, 3)
+        f = f * MultiPoly.from_dict({(0, 0, 0): 1, (0, 0, 1): 2}, 3)
+        cert = is_stable_multi(f)
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.note == "line-restriction witness"
+        assert witness_is_valid(f, cert.witness)
+
+    def test_sampled_multiaffine_inconclusive(self):
+        # float input: bc - ad = -1e-6 < 0, but no sampled line refutes it
+        f = MultiPoly.from_dict({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 2.0, (1, 1): 2 + 1e-6}, 2)
+        cert = is_stable_multi(f)
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert cert.note == "sampled: no refutation in 200 line samples"
+
     def test_nonsymmetric_multiaffine_positive_forms(self):
         # products of positive affine forms are stable
         a = MultiPoly.from_dict({(0, 0): 1.0, (1, 0): 2.0, (0, 1): 1.0}, 2)
         b = MultiPoly.from_dict({(0, 0): 2.0, (1, 0): 1.0, (0, 1): 3.0}, 2)
         cert = is_stable_multi(a * b - a.scale(0.0), budget=250)
         assert cert.verdict is not Verdict.REFUTED
+
+
+nonzero_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=10).filter(lambda p: 0 < p < 1)
+
+
+@st.composite
+def stable_factors(draw):
+    """A stable rational factor with a nonzero constant term: real-rooted
+    univariate, affine Bernoulli 1 - p + px, or bivariate a + bx + cy + dxy
+    with bc - ad >= 0."""
+    kind = draw(st.sampled_from(["real-rooted", "bernoulli", "rayleigh"]))
+    if kind == "real-rooted":
+        roots = draw(st.lists(nonzero_rationals, min_size=1, max_size=3))
+        return MultiPoly.from_dict({(k,): c for k, c in enumerate(UniPoly.from_roots(roots).coeffs)}, 1)
+    if kind == "bernoulli":
+        p = draw(unit_rationals)
+        return MultiPoly.from_dict({(0,): 1 - p, (1,): p}, 1)
+    a, b, c = (draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)) for _ in range(3))
+    d = b * c / a * draw(st.sampled_from([0, F(1, 2), 1]))
+    return MultiPoly.from_dict({(0, 0): a, (1, 0): b, (0, 1): c, (1, 1): d}, 2)
+
+
+def embedded_product(factors, n):
+    """The product of the factors (block, g), each g in the variables of its
+    block out of n."""
+    f = MultiPoly.from_dict({(0,) * n: 1}, n)
+    for block, g in factors:
+        terms = {}
+        for alpha, c in g.terms:
+            key = [0] * n
+            for i, e in zip(block, alpha):
+                key[i] = e
+            terms[tuple(key)] = c
+        f = f * MultiPoly.from_dict(terms, n)
+    return f
+
+
+def permuted_product(draw, factors):
+    """The product of the factors in disjoint variables, in a drawn order."""
+    n = sum(g.nvars for g in factors)
+    order, blocks = draw(st.permutations(range(n))), []
+    for g in factors:
+        blocks.append(order[: g.nvars])
+        order = order[g.nvars :]
+    return embedded_product(list(zip(blocks, factors)), n)
+
+
+SPLIT_NOTE = "factors in disjoint variables, each proven stable"
+
+
+def splits_further(g):
+    """Whether a + bx + cy + dxy has ad = bc, and so is (a + bx)(1 + cy/a)."""
+    if g.nvars != 2:
+        return False
+    coeff = g.terms_dict()
+    return coeff[(0, 0)] * coeff.get((1, 1), 0) == coeff[(1, 0)] * coeff[(0, 1)]
+
+
+class TestDisjointSplit:
+    @given(st.data(), st.lists(stable_factors(), min_size=2, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_products_of_stable_factors_proven(self, data, factors):
+        f = permuted_product(data.draw, factors)
+        # the split found is the finest
+        pieces = sum(2 if splits_further(g) else 1 for g in factors)
+        assert len(_disjoint_factors(f)) == pieces
+        cert = is_stable_multi(f)
+        assert cert.verdict is Verdict.STABLE
+        assert cert.tolerance_used == 0
+        if not (f.is_multi_affine() and (f.is_symmetric() or f.nvars == 2)):
+            # the diagonal and Rayleigh routes come first
+            assert cert.note == f"product of {pieces} {SPLIT_NOTE}"
+
+    @given(
+        st.data(),
+        st.lists(stable_factors(), min_size=1, max_size=3),
+        st.fractions(min_value=1, max_value=3, max_denominator=4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_factor_with_nonreal_pair_never_stable(self, data, factors, b):
+        # x^2 + bx + b with 1 <= b < 4 has a non-real pair
+        pair = MultiPoly.from_dict({(0,): b, (1,): b, (2,): 1}, 1)
+        f = permuted_product(data.draw, factors + [pair])
+        cert = is_stable_multi(f)
+        assert cert.verdict is not Verdict.STABLE
+        if cert.verdict is Verdict.REFUTED:
+            assert witness_is_valid(f, cert.witness)
+
+    @given(st.data(), st.lists(stable_factors(), min_size=2, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_moved_coefficient_not_split(self, data, factors):
+        f = permuted_product(data.draw, factors)
+        split = _disjoint_factors(f)
+        k = len(split)
+        assert embedded_product(split, f.nvars) == f.scale(f([0] * f.nvars) ** (k - 1))
+        alpha, c = data.draw(st.sampled_from(f.terms))
+        moved = MultiPoly.from_dict({**f.terms_dict(), alpha: c + F(1, 10**9)}, f.nvars)
+        split = _disjoint_factors(moved)
+        assert len(split) < k
+        if split:
+            # what splits satisfies the identity f c0^(k-1) = prod g_B
+            c0 = moved([0] * f.nvars)
+            assert embedded_product(split, f.nvars) == moved.scale(c0 ** (len(split) - 1))
+
+    @given(st.data(), st.lists(stable_factors(), min_size=2, max_size=4))
+    @settings(max_examples=20, deadline=None)
+    def test_zero_constant_term_falls_through(self, data, factors):
+        x = MultiPoly.from_dict({(1,): 1}, 1)
+        f = permuted_product(data.draw, factors + [x])
+        assert _disjoint_factors(f) == []
+        assert not is_stable_multi(f, budget=20).note.endswith(SPLIT_NOTE)
+
+    def test_missing_cross_terms_merge_their_blocks(self):
+        # 1 + x + z has no xz term, so single variables do not split it
+        f = embedded_product(
+            [
+                ([0, 2], MultiPoly.from_dict({(0, 0): 1, (1, 0): 1, (0, 1): 1}, 2)),
+                ([1], MultiPoly.from_dict({(0,): 1, (1,): 2}, 1)),
+            ],
+            3,
+        )
+        assert [block for block, _ in _disjoint_factors(f)] == [[0, 2], [1]]
+        # every pair of x, y, z appears in a term, but xyz does not
+        cube = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+        g = MultiPoly.from_dict({a: 1 for a in cube}, 3)
+        assert [block for block, _ in _disjoint_factors(g)] == [[0, 1, 2]]
 
 
 class TestApproximants:
