@@ -25,6 +25,7 @@ from .stability import (
 )
 from .measures import (
     BPDecomposition,
+    InputRangeError,
     Measure,
     bp_decompose,
     bp_synthesize,

@@ -19,7 +19,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .measures import Measure, _check_tol, _poisson_weights
+from .measures import (
+    _MAX_POISSON_MEAN,
+    InputRangeError,
+    Measure,
+    _check_poisson_mean,
+    _check_tol,
+    _poisson_weights,
+)
 from .polycore import (
     UniPoly,
     hermite_sum_form,
@@ -33,6 +40,11 @@ from .stability import StabilityCertificate, is_real_rooted, tstable_approximant
 # split the finer _ROOT_LAW_TOL.
 _PROBE_TOL = 1e-13
 _ROOT_LAW_TOL = 1e-14
+
+# Pure-death series: entries below _TINY (2^-1022) leave the box, a block
+# checks for them every _BLOCK_DROP_EVERY terms (see _bd_uniformize).
+_TINY = float(np.finfo(float).tiny)
+_BLOCK_DROP_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,7 @@ class BirthDeathRates:
 def _check_finite(*params: float) -> None:
     # Before the rates exist: delta(0) of a NaN parameter would be NaN.
     if not all(map(math.isfinite, params)):
-        raise ValueError("rates must be finite")
+        raise InputRangeError("rates must be finite")
 
 
 @dataclass(frozen=True)
@@ -140,7 +152,9 @@ def _uniformized_series(v0: np.ndarray, step: Callable, lam_t: float, tol: float
     states receive their leading-order term (paths of length up to the box
     size); where it stops depends on lam_t, tol and min_terms only, so
     every row of a block shares the same tail.  Callers have checked t and
-    tol.
+    tol; _poisson_weights refuses a lam_t above the cap before any term.
+    A step may also move mass into the overflow state itself, as the
+    pure-death step of _bd_uniformize does with underflowed states.
 
     The arithmetic of a term and the order of the terms are fixed: the
     step's products and sums, then one product and one sum into acc.  A
@@ -179,6 +193,19 @@ def _bd_uniformize(
     term has, as each is a sum of products of such numbers.  Otherwise
     (-0.0, or a negative weight within Measure's slack) the step adds the
     product, which can turn -0.0 into +0.0.
+
+    The pure-death step on input without sign bits also moves underflowed
+    states into the overflow column.  It keeps an index top, starting at
+    N; while the entry at top is below 2^-1022 (_TINY) in every row, it
+    adds that entry to the last column, sets it to +0.0 and lowers top.
+    As out[k] = v[k] stay_k + v[k+1] down_k, a state above top stays
+    +0.0, so each state moves at most once and at most (N+1) 2^-1022 per
+    row moves; the exact chain keeps that mass in the box, so it bounds
+    the l1 error of the move and is counted as escaped mass.  Without it,
+    entries that reach 2^-1074 where stay_k >= 1/2 never leave the
+    subnormal range, and each product with them is far slower than one
+    on normal numbers.  A vector is checked after every term, a block
+    after every _BLOCK_DROP_EVERY-th; the schedule fixes the bits.
     """
     N = len(beta_arr) - 1
     out_rate = beta_arr + delta_arr
@@ -194,8 +221,11 @@ def _bd_uniformize(
     # id(v) -> slices of v and of out: the series alternates two buffers,
     # so each v always steps into the same out
     views = {}
+    # every state above top is +0.0 in every row of every later term
+    top, terms = N, 0
 
     def step(v, out):
+        nonlocal top, terms
         key = id(v)
         if key not in views:
             views[key] = (v[..., :-1], v[..., 1:-1], out[..., 1:], out[..., :-2])
@@ -206,6 +236,23 @@ def _bd_uniformize(
             out_up += born
         np.multiply(inner, down, out=died)
         out_down += died
+        if add_births:
+            return
+        if rows:
+            # a column maximum costs about a step of a small block, so a
+            # block looks at its top column every _BLOCK_DROP_EVERY terms
+            terms += 1
+            if terms % _BLOCK_DROP_EVERY:
+                return
+            while top >= 0 and out[..., top].max() < _TINY:
+                out[..., -1] += out[..., top]
+                out[..., top] = 0.0
+                top -= 1
+        else:
+            while top >= 0 and out[top] < _TINY:
+                out[-1] += out[top]
+                out[top] = 0.0
+                top -= 1
 
     return _uniformized_series(v0, step, lam * t, tol, min_terms=N + 4)
 
@@ -219,7 +266,7 @@ def _check_time(t: float) -> None:
 
 def _check_rates(*rates: np.ndarray) -> None:
     if not all(np.isfinite(r).all() for r in rates):
-        raise ValueError("rates must be finite")
+        raise InputRangeError("rates must be finite")
     if any((r < 0).any() for r in rates):
         raise ValueError("rates must be nonnegative")
 
@@ -233,10 +280,16 @@ def _check_grid(t_grid: Sequence[float]) -> None:
 
 
 def _rate_arrays(rates: BirthDeathRates, N: int):
-    beta_arr = np.array([rates.beta(k) for k in range(N + 1)], dtype=float)
-    delta_arr = np.array([rates.delta(k) for k in range(N + 1)], dtype=float)
+    betas = [float(rates.beta(k)) for k in range(N + 1)]
+    deltas = [float(rates.delta(k)) for k in range(N + 1)]
+    # beta + delta, the state's out-rate, is finite only when both rates
+    # are and their sum does not overflow
+    if not all(math.isfinite(b + d) for b, d in zip(betas, deltas)):
+        raise InputRangeError("rates must be finite")
+    if min(betas) < 0 or min(deltas) < 0:
+        raise ValueError("rates must be nonnegative")
+    beta_arr, delta_arr = np.array(betas), np.array(deltas)
     delta_arr[0] = 0.0
-    _check_rates(beta_arr, delta_arr)
     return beta_arr, delta_arr
 
 
@@ -267,7 +320,10 @@ def evolve(
 
     The truncation level starts just above the initial support (plus
     birth headroom) and doubles until the certified escaping mass is
-    below tol, at most 12 times.
+    below tol, at most 12 times.  A birth rate b among the states up to
+    the support plus 10 with b*t above the series cap raises
+    InputRangeError before the box is sized, as every box's lambda*t is
+    at least b*t.
     """
     _check_tol(tol)
     if mu.ndim != 1:
@@ -277,7 +333,12 @@ def evolve(
     if N is None:
         b_ref = max(rates.beta(k) for k in range(support + 11))
         if not math.isfinite(b_ref):
-            raise ValueError("rates must be finite")
+            raise InputRangeError("rates must be finite")
+        if b_ref * t > _MAX_POISSON_MEAN:
+            # a rate sum that overflows among these states is named first
+            _rate_arrays(rates, support + 10)
+            # every box holds these states, so its lambda*t is >= b_ref*t
+            _check_poisson_mean(b_ref * t)
         pad = 0 if b_ref == 0 else int(math.ceil(10.0 + 5.0 * b_ref * t))
         N = max(support + pad, support, 1)
     if N < support:
@@ -488,7 +549,8 @@ def lie_split_evolve(
     its second-order variant, so the composed law converges to the combined
     chain at O(1/steps^2) in total variation.  The box is {0..N} with
     N = support + ceil(10 + 5*b0*t) + 20, support the initial law's top
-    state; mass that leaves it is counted in tail_bound.
+    state; mass that leaves it is counted in tail_bound.  A b0*t above
+    the series cap raises InputRangeError before the box is sized.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -497,6 +559,8 @@ def lie_split_evolve(
     if mu.ndim != 1:
         raise ValueError("univariate initial laws only")
     support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
+    # the box grows with b0*t, which evolve refuses above the same cap
+    _check_poisson_mean(b0 * t)
     N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
     b1, d1a = _rate_arrays(chain1, N)
     b2, d2a = _rate_arrays(chain2, N)

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -275,7 +276,14 @@ def _run_tstable_certify(p, seed):
     return ok, payload, None
 
 
+# Fraction("1e999999999") first builds a billion-digit power of ten, so a
+# decimal exponent of 1000 or more is out of range
+_LONG_EXPONENT = re.compile(r"[eE][+-]?0*[1-9]\d{3}")
+
+
 def _is_nonnegative_rational(s: str) -> bool:
+    if _LONG_EXPONENT.search(s):
+        return False
     try:
         return Fraction(s) >= 0
     except (ValueError, ZeroDivisionError):
@@ -399,7 +407,9 @@ def _coerce_params(name: str, overrides: dict) -> dict:
             raise ValueError(f"{key}={raw!r} is not {_KIND[typ]} for {name}")
         out[key] = typ(raw)
     # range checks run here, before any work, so that a ValueError raised
-    # inside a runner still surfaces as a program error
+    # inside a runner still surfaces as a program error; only the kernels'
+    # InputRangeError (a rate sum past the float range, lambda*t above the
+    # series cap), which no per-parameter check can foresee, exits 2 as well
     for key, ok in EXPERIMENTS[name].get("valid", {}).items():
         if not ok(out[key]):
             raise ValueError(f"{key}={out[key]!r} is out of range for {name}")
@@ -485,7 +495,12 @@ def main(argv: list | None = None) -> int:
         except (KeyError, ValueError) as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        return run_experiment(args.name, params, args.seed, args.tol, args.out)
+        try:
+            return run_experiment(args.name, params, args.seed, args.tol, args.out)
+        except measures.InputRangeError as exc:
+            # raised before the artifact is written
+            print(f"{args.name}: {exc}", file=sys.stderr)
+            return 2
     if args.command == "suite":
         worst = 0
         for name in EXPERIMENTS:

@@ -22,6 +22,14 @@ from .stability import Verdict, certify_tstable
 
 _SLACK = 1e-9
 _POISSON_TOL = 1e-10  # truncation tolerance of Measure.poisson and poisson_box
+# Largest Poisson mean served, lambda*t for a series: the weights take more
+# than lambda floats and the series as many terms.  kingman(800) has 159,800.
+_MAX_POISSON_MEAN = 1e7
+
+
+class InputRangeError(ValueError):
+    """A finite input that no series computes: rates whose sum leaves the
+    float range, or a Poisson mean above _MAX_POISSON_MEAN."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +111,15 @@ def poisson_box(sigma: float) -> int:
     return len(_poisson_weights(sigma, _POISSON_TOL, 1)[0]) - 1
 
 
+def _check_poisson_mean(lam: float) -> None:
+    # From a mode of 1e300 the downward loop would grow its list until
+    # memory runs out, long before a term underflows.
+    if not lam <= _MAX_POISSON_MEAN:
+        raise InputRangeError(
+            f"Poisson mean (lambda*t) {lam:.6g} is above the cap {_MAX_POISSON_MEAN:.0e}"
+        )
+
+
 def _poisson_weights(lam: float, tol: float, min_len: int) -> tuple[np.ndarray, float]:
     """P(X = j) for j = 0..R, X ~ Poisson(lam), and a bound on their l1 error.
 
@@ -113,7 +130,9 @@ def _poisson_weights(lam: float, tol: float, min_len: int) -> tuple[np.ndarray, 
     P(X > R) is at most tol / 2.  The bound adds the rounding: two per step
     from the mode spread the weights' relative errors by at most
     2u sqrt(E(X - mode)^2) <= 2u sqrt(lam + 1), and 4u covers the scaling.
+    A mean above _MAX_POISSON_MEAN raises InputRangeError before any work.
     """
+    _check_poisson_mean(lam)
     if lam == 0.0:
         return np.eye(1, max(min_len, 1))[0], 0.0
     mode = int(lam)

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stablepgf import particles
+from stablepgf import bdchain, particles
 from stablepgf.bdchain import (
+    _BLOCK_DROP_EVERY,
     BirthDeathRates,
     _bd_uniformize,
     _rate_arrays,
@@ -23,7 +25,7 @@ from stablepgf.bdchain import (
     wf_residual,
 )
 from stablepgf.cli import _random_real_rooted
-from stablepgf.measures import Measure, _poisson_weights, bp_decompose
+from stablepgf.measures import InputRangeError, Measure, _poisson_weights, bp_decompose, poisson_box
 from stablepgf.particles import SiteSystem, exact_pgf_transform, truncated_generator_evolve
 from stablepgf.polycore import MultiPoly, UniPoly
 from stablepgf.stability import Verdict
@@ -114,8 +116,10 @@ def reference_series(v0, step, lam_t, tol, min_terms):
     return acc, tail
 
 
-def reference_bd_uniformize(v0, beta_arr, delta_arr, t, tol):
-    """The birth-death step as three allocating products, births always added."""
+def reference_bd_uniformize_parent(v0, beta_arr, delta_arr, t, tol):
+    """The birth-death step as three allocating products, births always
+    added, and nothing dropped: the kernel before underflowed states left
+    the box.  Frozen."""
     N = len(beta_arr) - 1
     out_rate = beta_arr + delta_arr
     lam = float(out_rate.max())
@@ -127,6 +131,38 @@ def reference_bd_uniformize(v0, beta_arr, delta_arr, t, tol):
         nxt = v * stay
         nxt[..., 1:] += v[..., :-1] * up
         nxt[..., :-2] += v[..., 1:-1] * down
+        return nxt
+
+    return reference_series(v0, step, lam * t, tol, N + 4)
+
+
+def reference_bd_uniformize(v0, beta_arr, delta_arr, t, tol):
+    """The frozen loop, plus the drop of a pure-death chain on input without
+    sign bits: on a vector after every term, on a block after every
+    _BLOCK_DROP_EVERY-th, the top states whose entry is below 2^-1022 in
+    every row are added, highest first, to the overflow column and zeroed."""
+    N = len(beta_arr) - 1
+    out_rate = beta_arr + delta_arr
+    lam = float(out_rate.max())
+    stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
+    up = beta_arr / lam
+    down = delta_arr[1:] / lam
+    drops = not up.any() and not np.signbit(v0).any()
+    every = _BLOCK_DROP_EVERY if np.ndim(v0) == 2 else 1
+    terms, live = 0, N + 1  # states live..N are zero in every row
+
+    def step(v):
+        nonlocal terms, live
+        nxt = v * stay
+        nxt[..., 1:] += v[..., :-1] * up
+        nxt[..., :-2] += v[..., 1:-1] * down
+        terms += 1
+        if drops and terms % every == 0:
+            below = (nxt[..., :-1] < 2.0**-1022).reshape(-1, N + 1).all(axis=0)
+            while live > 0 and below[live - 1]:
+                live -= 1
+                nxt[..., -1] = nxt[..., -1] + nxt[..., live]
+            nxt[..., live:-1] = 0.0
         return nxt
 
     return reference_series(v0, step, lam * t, tol, N + 4)
@@ -205,6 +241,67 @@ class TestUniformizedSeries:
         ref = truncated_generator_evolve(mu, system, 0.4, box=(12, 12))
         assert_same_bits(out.weights, ref.weights)
         assert out.tail_bound == ref.tail_bound
+
+
+def kingman_start(n):
+    beta, delta = _rate_arrays(BirthDeathRates.kingman_coalescent(), n)
+    v0 = np.zeros(n + 2)
+    v0[n] = 1.0
+    return v0, beta, delta
+
+
+class TestUnderflowDrop:
+    """The pure-death series against the frozen loop that drops nothing."""
+
+    def test_kingman_bp_law_bit_identical(self):
+        n, t = 100, 0.5
+        old, old_tail = reference_bd_uniformize_parent(*kingman_start(n), t, 1e-13)
+        ev = kingman(n, True, t)
+        coeffs = ev.poly.coeffs_float()  # trailing zeros trimmed
+        assert_same_bits(coeffs, old[: len(coeffs)])
+        assert not old[len(coeffs) : -1].any()
+        # the parent's tail_bound: input tail + escaped mass + series tail
+        assert ev.tail_bound == 0.0 + old[-1] + old_tail
+
+    @pytest.mark.parametrize("n", [150, 300, 800])
+    def test_kingman_moves_only_underflowed_entries(self, n):
+        t = 0.5
+        old, old_tail = reference_bd_uniformize_parent(*kingman_start(n), t, 1e-13)
+        acc, tail = _bd_uniformize(*kingman_start(n), t, 1e-13)
+        differ = acc != old
+        assert differ.any()
+        assert (acc[differ] < 1e-290).all() and (old[differ] < 1e-290).all()
+        assert tail == old_tail
+        assert 0.0 + acc[-1] + tail == 0.0 + old[-1] + old_tail
+        # each of the n + 1 states leaves at most once, below 2^-1022
+        assert acc[-1] <= (n + 1) * 2.0**-1022
+
+    def test_transition_escaped_mass_within_drop_bound(self):
+        N = 64
+        beta, delta = _rate_arrays(BirthDeathRates.quadratic_death(), N)
+        acc, _ = _bd_uniformize(np.eye(N + 1, N + 2), beta, delta, 0.5, 1e-13)
+        old, _ = reference_bd_uniformize_parent(np.eye(N + 1, N + 2), beta, delta, 0.5, 1e-13)
+        assert acc[:, -1].any() and not old[:, -1].any()
+        assert (acc[:, -1] <= (N + 1) * 2.0**-1022).all()
+
+    def test_kingman_series_carries_few_subnormals(self, monkeypatch):
+        # Subnormal operands cost microcode assists: counted, not timed.
+        # The series that drops nothing carries 2,796,700 of them here.
+        n = 300
+        counts = []
+        series = bdchain._uniformized_series
+
+        def counting(v0, step, lam_t, tol, min_terms):
+            def counted(v, out):
+                step(v, out)
+                counts.append(np.count_nonzero((out > 0.0) & (out < 2.0**-1022)))
+
+            return series(v0, counted, lam_t, tol, min_terms)
+
+        monkeypatch.setattr(bdchain, "_uniformized_series", counting)
+        kingman(n, True, 0.5)
+        assert len(counts) > 20_000
+        assert sum(counts) < n
 
 
 class TestEvolve:
@@ -587,6 +684,47 @@ class TestInputBoundary:
             transition(BirthDeathRates(lambda k: 1.0, lambda k: bad if k == 1 else 0.0), 0.5, 8)
         with pytest.raises(ValueError, match="rates must be finite"):
             lie_split_evolve(mu, bad, 1.0, 1.0, 0.5, 4)
+
+    def test_rate_sums_past_the_float_range(self):
+        # every rate is finite, but beta + delta overflows from state 1 on
+        huge = BirthDeathRates.mm_infty(1e308, 1e308)
+        mu = Measure.point_mass(1)
+        for call in (
+            lambda: evolve(mu, huge, 0.1),
+            lambda: evolve(mu, huge, 0.1, N=3),
+            lambda: transition(huge, 0.1, 3),
+            lambda: generator(huge, 3),
+        ):
+            with pytest.raises(InputRangeError, match="rates must be finite"):
+                call()
+
+    cap_callers = {
+        "transition": lambda: transition(BirthDeathRates.mm_infty(1.0, 1.0), 1e9, 3),
+        "kingman": lambda: kingman(5, True, 1e300),
+        # births at rate 1e6 for t = 100 would size the box at 5e8 states
+        "evolve-births": lambda: evolve(
+            Measure.point_mass(1), BirthDeathRates.mm_infty(1e6, 1.0), 100.0
+        ),
+        "lie_split_evolve": lambda: lie_split_evolve(
+            Measure.point_mass(1), 1e6, 1.0, 1.0, 100.0, 4
+        ),
+        "truncated_generator_evolve": lambda: truncated_generator_evolve(
+            Measure.point_mass((1,)), TestInputBoundary.site, 1e300, box=(30,)
+        ),
+        "poisson_box": lambda: poisson_box(1e300),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(cap_callers))
+    def test_series_cap_refused_before_allocating(self, caller):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputRangeError, match="above the cap 1e\\+07"):
+                self.cap_callers[caller]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the weights alone would take 8 bytes per unit of lambda*t
+        assert peak < 2**22
 
     @pytest.mark.parametrize(
         "rates",

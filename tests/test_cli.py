@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import stablepgf
+from stablepgf import measures
 from stablepgf.cli import EXPERIMENTS, main
 
 EXPECTED_NAMES = [
@@ -101,10 +107,16 @@ class TestRun:
             ("quad-death-preserve", "deg_max=0"),
             ("trotter-split", "t=0"),
             ("trotter-split", "d2=inf"),
+            # finite values that the kernels refuse: lambda*t above the
+            # series cap, and a death rate whose sum overflows
+            ("kingman-bp", "t=1e300"),
+            ("trotter-split", "b0=1e300"),
+            ("trotter-split", "d2=1e308"),
             ("particles-na", "count=0"),
             ("tstable-certify", "sigma=-1/2"),
             ("tstable-certify", "sigma=1/0"),
             ("tstable-certify", "sigma=abc"),
+            ("tstable-certify", "sigma=1e999999999"),
             ("birth-monotonicity", "t_grid=abc"),
             ("birth-monotonicity", "t_grid=-1"),
             ("birth-monotonicity", "t_grid=nan"),
@@ -195,3 +207,51 @@ def test_every_registered_experiment_has_claim_and_defaults():
             assert isinstance(default, (int, float, str))
         for key, ok in spec.get("valid", {}).items():
             assert ok(spec["params"][key][1])
+
+
+VALIDATED = sorted((name, key) for name, spec in EXPERIMENTS.items() for key in spec.get("valid", {}))
+
+
+@st.composite
+def rejected_values(draw):
+    """One --param value that the experiment's own range check rejects."""
+    name, key = draw(st.sampled_from(VALIDATED))
+    typ = EXPERIMENTS[name]["params"][key][0]
+    if typ is int:
+        value = draw(st.integers(-(10**12), 10**12))
+    elif typ is float:
+        value = draw(st.floats())
+    else:
+        value = draw(st.text("0123456789.;-+/einf ", max_size=12))
+    assume(not EXPERIMENTS[name]["valid"][key](typ(value)))
+    return name, [f"{key}={value!r}" if typ is float else f"{key}={value}"]
+
+
+@st.composite
+def capped_values(draw):
+    """Parameters that pass the range checks but put lambda*t above the
+    series cap, which the kernels refuse before sizing anything by it."""
+    cap = measures._MAX_POISSON_MEAN
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 500))
+        lam = n * (n - 1) / 2.0  # kingman's top death rate
+        t = draw(st.floats(cap / lam, 1e300))
+        assume(lam * t > cap)
+        return "kingman-bp", [f"n={n}", f"t={t!r}"]
+    b0 = draw(st.floats(1e-3, 1e300))
+    t = draw(st.floats(min(cap / b0, 1e300), 1e300))
+    assume(b0 * t > cap)
+    return "trotter-split", [f"b0={b0!r}", f"t={t!r}"]
+
+
+@given(st.one_of(rejected_values(), capped_values()))
+@settings(max_examples=80, deadline=None)
+def test_refused_values_exit_2_and_write_nothing(case):
+    name, params = case
+    args = [arg for kv in params for arg in ("--param", kv)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        out = os.path.join(tmp, "out")
+        assert main(["run", name, *args, "--out", out]) == 2
+        assert not os.path.exists(out)
+    assert len(err.getvalue().strip().splitlines()) == 1
