@@ -46,6 +46,10 @@ _ROOT_LAW_TOL = 1e-14
 _TINY = float(np.finfo(float).tiny)
 _BLOCK_DROP_EVERY = 16
 
+# Largest box of lie_split_evolve's dense propagators, whose cost grows
+# like N^3: a call at N = 1023 takes about 10 s and 120 MB on a 2-core host.
+_MAX_SPLIT_BOX = 1024
+
 
 @dataclass(frozen=True)
 class BirthDeathRates:
@@ -550,7 +554,8 @@ def lie_split_evolve(
     chain at O(1/steps^2) in total variation.  The box is {0..N} with
     N = support + ceil(10 + 5*b0*t) + 20, support the initial law's top
     state; mass that leaves it is counted in tail_bound.  A b0*t above
-    the series cap raises InputRangeError before the box is sized.
+    the series cap, or an N above _MAX_SPLIT_BOX, raises InputRangeError
+    before anything is sized by N.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -562,6 +567,8 @@ def lie_split_evolve(
     # the box grows with b0*t, which evolve refuses above the same cap
     _check_poisson_mean(b0 * t)
     N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
+    if N > _MAX_SPLIT_BOX:
+        raise InputRangeError(f"Lie split box N = {N} is above the cap {_MAX_SPLIT_BOX}")
     b1, d1a = _rate_arrays(chain1, N)
     b2, d2a = _rate_arrays(chain2, N)
     h = t / steps

@@ -409,7 +409,8 @@ def _coerce_params(name: str, overrides: dict) -> dict:
     # range checks run here, before any work, so that a ValueError raised
     # inside a runner still surfaces as a program error; only the kernels'
     # InputRangeError (a rate sum past the float range, lambda*t above the
-    # series cap), which no per-parameter check can foresee, exits 2 as well
+    # series cap, a Lie split box above its cap), which no per-parameter
+    # check can foresee, exits 2 as well
     for key, ok in EXPERIMENTS[name].get("valid", {}).items():
         if not ok(out[key]):
             raise ValueError(f"{key}={out[key]!r} is out of range for {name}")

@@ -19,7 +19,7 @@ class Tolerances:
         Poisson factor during Bernoulli-Poisson decomposition.
     bp_sigma_tol: largest tolerated negative fitted Poisson rate.
     na_slack: numerical slack (times mass scale) for NA pass/fail.
-    upset_cap: largest box cell count for exhaustive up-set enumeration.
+    upset_cap: most up-sets enumerated for one side of an NA split.
     m_max_default: default approximant depth for t-stability refutation.
     """
 
@@ -31,7 +31,7 @@ class Tolerances:
     bp_root_cutoff: float = 1e6
     bp_sigma_tol: float = 1e-6
     na_slack: float = 1e-12
-    upset_cap: int = 16
+    upset_cap: int = 256
     m_max_default: int = 20
 
 

@@ -29,7 +29,8 @@ _MAX_POISSON_MEAN = 1e7
 
 class InputRangeError(ValueError):
     """A finite input that no series computes: rates whose sum leaves the
-    float range, or a Poisson mean above _MAX_POISSON_MEAN."""
+    float range, a Poisson mean above _MAX_POISSON_MEAN, or a Lie split
+    box above bdchain._MAX_SPLIT_BOX."""
 
 
 @dataclass(frozen=True, eq=False)

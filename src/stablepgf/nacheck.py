@@ -4,15 +4,16 @@ Negative association asks E[F G] <= E[F] E[G] for increasing F and G on
 disjoint coordinate sets.  On a finite box it suffices to test indicator
 functions of up-sets (monotone 0/1 functions), since every bounded
 increasing function is a nonnegative combination of those plus a constant.
-Up-set families are enumerated directly under a cell-count cap, and one
+Up-set families are enumerated directly under a cap on their size, and one
 slack routine serves exact and float weights; exact rational weights give
-exact verdicts.  Projections past the cap fall back to random up-set pairs.
+exact verdicts.  A side with more up-sets than the cap raises CapExceeded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -22,8 +23,6 @@ import numpy as np
 from .config import DEFAULT
 from .measures import Measure
 from .polycore import _numerators
-
-_SAMPLES = 4000  # random up-set pairs drawn for a projection past the cell cap
 
 
 class CapExceeded(ValueError):
@@ -85,16 +84,22 @@ def enumerate_upsets(shape: Sequence[int]) -> UpSetFamily:
     after it, so a cell may join a partial up-set exactly when the cells
     above it are already in; masks are then sorted into increasing order.
     The minimal elements of an up-set are its cells with no lower cover in
-    it.
+    it.  More than DEFAULT.upset_cap up-sets raise CapExceeded as soon as
+    the partial list outgrows the cap; a box of m cells has at least m + 1
+    up-sets (the empty one and one per cell), so a box of cap or more cells
+    raises before it is built.
     """
     shape = tuple(int(s) for s in shape)
     m = math.prod(s + 1 for s in shape)
-    if m > DEFAULT.upset_cap:
-        raise CapExceeded(f"box has {m} cells, cap is {DEFAULT.upset_cap}")
+    cap = DEFAULT.upset_cap
+    if m >= cap:
+        raise CapExceeded(f"box {shape} has more than {cap} up-sets")
     cells, above, low = _box(shape)
     masks = [0]
     for i in reversed(range(m)):
         masks += [s | 1 << i for s in masks if s & above[i] == above[i]]
+        if len(masks) > cap:
+            raise CapExceeded(f"box {shape} has more than {cap} up-sets")
     masks.sort()
     antichains = tuple(
         tuple(cells[i] for i in range(m) if s >> i & 1 and not s & low[i]) for s in masks
@@ -109,7 +114,7 @@ class NASplitResult:
     passed: bool
     worst_slack: object
     witness_pair: tuple | None
-    mode: str = "exhaustive"
+    mode = "exhaustive"  # the only mode; artifacts keep the key
 
     def to_json(self) -> dict:
         out = {
@@ -136,31 +141,39 @@ def _slack(F: np.ndarray, G: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (R @ G.T) * M.sum() - np.outer(R.sum(axis=1), G @ M.sum(axis=0))
 
 
+def _axes(idx: Iterable[int]) -> tuple:
+    try:
+        return tuple(sorted({operator.index(a) for a in idx}))
+    except TypeError:
+        raise ValueError("A and B must hold integer axis indices") from None
+
+
 def is_na(mu: Measure | np.ndarray, A: Iterable[int], B: Iterable[int]) -> NASplitResult:
-    """Check E[FG] <= E[F]E[G] over up-set indicator pairs.
+    """Check E[FG] <= E[F]E[G] over all up-set indicator pairs.
 
     F runs over up-sets of the A-projection box, G over the B-projection
     box; expectations are taken under the joint (A u B)-projection, so
     dependence between the two blocks is fully retained.  Object-dtype
-    (Fraction) weights give an exact verdict with zero slack.  Projections
-    within the cell cap are checked exhaustively; larger ones fall back to
-    4000 random up-set pairs and a pass is only "sampled-NA" (a violating
-    pair may have been missed).
+    (Fraction) weights give an exact verdict with zero slack.  Every pair
+    is checked; a side with more than DEFAULT.upset_cap up-sets raises
+    CapExceeded.  Array weights must be finite and >= 0 (a Measure checks
+    its own), and A and B disjoint, nonempty sets of integer axes in
+    range(ndim), or ValueError is raised.
     """
     weights = mu.weights if isinstance(mu, Measure) else np.asarray(mu)
-    A = tuple(sorted(set(int(a) for a in A)))
-    B = tuple(sorted(set(int(b) for b in B)))
-    if not A or not B or set(A) & set(B):
-        raise ValueError("A and B must be disjoint and nonempty")
+    # a Measure has checked its own weights; NaN fails both comparisons
+    if not isinstance(mu, Measure) and not all(0 <= x < math.inf for x in weights.flat):
+        raise ValueError("weights must be finite and >= 0")
+    A, B, n = _axes(A), _axes(B), weights.ndim
+    if not A or not B or set(A) & set(B) or not set(A + B) <= set(range(n)):
+        raise ValueError(f"A and B must be disjoint nonempty sets of axes in range({n})")
     keep = tuple(sorted(A + B))
-    joint = weights.sum(axis=tuple(i for i in range(weights.ndim) if i not in keep))
+    joint = weights.sum(axis=tuple(i for i in range(n) if i not in keep))
     # put the A axes first, then flatten the joint onto an (A-cell, B-cell) matrix
     joint = np.transpose(joint, tuple(keep.index(a) for a in A + B))
     shapeA = tuple(s - 1 for s in joint.shape[: len(A)])
     shapeB = tuple(s - 1 for s in joint.shape[len(A) :])
     M = joint.reshape(math.prod(joint.shape[: len(A)]), -1)
-    if max(M.shape) > DEFAULT.upset_cap:
-        return _is_na_sampled(M.astype(float), A, B, shapeA, shapeB, _SAMPLES)
     famA = enumerate_upsets(shapeA)
     famB = enumerate_upsets(shapeB)
 
@@ -181,37 +194,6 @@ def is_na(mu: Measure | np.ndarray, A: Iterable[int], B: Iterable[int]) -> NASpl
     return NASplitResult(A, B, bool(passed), worst, witness)
 
 
-def _random_upset(closure: list, rng) -> int:
-    """Bitmask of the up-closure of one to three random cells."""
-    mask = 0
-    for s in rng.integers(0, len(closure), size=int(rng.integers(1, 4))):
-        mask |= closure[s]
-    return mask
-
-
-def _is_na_sampled(M, A, B, shapeA, shapeB, samples):
-    rng = np.random.default_rng(0)
-    # each box's cells with the principal up-set of every cell
-    boxes = []
-    for cells, above, _ in (_box(shapeA), _box(shapeB)):
-        boxes.append((cells, [1 << i | a for i, a in enumerate(above)]))
-    pairs = [tuple(_random_upset(closure, rng) for _, closure in boxes) for _ in range(samples)]
-    slacks = [
-        _slack(_indicator_rows([f], M.shape[0]), _indicator_rows([g], M.shape[1]), M).item()
-        for f, g in pairs
-    ]
-    # the first maximum, as in the exhaustive check
-    k = int(np.argmax(slacks))
-    passed = slacks[k] <= DEFAULT.na_slack * float(M.sum())
-    witness = None
-    if not passed:
-        witness = tuple(
-            tuple(c for i, c in enumerate(cells) if mask >> i & 1)
-            for mask, (cells, _) in zip(pairs[k], boxes)
-        )
-    return NASplitResult(A, B, bool(passed), slacks[k], witness, mode="sampled")
-
-
 @dataclass(frozen=True)
 class NAReport:
     splits: tuple
@@ -219,10 +201,8 @@ class NAReport:
     worst_slack: object
 
     def to_json(self) -> dict:
-        sampled = any(s.mode == "sampled" for s in self.splits)
-        verdict = "violated" if not self.passed else ("sampled-NA" if sampled else "NA")
         return {
-            "verdict": verdict,
+            "verdict": "NA" if self.passed else "violated",
             "worst_slack": float(self.worst_slack),
             "splits": [s.to_json() for s in self.splits],
         }

@@ -15,7 +15,6 @@ OPTIONS = {
     "Measure.__init__": ["tail_bound"],
     "Measure.point_mass": ["shape"],
     "Measure.poisson": ["box"],
-    "NASplitResult.__init__": ["mode"],
     "SiteSystem.__init__": ["birth_fn", "death_fn"],
     "StabilityCertificate.__init__": ["witness", "m", "tolerance_used", "note"],
     "UniPoly.zero": ["exact"],

@@ -726,6 +726,18 @@ class TestInputBoundary:
         # the weights alone would take 8 bytes per unit of lambda*t
         assert peak < 2**22
 
+    def test_lie_split_box_cap_refused_before_allocating(self):
+        # b0*t = 2e5 is far below the series cap, but the box would hold
+        # about 1e6 states and each dense propagator 8 TB
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputRangeError, match="Lie split box N = 1000031 is above the cap"):
+                lie_split_evolve(Measure.point_mass(1), 2e5, 1.0, 1.0, 1.0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize(
         "rates",
         [

@@ -140,6 +140,18 @@ class TestRun:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_lie_split_box_above_the_cap_exits_2(self, tmp_path, capsys):
+        # the evolve reference runs first on its own box; the split's box
+        # of 5 + ceil(10 + 5 * 2000 * 0.5) + 20 = 5035 states is refused
+        args = ["--param", "b0=2000", "--param", "d1=0", "--param", "d2=0"]
+        code = main(["run", "trotter-split", *args, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "trotter-split: Lie split box N = 5035 is above the cap 1024"
+        ]
+
     def test_error_inside_a_run_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(p, seed):
             raise ValueError("internal")

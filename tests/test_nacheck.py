@@ -1,8 +1,11 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablepgf.cli import _ts_fixture
 from stablepgf.measures import Measure
@@ -74,8 +77,18 @@ class TestEnumerateUpsets:
         assert len(enumerate_upsets((1, 1))) == 6
 
     def test_cap(self):
+        # (3,3,3) has 232,848 up-sets; the enumeration stops past 256
         with pytest.raises(CapExceeded):
-            enumerate_upsets((4, 4))
+            enumerate_upsets((3, 3, 3))
+
+    def test_cap_counts_upsets_not_cells(self):
+        # a chain of n + 1 cells has n + 2 up-sets, and a 5 x 5 box 252
+        assert len(enumerate_upsets((254,))) == 256
+        assert len(enumerate_upsets((4, 4))) == 252
+        with pytest.raises(CapExceeded):
+            enumerate_upsets((255,))
+        with pytest.raises(CapExceeded):
+            enumerate_upsets((10**6,))
 
     def test_lattice_closure(self):
         fam = enumerate_upsets((1, 2))
@@ -123,6 +136,45 @@ class TestIsNa:
             is_na(Measure(w), [0], [0])
         with pytest.raises(ValueError):
             is_na(Measure(w), [], [1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight(self, bad):
+        w = np.full((2, 2), 0.25)
+        w[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            is_na(w, [0], [1])
+
+    @pytest.mark.parametrize("bad", [F(-1, 4), -0.25])
+    def test_negative_weight(self, bad):
+        w = np.array([[F(1, 2), F(1, 4)], [F(1, 2), bad]], dtype=object)
+        if isinstance(bad, float):
+            w = w.astype(float)
+        with pytest.raises(ValueError, match=">= 0"):
+            is_na(w, [0], [1])
+
+    def test_axis_out_of_range(self):
+        with pytest.raises(ValueError, match="range"):
+            is_na(np.full((2, 2), 0.25), [0], [5])
+
+    def test_non_integer_axis(self):
+        with pytest.raises(ValueError, match="integer"):
+            is_na(np.full((2, 2), 0.25), [0], [1.7])
+
+    def test_over_cap_side_raises(self):
+        # the (0, 1, 2) side is a (3,3,3) box
+        w = np.full((4, 4, 4, 2), 1 / 128)
+        with pytest.raises(CapExceeded):
+            is_na(w, [0, 1, 2], [3])
+        with pytest.raises(CapExceeded):
+            na_all_splits(w)
+
+    def test_binomial_poisson_product_is_exhaustive(self):
+        # 21 cells per side, past the cell limit of earlier versions
+        binom = Measure(np.array([math.comb(20, k) * 0.3**k * 0.7 ** (20 - k) for k in range(21)]))
+        res = is_na(Measure.product(binom, Measure.poisson(2.0, box=20)), [0], [1])
+        assert res.mode == "exhaustive"
+        assert res.passed and res.witness_pair is None
+        assert res.worst_slack == pytest.approx(0.0, abs=1e-15)
 
 
 class TestExactAndFloat:
@@ -199,13 +251,15 @@ class TestNaAllSplits:
         assert any("witness_pair" in s for s in data["splits"])
 
 
-class TestSampledFallback:
-    def test_large_block_product_passes_sampled(self):
+class TestLargeSides:
+    """Sides of 25 cells (252 up-sets) are checked pair by pair."""
+
+    def test_large_block_product_passes_exhaustive(self):
         m = Measure.product(
             Measure.poisson(0.6, box=4), Measure.poisson(0.6, box=4), Measure.bernoulli(0.3)
         )
         res = is_na(m, [0, 1], [2])
-        assert res.mode == "sampled"
+        assert res.mode == "exhaustive"
         assert res.passed
         assert res.worst_slack == pytest.approx(0.0, abs=1e-15)
         assert res.witness_pair is None
@@ -215,23 +269,69 @@ class TestSampledFallback:
         w[0, 0, 0] = 0.5
         w[4, 4, 1] = 0.5
         res = is_na(Measure(w), [0, 1], [2])
-        assert res.mode == "sampled"
         assert not res.passed
-        # the first of the 4000 draws (seed 0) that reaches the worst slack
         assert res.worst_slack == 0.25
-        top = tuple((i, j) for i in range(2, 5) for j in range(2, 5))
-        assert res.witness_pair == (top, ((1,),))
+        # every up-set containing (4, 4) but not (0, 0) reaches 0.25 against
+        # {1}; in increasing mask order the first of them is {(4, 4)} itself
+        assert res.witness_pair == (((4, 4),), ((1,),))
 
-    def test_report_labels_sampled(self):
+    def test_report_labels_na(self):
         m = Measure.product(
             Measure.poisson(0.5, box=4), Measure.poisson(0.5, box=4), Measure.bernoulli(0.4)
         )
         rep = na_all_splits(m)
-        assert rep.to_json()["verdict"] == "sampled-NA"
-        (sampled,) = [s for s in rep.splits if s.mode == "sampled"]
-        assert (sampled.A, sampled.B) == ((2,), (0, 1))
-        assert sampled.worst_slack == pytest.approx(1.3877787807814457e-17, abs=1e-15)
-        assert sampled.passed and sampled.witness_pair is None
+        assert rep.to_json()["verdict"] == "NA"
+        assert all(s.mode == "exhaustive" for s in rep.splits)
+        (big,) = [s for s in rep.splits if (s.A, s.B) == ((2,), (0, 1))]
+        assert big.worst_slack == pytest.approx(0.0, abs=1e-15)
+        assert big.passed and big.witness_pair is None
+
+
+def suffix_pair_max(M):
+    """Reference for two one-coordinate sides, whose up-sets are the empty
+    set and the suffixes {i..n-1}: the first maximum of mass * E[1_f 1_g] -
+    E[1_f] E[1_g] in is_na's row-major order (empty set first, then the
+    suffixes from the shortest), with its witness, by 2-D suffix sums."""
+    n, k = len(M), len(M[0])
+    T = [[F(0)] * (k + 1) for _ in range(n + 1)]
+    for i in reversed(range(n)):
+        for j in reversed(range(k)):
+            T[i][j] = M[i][j] + T[i + 1][j] + T[i][j + 1] - T[i + 1][j + 1]
+    mass = T[0][0]
+    best, witness = F(0), None  # every pair with an empty side has slack 0
+    for i in reversed(range(n)):
+        for j in reversed(range(k)):
+            s = mass * T[i][j] - T[i][0] * T[0][j]
+            if s > best:
+                best, witness = s, (((i,),), ((j,),))
+    return best, witness
+
+
+@given(
+    st.integers(17, 60),
+    st.integers(17, 60),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_two_site_worst_slack_is_the_suffix_pair_maximum(n, k, seed, product):
+    rng = np.random.default_rng(seed)
+    if product:
+        # independent sides: NA with slack exactly 0
+        a, b = rng.integers(0, 4, n), rng.integers(0, 4, k)
+        a[0] += 1
+        b[0] += 1
+        ints = np.multiply.outer(a, b).astype(object)
+    else:
+        ints = (rng.integers(0, 4, (n, k)) * rng.integers(0, 2, (n, k))).astype(object)
+        ints[0, 0] += 1
+    total = int(ints.sum())
+    w = np.array([F(int(x), total) for x in ints.flat], dtype=object).reshape(n, k)
+    res = is_na(w, [0], [1])
+    best, witness = suffix_pair_max(w.tolist())
+    assert res.worst_slack == best
+    assert res.passed == (best <= 0)
+    assert res.witness_pair == witness
 
 
 class TestIndicatorSufficiency:
