@@ -59,18 +59,16 @@ class BirthDeathRates:
     delta: Callable[[int], float]
 
     def __post_init__(self):
-        if self.delta(0) != 0.0:
-            raise ValueError("delta(0) must be 0")
+        # a NaN or infinite parameter reaches state 0 as NaN (0 * inf)
+        _rate_arrays(self.beta, self.delta, 0)
 
     @classmethod
     def from_polynomial(cls, b0: float, d1: float, d2: float) -> "BirthDeathRates":
         """Constant birth b0 with death d1*k + d2*k*(k-1)."""
-        _check_finite(b0, d1, d2)
         return cls(beta=lambda k: b0, delta=lambda k: d1 * k + d2 * k * (k - 1))
 
     @classmethod
     def quadratic_death(cls, scale: float = 1.0) -> "BirthDeathRates":
-        _check_finite(scale)
         return cls(beta=lambda k: 0.0, delta=lambda k: scale * k * (k - 1))
 
     @classmethod
@@ -79,7 +77,6 @@ class BirthDeathRates:
 
     @classmethod
     def mm_infty(cls, b: float, d: float) -> "BirthDeathRates":
-        _check_finite(b, d)
         return cls(beta=lambda k: b, delta=lambda k: d * k)
 
     @classmethod
@@ -93,12 +90,6 @@ class BirthDeathRates:
             return betas[k] if k < len(betas) else fill
 
         return cls(beta=beta, delta=lambda k: 0.0)
-
-
-def _check_finite(*params: float) -> None:
-    # Before the rates exist: delta(0) of a NaN parameter would be NaN.
-    if not all(map(math.isfinite, params)):
-        raise InputRangeError("rates must be finite")
 
 
 @dataclass(frozen=True)
@@ -135,7 +126,7 @@ def generator(rates: BirthDeathRates, N: int) -> np.ndarray:
     """Tridiagonal generator on {0..N} with the birth rate clamped at N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    beta_arr, delta_arr = _rate_arrays(rates, N)
+    beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, N)
     beta_arr[N] = 0.0
     return np.diag(beta_arr[:-1], 1) + np.diag(delta_arr[1:], -1) - np.diag(beta_arr + delta_arr)
 
@@ -268,13 +259,6 @@ def _check_time(t: float) -> None:
         raise ValueError("t must be >= 0")
 
 
-def _check_rates(*rates: np.ndarray) -> None:
-    if not all(np.isfinite(r).all() for r in rates):
-        raise InputRangeError("rates must be finite")
-    if any((r < 0).any() for r in rates):
-        raise ValueError("rates must be nonnegative")
-
-
 def _check_grid(t_grid: Sequence[float]) -> None:
     """The root-law probes rescale by t, so every time must be positive."""
     for t in t_grid:
@@ -283,18 +267,20 @@ def _check_grid(t_grid: Sequence[float]) -> None:
             raise ValueError("t must be > 0")
 
 
-def _rate_arrays(rates: BirthDeathRates, N: int):
-    betas = [float(rates.beta(k)) for k in range(N + 1)]
-    deltas = [float(rates.delta(k)) for k in range(N + 1)]
-    # beta + delta, the state's out-rate, is finite only when both rates
-    # are and their sum does not overflow
+def _rate_arrays(beta: Callable, delta: Callable, N: int, first: int = 0):
+    """beta(k) and delta(k) for k = first..N as float arrays, the one check
+    of every birth-death and particle rate: the state's out-rate beta + delta
+    is finite (so both rates are and their sum does not overflow), the rates
+    are nonnegative and no death leaves state 0."""
+    betas = [float(beta(k)) for k in range(first, N + 1)]
+    deltas = [float(delta(k)) for k in range(first, N + 1)]
     if not all(math.isfinite(b + d) for b, d in zip(betas, deltas)):
         raise InputRangeError("rates must be finite")
     if min(betas) < 0 or min(deltas) < 0:
         raise ValueError("rates must be nonnegative")
-    beta_arr, delta_arr = np.array(betas), np.array(deltas)
-    delta_arr[0] = 0.0
-    return beta_arr, delta_arr
+    if first == 0 and deltas[0] != 0.0:
+        raise ValueError("the death rate at an empty site must be 0")
+    return np.array(betas), np.array(deltas)
 
 
 def transition(
@@ -308,7 +294,7 @@ def transition(
     _check_time(t)
     if N < 1:
         raise ValueError("N must be >= 1")
-    beta_arr, delta_arr = _rate_arrays(rates, N)
+    beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, N)
     P, tail = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, t, tol)
     return TruncatedSemigroup(N=N, t=t, matrix=P[:, :-1], trunc_error=float(P[:, -1].max()) + tail)
 
@@ -340,7 +326,7 @@ def evolve(
             raise InputRangeError("rates must be finite")
         if b_ref * t > _MAX_POISSON_MEAN:
             # a rate sum that overflows among these states is named first
-            _rate_arrays(rates, support + 10)
+            _rate_arrays(rates.beta, rates.delta, support + 10)
             # every box holds these states, so its lambda*t is >= b_ref*t
             _check_poisson_mean(b_ref * t)
         pad = 0 if b_ref == 0 else int(math.ceil(10.0 + 5.0 * b_ref * t))
@@ -348,7 +334,7 @@ def evolve(
     if N < support:
         raise ValueError(f"N={N} is below the initial law's support {support}")
     for _ in range(13):
-        beta_arr, delta_arr = _rate_arrays(rates, N)
+        beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, N)
         v0 = np.zeros(N + 2)
         v0[: support + 1] = mu.weights[: support + 1]
         v, tail = _bd_uniformize(v0, beta_arr, delta_arr, t, tol)
@@ -383,11 +369,8 @@ def backward_residual(
     minus = transition(rates, t - h if t - h > 0 else 0.0, N, tol=_PROBE_TOL).matrix
     dt = (plus[j, k] - minus[j, k]) / (2 * h if t - h > 0 else (t + h))
     P = semigroup.matrix
-    rhs = (
-        rates.beta(j) * P[j + 1, k]
-        + rates.delta(j) * P[j - 1, k]
-        - (rates.beta(j) + rates.delta(j)) * P[j, k]
-    )
+    (b,), (d,) = _rate_arrays(rates.beta, rates.delta, j, j)
+    rhs = b * P[j + 1, k] + d * P[j - 1, k] - (b + d) * P[j, k]
     return abs(dt - rhs)
 
 
@@ -518,7 +501,7 @@ def birth_monotonicity_probe(
     discriminant has the sign of beta_k - beta_{k+1}: increasing birth
     rates refute stability, non-increasing ones do not.
     """
-    if rates.beta(k) <= 0 or rates.beta(k + 1) <= 0:
+    if _rate_arrays(rates.beta, rates.delta, k + 1, k)[0].min() <= 0:
         raise ValueError("probe needs beta_k, beta_{k+1} > 0")
     m = k + 2
     records = []
@@ -569,8 +552,8 @@ def lie_split_evolve(
     N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
     if N > _MAX_SPLIT_BOX:
         raise InputRangeError(f"Lie split box N = {N} is above the cap {_MAX_SPLIT_BOX}")
-    b1, d1a = _rate_arrays(chain1, N)
-    b2, d2a = _rate_arrays(chain2, N)
+    b1, d1a = _rate_arrays(chain1.beta, chain1.delta, N)
+    b2, d2a = _rate_arrays(chain2.beta, chain2.delta, N)
     h = t / steps
     v = np.zeros(N + 1)
     v[: support + 1] = mu.weights[: support + 1]

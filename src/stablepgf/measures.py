@@ -140,7 +140,8 @@ def _poisson_weights(lam: float, tol: float, min_len: int) -> tuple[np.ndarray, 
     lower = [1.0]  # omega_mode, omega_(mode-1), ... down to lo
     for j in range(mode, 0, -1):
         lower.append(lower[-1] * (j / lam))
-        if lower[-1] == 0.0:
+        # 2^-1074 times j / lam > 1/2 rounds to 2^-1074 again, down to j = lam / 2
+        if lower[-1] <= 5e-324:
             break
     lo, terms = mode + 1 - len(lower), lower[::-1]
     partial, last, j, R = sum(terms), 1.0, mode, -1

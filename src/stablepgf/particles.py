@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .bdchain import _check_rates, _check_time, _uniformized_series
+from .bdchain import _check_time, _rate_arrays, _uniformized_series
 from .config import DEFAULT
-from .measures import Measure, _check_tol
+from .measures import InputRangeError, Measure, _check_tol
 from .polycore import MultiPoly
 
 _MAX_EVENTS = 1_000_000  # events one Gillespie run may take before it gives up
@@ -54,7 +55,13 @@ class SiteSystem:
         n = jump.shape[0]
         if jump.shape != (n, n) or birth.shape != (n,) or death.shape != (n,):
             raise ValueError("inconsistent system dimensions")
-        _check_rates(jump, birth, death)
+        # site i as a chain on {0, 1}: births at birth[i], and its one
+        # particle leaves at rate sum_(j != i) jump[i, j] + death[i]
+        for i, (b, row) in enumerate(zip(birth.tolist(), jump.tolist())):
+            out = sum(row[:i] + row[i + 1 :], death[i].item())
+            _rate_arrays(lambda k: b, lambda k: k * out, 1)
+        if (jump[~np.eye(n, dtype=bool)] < 0).any() or (death < 0).any():
+            raise ValueError("rates must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -69,6 +76,25 @@ class SiteSystem:
 
     def death_rate(self, i: int, k: int) -> float:
         return self.death_fn(i, k) if self.death_fn else float(self.death[i]) * k
+
+
+def _site_rates(system: SiteSystem, tops: Sequence[int], first: int, peaks: list) -> list:
+    """Birth and death rates, a (2, tops[i] + 1 - first) array per site i,
+    of counts first..tops[i] as _rate_arrays checks them.  peaks[i] rises
+    to the largest beta + delta + k * (jump rate out of i) over those counts;
+    the sum of the peaks, in Python floats where an overflow is inf, bounds
+    every out-rate of the states covered and must be finite."""
+    rates = []
+    for i, (top, row) in enumerate(zip(tops, system.jump.tolist())):
+        beta, delta = partial(system.birth_rate, i), partial(system.death_rate, i)
+        rate = np.array(_rate_arrays(beta, delta, top, first))
+        J = sum(row[:i] + row[i + 1 :])
+        out = (b + d + k * J for k, (b, d) in enumerate(rate.T.tolist(), first))
+        peaks[i] = max(peaks[i], *out)
+        rates.append(rate)
+    if not math.isfinite(sum(peaks)):
+        raise InputRangeError("rates must be finite")
+    return rates
 
 
 @dataclass(frozen=True)
@@ -195,13 +221,8 @@ def truncated_generator_evolve(
     stride = [S // math.prod(shape[: i + 1]) for i in range(n)]
     state = np.arange(S)
     moves = []  # (target, rate) over all source states, one array pair per move kind
-    for i in range(n):
+    for i, (birth, death) in enumerate(_site_rates(system, [s - 1 for s in shape], 0, [0.0] * n)):
         k = occ[i]
-        birth = np.array([system.birth_rate(i, m) for m in range(shape[i])])
-        death = np.array([system.death_rate(i, m) for m in range(shape[i])])
-        _check_rates(birth, death)
-        if death[0] > 0:
-            raise ValueError(f"death rate at empty site {i} must be 0")
         moves.append((np.where(k < shape[i] - 1, state + stride[i], OVER), birth[k]))
         moves.append((state - stride[i], death[k]))
         for j in range(n):
@@ -290,22 +311,18 @@ def _gillespie_runs(system, init, t, seed, keys, max_events):
     # Change of the counts for each rate column's event.
     move = np.concatenate([np.vstack([eye[i], -eye[i], eye[off[i]] - eye[i]]) for i in range(n)])
     jump = system.jump[off].reshape(n, n - 1)
-    table = np.full((n, 0, 2), np.nan)  # (birth, death) rate of each (site, count) met so far
+    # (birth, death) rate of each site at each count up to the largest met so far
+    table, peaks = np.empty((n, 0, 2)), [0.0] * n
     sites = np.arange(n)
     final = np.empty((len(keys), n), dtype=np.int64)
     run, now = np.arange(len(keys)), np.zeros(len(keys))
     counts = np.tile(np.asarray(init.counts, dtype=np.int64), (len(keys), 1))
     U, row = blocks(run, 12), run  # row: each live run's row of U
     for step in range(max_events):
-        if counts.max() >= table.shape[1]:
-            table = np.concatenate([table, np.full((n, counts.max() + 1, 2), np.nan)], axis=1)
-        for i in range(n):
-            for k in np.unique(counts[np.isnan(table[i, counts[:, i], 0]), i]).tolist():
-                rate = np.array([system.birth_rate(i, k), system.death_rate(i, k)], dtype=float)
-                _check_rates(rate)
-                table[i, k] = rate
-                if k == 0 and rate[1] > 0:
-                    raise ValueError(f"death rate at empty site {i} must be 0")
+        top = int(counts.max())
+        if top >= table.shape[1]:
+            new = np.stack(_site_rates(system, [top] * n, table.shape[1], peaks)).transpose(0, 2, 1)
+            table = np.concatenate([table, new], axis=1)
         acc = np.concatenate([table[sites, counts], counts[:, :, None] * jump], axis=2)
         acc = acc.reshape(len(run), -1)
         pos = acc > 0  # a run alone skips the other rates

@@ -188,7 +188,7 @@ class TestUniformizedSeries:
     @pytest.mark.parametrize("block", [False, True])
     def test_matches_reference(self, name, t, block):
         N = 24
-        beta, delta = _rate_arrays(self.rates[name], N)
+        beta, delta = _rate_arrays(self.rates[name].beta, self.rates[name].delta, N)
         if block:
             v0 = np.eye(N + 1, N + 2)
         else:
@@ -201,7 +201,8 @@ class TestUniformizedSeries:
 
     def test_kingman_with_underflowing_weights(self):
         n, t = 150, 0.5
-        beta, delta = _rate_arrays(BirthDeathRates.kingman_coalescent(), n)
+        rates = BirthDeathRates.kingman_coalescent()
+        beta, delta = _rate_arrays(rates.beta, rates.delta, n)
         w, _ = _poisson_weights(float(delta.max()) * t, 1e-13, n + 5)
         assert w[0] == 0.0 and w[-1] > 0.0
         v0 = np.zeros(n + 2)
@@ -244,7 +245,8 @@ class TestUniformizedSeries:
 
 
 def kingman_start(n):
-    beta, delta = _rate_arrays(BirthDeathRates.kingman_coalescent(), n)
+    rates = BirthDeathRates.kingman_coalescent()
+    beta, delta = _rate_arrays(rates.beta, rates.delta, n)
     v0 = np.zeros(n + 2)
     v0[n] = 1.0
     return v0, beta, delta
@@ -278,7 +280,8 @@ class TestUnderflowDrop:
 
     def test_transition_escaped_mass_within_drop_bound(self):
         N = 64
-        beta, delta = _rate_arrays(BirthDeathRates.quadratic_death(), N)
+        rates = BirthDeathRates.quadratic_death()
+        beta, delta = _rate_arrays(rates.beta, rates.delta, N)
         acc, _ = _bd_uniformize(np.eye(N + 1, N + 2), beta, delta, 0.5, 1e-13)
         old, _ = reference_bd_uniformize_parent(np.eye(N + 1, N + 2), beta, delta, 0.5, 1e-13)
         assert acc[:, -1].any() and not old[:, -1].any()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -120,13 +121,26 @@ class TestPoissonWeights:
         gap = sum(abs(Decimal(float(a)) - b) for a, b in zip(w, p))
         assert gap + tail <= Decimal(err)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.5, 7.25, 99.5, 2475.0, 22425.0, 8e4, 1.6e5])
+    @pytest.mark.parametrize(
+        "lam", [0.0, 0.3, 1.5, 7.25, 99.5, 2475.0, 5e3, 22425.0, 8e4, 1.6e5, 1e6]
+    )
     @pytest.mark.parametrize("tol,min_len", [(1e-13, 1), (1e-10, 60), (1e-14, 3000)])
     def test_normalizer_equals_ascending_fsum(self, lam, tol, min_len):
         w, err = _poisson_weights(lam, tol, min_len)
         ref, ref_err = reference_poisson_weights(lam, tol, min_len)
         assert np.array_equal(w, ref)
         assert err == ref_err
+
+    def test_underflowed_head_is_not_kept(self):
+        # the downward loop stops at the first weight of 2^-1074 instead of
+        # repeating it down to lam / 2, 250,000 list entries at lam = 1e6
+        tracemalloc.start()
+        try:
+            _poisson_weights(1e6, 1e-13, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
     def test_large_sigma_keeps_its_mass(self):
         # exp(-800) underflows, so weights built up from it are all zero

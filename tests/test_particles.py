@@ -1,5 +1,7 @@
 import math
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from stablepgf.measures import Measure, marginal_sum, pgf
+from stablepgf.measures import InputRangeError, Measure, marginal_sum, pgf
 from stablepgf.particles import (
     Configuration,
+    PGFWithExpFactor,
     SiteSystem,
     exact_pgf_transform,
     gillespie_empirical,
@@ -205,6 +208,14 @@ class TestExactTransform:
         m = out.to_measure((14, 14))
         assert m.weights.min() >= 0
 
+    def test_to_measure_with_a_zero_exponential_rate(self):
+        # x_1 * exp(0.5 (x_2 - 1)): the first coordinate is not convolved
+        f = PGFWithExpFactor(MultiPoly.from_dict({(1, 0): 1.0}, 2), (0.0, 0.5))
+        m = f.to_measure((2, 12))
+        pois = Measure.poisson(0.5, box=12).weights
+        assert not m.weights[0].any() and not m.weights[2].any()
+        assert np.allclose(m.weights[1], pois, rtol=0, atol=1e-15)
+
     def test_semigroup_property(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
@@ -279,6 +290,21 @@ class TestTruncatedEvolve:
             tracemalloc.stop()
         assert peak < 16e6
         assert abs(out.weights.sum() - 1.0) <= out.tail_bound + 1e-12
+
+    def test_box_defaults_to_the_initial_law(self):
+        sys1 = SiteSystem(jump=np.zeros((1, 1)), birth=np.zeros(1), death=np.array([1.0]))
+        mu = Measure.point_mass((3,))
+        out = truncated_generator_evolve(mu, sys1, 0.4)
+        assert out.shape == (4,)
+        ref = truncated_generator_evolve(mu, sys1, 0.4, box=(3,))
+        assert np.array_equal(out.weights, ref.weights) and out.tail_bound == ref.tail_bound
+
+    def test_zero_rates_keep_the_law(self):
+        sys0 = SiteSystem(jump=np.zeros((2, 2)), birth=np.zeros(2), death=np.zeros(2))
+        mu = Measure.product(Measure.bernoulli(0.4), Measure.bernoulli(0.2))
+        out = truncated_generator_evolve(mu, sys0, 5.0, box=(2, 2))
+        assert np.array_equal(out.weights[:2, :2], mu.weights) and not out.weights[2].any()
+        assert out.tail_bound == mu.tail_bound
 
     def test_box_too_small_raises(self):
         sys1 = SiteSystem(jump=np.zeros((1, 1)), birth=np.array([2.0]), death=np.zeros(1))
@@ -498,7 +524,67 @@ class TestNonFiniteRates:
             gillespie_sample(system, Configuration((0,)), 0.5, seed=1)
 
 
+class TestOverflowingRateSums:
+    """Every rate is a finite float, but a sum of them is not: each call is
+    refused at once, before numpy overflows or a sampler spins to its cap."""
+
+    @staticmethod
+    def refused(call):
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InputRangeError, match="rates must be finite"):
+                call()
+        assert time.perf_counter() - start < 1.0
+
+    def test_birth_plus_death(self):
+        system = SiteSystem(
+            jump=np.zeros((1, 1)),
+            birth=np.zeros(1),
+            death=np.zeros(1),
+            birth_fn=lambda i, k: 1e308,
+            death_fn=lambda i, k: 1e308 * k,
+        )
+        self.refused(lambda: gillespie_sample(system, Configuration((1,)), 0.1, 1))
+        self.refused(
+            lambda: truncated_generator_evolve(Measure.point_mass((1,)), system, 0.1, box=(3,))
+        )
+
+    def test_jumps_on_two_sites(self):
+        jump = np.array([[0.0, 1e308], [1e308, 0.0]])
+        system = SiteSystem(jump=jump, birth=np.zeros(2), death=np.zeros(2))
+        self.refused(
+            lambda: truncated_generator_evolve(Measure.point_mass((1, 0)), system, 0.1, box=(1, 1))
+        )
+        self.refused(lambda: gillespie_sample(system, Configuration((1, 0)), 0.1, 1))
+        self.refused(
+            lambda: gillespie_empirical(system, Configuration((1, 0)), 0.1, 10, 1, box=(1, 1))
+        )
+
+    def test_per_particle_out_rate(self):
+        # jumps and death out of site 0 sum past the float range
+        self.refused(
+            lambda: SiteSystem(
+                jump=np.array([[0.0, 1e308], [0.0, 0.0]]),
+                birth=np.zeros(2),
+                death=np.array([1e308, 0.0]),
+            )
+        )
+
+
 class TestNegativeRates:
+    @pytest.mark.parametrize("field,at", [("jump", 1), ("birth", 0), ("death", 0)])
+    def test_site_system(self, field, at):
+        # site 0's jumps and death, 2 each, would offset a single -1
+        rates = {
+            "jump": np.array([[0.0, 2.0], [0.0, 0.0]]),
+            "birth": np.ones(2),
+            "death": np.array([2.0, 0.0]),
+        }
+        rates[field].flat[at] = -1.0
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            SiteSystem(**rates)
+
     @pytest.mark.parametrize("fn", ["birth_fn", "death_fn"])
     def test_rate_functions(self, fn):
         system = SiteSystem(

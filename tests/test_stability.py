@@ -135,6 +135,10 @@ class TestBeyondFloatRange:
         g = UniPoly.from_coeffs([1.0] * 59 + [1e-13, 1e-12])
         assert is_real_rooted(g, 1e-20).verdict is not Verdict.STABLE
 
+    def test_witness_in_the_lower_half_plane(self):
+        # a root of 1 + x^2, but not in the open upper half-plane
+        assert witness_is_valid(UniPoly.from_coeffs([1.0, 0.0, 1.0]), (-1j,)) is False
+
     def test_witness_whose_modulus_overflows(self):
         z = 1.5e308 + 1.5e308j
         assert witness_is_valid(UniPoly.from_coeffs([1.0, 1.0]), (z,)) is False
@@ -522,6 +526,17 @@ class TestCertifyTstable:
         c = {idx: float(v) for idx, v in np.ndenumerate(m.weights)}
         cert = certify_tstable(c, tail_bound=0.154)
         assert cert.verdict is not Verdict.REFUTED
+
+    @pytest.mark.parametrize("coeffs", [(F(1), F(2), F(101, 100)), (1.0, 2.0, 1.01)])
+    def test_direct_refutation_fallback(self, coeffs):
+        # 1 + 2x + 1.01x^2 has roots near -0.990 +- 0.099i, while each of
+        # its approximants up to m_max is real-rooted
+        cert = certify_tstable(dict(enumerate(coeffs)))
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.note == "direct refutation of the finite-support polynomial"
+        (z,) = cert.witness
+        assert abs(z - (-0.990 + 0.0990j)) < 1e-3
+        assert witness_is_valid(UniPoly.from_coeffs(list(coeffs)), cert.witness)
 
     def test_multivariate_truncated_diagonal_mixture_refuted(self):
         cert = certify_tstable({(0, 0): 0.5, (1, 1): 0.5}, tail_bound=0.1)
