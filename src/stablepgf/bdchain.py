@@ -42,9 +42,15 @@ _PROBE_TOL = 1e-13
 _ROOT_LAW_TOL = 1e-14
 
 # Pure-death series: entries below _TINY (2^-1022) leave the box, a block
-# checks for them every _BLOCK_DROP_EVERY terms (see _bd_uniformize).
+# checks for them every _BLOCK_DROP_EVERY terms (see _bd_series).
 _TINY = float(np.finfo(float).tiny)
 _BLOCK_DROP_EVERY = 16
+
+# A pure-death vector series whose lambda*t is at least 2 * _PIECE_MEAN *
+# (top + _PIECE_PAD) runs in time pieces, each at its top live state's rate
+# (see _bd_uniformize).
+_PIECE_MEAN = 8
+_PIECE_PAD = 5
 
 # Largest box of lie_split_evolve's dense propagators, whose cost grows
 # like N^3: a call at N = 1023 takes about 10 s and 120 MB on a 2-core host.
@@ -149,7 +155,7 @@ def _uniformized_series(v0: np.ndarray, step: Callable, lam_t: float, tol: float
     every row of a block shares the same tail.  Callers have checked t and
     tol; _poisson_weights refuses a lam_t above the cap before any term.
     A step may also move mass into the overflow state itself, as the
-    pure-death step of _bd_uniformize does with underflowed states.
+    pure-death step of _bd_series does with underflowed states.
 
     The arithmetic of a term and the order of the terms are fixed: the
     step's products and sums, then one product and one sum into acc.  A
@@ -172,13 +178,7 @@ def _uniformized_series(v0: np.ndarray, step: Callable, lam_t: float, tol: float
     return acc, tail
 
 
-def _bd_uniformize(
-    v0: np.ndarray,
-    beta_arr: np.ndarray,
-    delta_arr: np.ndarray,
-    t: float,
-    tol: float,
-):
+def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t: float, tol: float):
     """The series for a birth-death chain on {0..N}: v0 has N+2 columns,
     birth out of state N feeds the overflow column N+1.
 
@@ -250,6 +250,41 @@ def _bd_uniformize(
                 top -= 1
 
     return _uniformized_series(v0, step, lam * t, tol, min_terms=N + 4)
+
+
+def _bd_uniformize(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t: float, tol: float):
+    """_bd_series, with a pure-death vector series (no birth rate, no sign
+    bit in v0) that passes the cap check cut at the times t 2^-m, ..., t/2
+    into m + 1 pieces: m = floor(log2(lambda t / (_PIECE_MEAN (top +
+    _PIECE_PAD)))), with top v0's highest nonzero state and lambda the
+    largest out-rate of states 0..top (adaptive uniformization; van Moorsel
+    & Sanders, 1994).  Each piece runs _bd_series on states 0..top of the
+    current law, top read afresh, plus an overflow column, at tolerance
+    tol/(m+1).  Death never moves mass up and the states above top hold
+    +0.0, so this is the same chain; each piece is l1-nonexpansive, so the
+    escaped masses and the tails add.  With m = 0, and for blocks and
+    chains with births, _bd_series runs on the whole box.
+    """
+    if np.ndim(v0) > 1 or beta_arr.any() or np.signbit(v0).any():
+        return _bd_series(v0, beta_arr, delta_arr, t, tol)
+    out_rate = beta_arr + delta_arr
+    lam_t = float(out_rate.max()) * t
+    _check_poisson_mean(lam_t)
+    m = 0
+    if lam_t >= 2 * _PIECE_MEAN * _PIECE_PAD:  # else m = 0 for every top
+        top = int(np.flatnonzero(v0[:-1]).max(initial=0))
+        ratio = float(out_rate[: top + 1].max()) * t / (_PIECE_MEAN * (top + _PIECE_PAD))
+        m = max(math.frexp(ratio)[1] - 1, 0)  # floor(log2(ratio)), or 0
+    if not m:
+        return _bd_series(v0, beta_arr, delta_arr, t, tol)
+    v, tail = np.array(v0, dtype=float), 0.0
+    for i in range(m + 1):
+        live = slice(0, int(np.flatnonzero(v[:-1]).max(initial=0)) + 1)
+        h = math.ldexp(t, max(i - 1, 0) - m)  # t 2^-m, t 2^-m, t 2^(1-m), ..., t/2
+        acc, piece_tail = _bd_series(np.append(v[live], 0.0), beta_arr[live], delta_arr[live], h, tol / (m + 1))
+        v[live], v[-1] = acc[:-1], v[-1] + acc[-1]
+        tail += piece_tail
+    return v, tail
 
 
 def _check_time(t: float) -> None:

@@ -264,7 +264,6 @@ def bp_decompose(mu: Measure) -> BPDecomposition:
     w = mu.weights
     if w.min() < -_SLACK:
         raise ValueError("negative weights")
-    p_uni = UniPoly.from_coeffs(list(w))
     # Truncation-aware t-stability guard: a truncated t-stable series is
     # not a real-rooted polynomial, so refute through the approximant
     # criterion (sound under the declared tail) rather than raw roots.
@@ -302,10 +301,12 @@ def bp_decompose(mu: Measure) -> BPDecomposition:
     nodes = 0.5 + 0.4 * np.cos((2 * np.arange(16) + 1) * math.pi / 32)
 
     def fit_sigma(ps):
+        # g, the coefficients from q on, stands in for f(x) / x^q, whose
+        # x^q is 0 in floats on the smallest node from q = 327
         logs = []
         for x in nodes:
-            val = p_uni(float(x))
-            div = x**q
+            val = g(float(x))
+            div = 1.0
             for p in ps:
                 div *= (1 - p) + p * x
             h = val / div

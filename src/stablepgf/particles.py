@@ -78,6 +78,16 @@ class SiteSystem:
         return self.death_fn(i, k) if self.death_fn else float(self.death[i]) * k
 
 
+def _box_shape(box: Sequence[int], n: int) -> tuple:
+    """The array shape of a box of top counts, one per site of n, each an
+    integral value >= 0; checked before anything is sized by the box."""
+    if len(box) != n:
+        raise ValueError("box length does not match site count")
+    if not all(b >= 0 and float(b).is_integer() for b in box):
+        raise ValueError("box entries must be integers >= 0")
+    return tuple(int(b) + 1 for b in box)
+
+
 def _site_rates(system: SiteSystem, tops: Sequence[int], first: int, peaks: list) -> list:
     """Birth and death rates, a (2, tops[i] + 1 - first) array per site i,
     of counts first..tops[i] as _rate_arrays checks them.  peaks[i] rises
@@ -140,8 +150,7 @@ class PGFWithExpFactor:
     def to_measure(self, box: Sequence[int]) -> Measure:
         """Expand onto a finite box: the polynomial part convolved with an
         independent truncated Poisson per coordinate."""
-        n = self.nvars
-        shape = tuple(int(b) + 1 for b in box)
+        shape = _box_shape(box, self.nvars)
         w = np.zeros(shape)
         for alpha, c in self.poly.terms:
             if all(a < s for a, s in zip(alpha, shape)):
@@ -211,8 +220,8 @@ def truncated_generator_evolve(
     _check_time(t)
     if box is None:
         box = tuple(s - 1 for s in mu.shape)
-    shape = tuple(int(b) + 1 for b in box)
     n = system.n
+    shape = _box_shape(box, n)
     S = math.prod(shape)
     OVER = S
     # States are numbered in C order; a move that leaves the box lands in
@@ -358,9 +367,7 @@ def gillespie_empirical(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if len(box) != system.n:
-        raise ValueError("box length does not match site count")
-    shape = tuple(int(b) + 1 for b in box)
+    shape = _box_shape(box, system.n)
     keys = np.arange(1, samples + 1, dtype=np.uint64)
     final = _gillespie_runs(system, init, t, seed, keys, _MAX_EVENTS)
     inside = (final < shape).all(axis=1)

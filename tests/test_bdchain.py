@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from stablepgf import bdchain, particles
 from stablepgf.bdchain import (
     _BLOCK_DROP_EVERY,
     BirthDeathRates,
+    _bd_series,
     _bd_uniformize,
     _rate_arrays,
     backward_residual,
@@ -200,6 +202,7 @@ class TestUniformizedSeries:
         assert tail == ref_tail
 
     def test_kingman_with_underflowing_weights(self):
+        # the one-piece series; kingman(150) runs in pieces (TestDeathPieces)
         n, t = 150, 0.5
         rates = BirthDeathRates.kingman_coalescent()
         beta, delta = _rate_arrays(rates.beta, rates.delta, n)
@@ -207,12 +210,10 @@ class TestUniformizedSeries:
         assert w[0] == 0.0 and w[-1] > 0.0
         v0 = np.zeros(n + 2)
         v0[n] = 1.0
-        acc, tail = _bd_uniformize(v0, beta, delta, t, 1e-13)
+        acc, tail = _bd_series(v0, beta, delta, t, 1e-13)
         ref, ref_tail = reference_bd_uniformize(v0, beta, delta, t, 1e-13)
         assert_same_bits(acc, ref)
         assert tail == ref_tail
-        coeffs = kingman(n, True, t).poly.coeffs_float()  # trailing zeros trimmed
-        assert np.array_equal(coeffs, ref[: len(coeffs)]) and not ref[len(coeffs) : -1].any()
 
     @pytest.mark.parametrize("v0", [[0.5, -0.0, 0.5], [1.0, 1.0, -0.0], [1.0, -1e-10, 0.0]])
     def test_signed_input_without_births(self, v0):
@@ -256,20 +257,19 @@ class TestUnderflowDrop:
     """The pure-death series against the frozen loop that drops nothing."""
 
     def test_kingman_bp_law_bit_identical(self):
+        # the one-piece series from kingman(100)'s start
         n, t = 100, 0.5
         old, old_tail = reference_bd_uniformize_parent(*kingman_start(n), t, 1e-13)
-        ev = kingman(n, True, t)
-        coeffs = ev.poly.coeffs_float()  # trailing zeros trimmed
-        assert_same_bits(coeffs, old[: len(coeffs)])
-        assert not old[len(coeffs) : -1].any()
+        acc, tail = _bd_series(*kingman_start(n), t, 1e-13)
+        assert_same_bits(acc[:-1], old[:-1])
         # the parent's tail_bound: input tail + escaped mass + series tail
-        assert ev.tail_bound == 0.0 + old[-1] + old_tail
+        assert 0.0 + acc[-1] + tail == 0.0 + old[-1] + old_tail
 
     @pytest.mark.parametrize("n", [150, 300, 800])
     def test_kingman_moves_only_underflowed_entries(self, n):
         t = 0.5
         old, old_tail = reference_bd_uniformize_parent(*kingman_start(n), t, 1e-13)
-        acc, tail = _bd_uniformize(*kingman_start(n), t, 1e-13)
+        acc, tail = _bd_series(*kingman_start(n), t, 1e-13)
         differ = acc != old
         assert differ.any()
         assert (acc[differ] < 1e-290).all() and (old[differ] < 1e-290).all()
@@ -289,7 +289,8 @@ class TestUnderflowDrop:
 
     def test_kingman_series_carries_few_subnormals(self, monkeypatch):
         # Subnormal operands cost microcode assists: counted, not timed.
-        # The series that drops nothing carries 2,796,700 of them here.
+        # The one series that drops nothing carries 2,796,700 of them over
+        # 23,549 terms here; the pieces take 6,432 terms.
         n = 300
         counts = []
         series = bdchain._uniformized_series
@@ -303,8 +304,99 @@ class TestUnderflowDrop:
 
         monkeypatch.setattr(bdchain, "_uniformized_series", counting)
         kingman(n, True, 0.5)
-        assert len(counts) > 20_000
+        assert len(counts) == 6432
         assert sum(counts) < n
+
+
+def reference_death_pieces(v0, beta_arr, delta_arr, t, tol):
+    """The pure-death vector series in m + 1 time pieces of lengths t 2^-m,
+    t 2^-m, t 2^(1-m), ..., t/2, m = floor(log2(lambda t / (8 (top + 5))))
+    with top v0's highest nonzero state and lambda the largest out-rate of
+    states 0..top.  Each piece is the frozen loop with drops, at tolerance
+    tol / (m + 1), on states 0..top of the current law plus a fresh
+    overflow column, whose mass is added to the law's.  Frozen."""
+    top = np.flatnonzero(v0[:-1])[-1]
+    lam = float((beta_arr + delta_arr)[: top + 1].max())
+    m = int(np.floor(np.log2(lam * t / (8 * (top + 5)))))
+    assert m >= 1
+    v, tail = np.array(v0, dtype=float), 0.0
+    for h in [t / 2**m] + [t / 2**k for k in range(m, 0, -1)]:
+        top = np.flatnonzero(v[:-1])[-1]
+        sub = np.append(v[: top + 1], 0.0)
+        acc, piece_tail = reference_bd_uniformize(sub, beta_arr[: top + 1], delta_arr[: top + 1], h, tol / (m + 1))
+        v[: top + 1] = acc[:-1]
+        v[-1] = v[-1] + acc[-1]
+        tail += piece_tail
+    return v, tail
+
+
+def exact_pure_death_law(delta, n, t, digits):
+    """P(X_t = k | X_0 = n), k = 0..n, of the pure-death chain with death
+    rates delta(k), distinct from state 1 up, in `digits`-digit decimal:
+    P = sum_j a_kj exp(-mu_j t) with a_nn = 1, a_kj = mu_(k+1) a_(k+1)j /
+    (mu_k - mu_j) for j > k and a_kk = -sum_(j>k) a_kj."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        mu = [Decimal(delta(k)) for k in range(n + 1)]
+        decay = [(-m * Decimal(t)).exp() for m in mu]
+        law, row = [Decimal(0)] * (n + 1), {n: Decimal(1)}
+        law[n] = decay[n]
+        for k in range(n - 1, 0, -1):
+            row = {j: mu[k + 1] * a / (mu[k] - mu[j]) for j, a in row.items()}
+            row[k] = -sum(row.values())
+            law[k] = sum(a * decay[j] for j, a in row.items())
+        return law
+
+
+class TestDeathPieces:
+    """The pure-death vector series in time pieces, each at its top live rate."""
+
+    @pytest.mark.parametrize("n", [100, 150, 300, 800])
+    def test_kingman_matches_piecewise_reference(self, n):
+        ref, ref_tail = reference_death_pieces(*kingman_start(n), 0.5, 1e-13)
+        ev = kingman(n, True, 0.5)
+        coeffs = ev.poly.coeffs_float()  # trailing zeros trimmed
+        assert_same_bits(coeffs, ref[: len(coeffs)])
+        assert not ref[len(coeffs) : -1].any()
+        assert ev.tail_bound == 0.0 + ref[-1] + ref_tail
+
+    @pytest.mark.parametrize("n", [50, 68])
+    def test_one_piece_below_the_split(self, n):
+        one, one_tail = _bd_series(*kingman_start(n), 0.5, 1e-13)
+        acc, tail = _bd_uniformize(*kingman_start(n), 0.5, 1e-13)
+        assert_same_bits(acc, one)
+        assert tail == one_tail
+
+    def test_blocks_births_and_sign_bits_run_one_series(self):
+        N = 150  # three pieces for its pure-death vector
+        v0, beta, delta = kingman_start(N)
+        signed = v0.copy()
+        signed[0] = -0.0
+        births = np.full(N + 1, 1e-3)
+        for v, b in [(np.stack([v0, v0]), beta), (signed, beta), (v0, births)]:
+            one, one_tail = _bd_series(v, b, delta, 0.5, 1e-13)
+            acc, tail = _bd_uniformize(v, b, delta, 0.5, 1e-13)
+            assert_same_bits(acc, one)
+            assert tail == one_tail
+
+    @pytest.mark.parametrize(
+        "rates,n,digits",
+        [
+            (BirthDeathRates.kingman_coalescent(), 100, 150),
+            (BirthDeathRates.kingman_coalescent(), 150, 200),
+            (BirthDeathRates.kingman_coalescent(), 300, 250),
+            (BirthDeathRates.quadratic_death(), 40, 100),  # two pieces
+        ],
+    )
+    def test_tail_bound_covers_exact_law(self, rates, n, digits):
+        exact = exact_pure_death_law(rates.delta, n, 0.5, digits)
+        # the reference has converged: 50 more digits change no entry by 1e-40
+        finer = exact_pure_death_law(rates.delta, n, 0.5, digits + 50)
+        assert max(abs(a - b) for a, b in zip(exact, finer)) < Decimal("1e-40")
+        ev = evolve(Measure.point_mass(n), rates, 0.5, tol=1e-13)
+        w = [Decimal(float(c)) for c in ev.poly.coeffs_float()]
+        gap = sum(abs(a - b) for a, b in zip(w, exact)) + sum(exact[len(w) :])
+        assert gap <= Decimal(ev.tail_bound)
 
 
 class TestEvolve:
@@ -512,6 +604,12 @@ class TestKingman:
         dec = bp_decompose(ev.to_measure())
         assert dec.q in (0, 1)
         assert dec.residual < 1e-8
+
+    def test_large_atom_decomposes(self):
+        # the fit once divided by x^q, which is 0 in floats on its smallest
+        # node from q = 327
+        dec = bp_decompose(kingman(500, True, 1e-9).to_measure())
+        assert dec.q == 498 and math.isfinite(dec.sigma)
 
     @pytest.mark.parametrize("n", [50, 100, 150, 200, 300, 400, 800])
     def test_tail_bound_near_tol(self, n):

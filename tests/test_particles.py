@@ -596,3 +596,40 @@ class TestNegativeRates:
             gillespie_sample(system, Configuration((1,)), 0.5, seed=1)
         with pytest.raises(ValueError, match="rates must be nonnegative"):
             gillespie_empirical(system, Configuration((1,)), 0.5, 10, seed=1, box=(4,))
+
+
+class TestBoxBoundary:
+    """A box is one integral top count >= 0 per site, checked before
+    anything is sized by it."""
+
+    system = SiteSystem(jump=np.array([[0.0, 0.5], [0.3, 0.0]]), birth=np.ones(2), death=np.ones(2))
+    callers = {
+        "truncated_generator_evolve": lambda s, box: truncated_generator_evolve(
+            Measure.point_mass((1, 0)), s, 0.5, box=box
+        ),
+        "gillespie_empirical": lambda s, box: gillespie_empirical(s, Configuration((1, 0)), 0.5, 10, 1, box),
+        "to_measure": lambda s, box: exact_pgf_transform(pgf(Measure.point_mass((1, 0))), s, 0.5).to_measure(box),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(callers))
+    @pytest.mark.parametrize("box", [(-1, 4), (4, -1), (-1, 10**12)])
+    def test_negative_entry(self, caller, box):
+        with pytest.raises(ValueError, match="box entries must be integers >= 0"):
+            self.callers[caller](self.system, box)
+
+    @pytest.mark.parametrize("caller", sorted(callers))
+    @pytest.mark.parametrize("box", [(2.5, 4), (4, math.nan), (math.inf, 4), (2.5, 10**12)])
+    def test_non_integral_entry(self, caller, box):
+        with pytest.raises(ValueError, match="box entries must be integers >= 0"):
+            self.callers[caller](self.system, box)
+
+    @pytest.mark.parametrize("caller", sorted(callers))
+    @pytest.mark.parametrize("box", [(4,), (4, 4, 4)])
+    def test_length_other_than_site_count(self, caller, box):
+        with pytest.raises(ValueError, match="box length does not match site count"):
+            self.callers[caller](self.system, box)
+
+    @pytest.mark.parametrize("caller", sorted(callers))
+    def test_integral_floats_accepted(self, caller):
+        out = self.callers[caller](self.system, (16.0, np.int64(16)))
+        assert out.weights.shape == (17, 17)
