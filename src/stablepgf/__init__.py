@@ -41,6 +41,7 @@ from .bdchain import (
     backward_residual,
     birth_monotonicity_probe,
     evolve,
+    evolve_grid,
     generator,
     hermite_root_law,
     kingman,

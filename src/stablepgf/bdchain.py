@@ -46,6 +46,14 @@ _ROOT_LAW_TOL = 1e-14
 _TINY = float(np.finfo(float).tiny)
 _BLOCK_DROP_EVERY = 16
 
+# The series kernel sums its terms in chunks of at most _CHUNK_TERMS, fewer
+# when a term holds more than _CHUNK_SIZE / _CHUNK_TERMS floats (see
+# _uniformized_series).  Each vector of the benchmarks gets 32; a block
+# gains little from longer chunks, as its calls are long, and 2^16 left a
+# `trotter-split` call's term rows at 1 MB, where the old kernel held 50 KB.
+_CHUNK_TERMS = 32
+_CHUNK_SIZE = 2**14
+
 # A pure-death vector series whose lambda*t is at least 2 * _PIECE_MEAN *
 # (top + _PIECE_PAD) runs in time pieces, each at its top live state's rate
 # (see _bd_uniformize).
@@ -137,50 +145,96 @@ def generator(rates: BirthDeathRates, N: int) -> np.ndarray:
     return np.diag(beta_arr[:-1], 1) + np.diag(delta_arr[1:], -1) - np.diag(beta_arr + delta_arr)
 
 
-def _uniformized_series(v0: np.ndarray, step: Callable, lam_t: float, tol: float, min_terms: int):
+def _uniformized_series(v0: np.ndarray, step: Callable, lam_t, tol: float, min_terms: int):
     """Poisson-weighted series sum_j P(Poisson(lam_t) = j) v0 S^j; returns (acc, tail).
 
     v0 is one row vector or a block of row vectors over the truncated
-    states plus an absorbing overflow state in the last column, and
-    step(v, out) writes v S, the one-jump operator S of the uniformized
-    chain applied to every row of v, into out, a buffer of v's shape that
-    it must not read.  The series owns two such buffers and swaps them
-    after each term, and adds each term as fl(acc + fl(w_j v)) through a
-    third one, so no term allocates.  The last column of acc is then the
-    certified mass that left the box, and `tail` bounds the l1 error of
-    the Poisson weights, series tail included.  The series runs to at
-    least min_terms, since mass-wise it may converge long before rare
-    states receive their leading-order term (paths of length up to the box
-    size); where it stops depends on lam_t, tol and min_terms only, so
-    every row of a block shares the same tail.  Callers have checked t and
-    tol; _poisson_weights refuses a lam_t above the cap before any term.
-    A step may also move mass into the overflow state itself, as the
-    pure-death step of _bd_series does with underflowed states.
+    states plus an absorbing overflow state in the last column, with at
+    least two entries in all, and step(v, out) writes v S, the one-jump
+    operator S of the uniformized chain applied to every row of v, into
+    out, a buffer of v's shape that it must not read.  The last column of
+    acc is then the certified mass that left the box, and `tail` bounds
+    the l1 error of the Poisson weights, series tail included.  The series
+    runs to at least min_terms, since mass-wise it may converge long before
+    rare states receive their leading-order term (paths of length up to
+    the box size); where it stops depends on lam_t, tol and min_terms
+    only, so every row of a block shares the same tail.  A step may also
+    move mass into the overflow state itself, as the pure-death step of
+    _bd_series does with underflowed states.
 
-    The arithmetic of a term and the order of the terms are fixed: the
-    step's products and sums, then one product and one sum into acc.  A
-    reordering, such as BLAS sums, moves the last bits of every law, which
-    perfbench's suite references pin, and wf_residual's centered
-    difference over h = 1e-5 amplifies those bits by 1/(2h).
+    lam_t may also be a sequence of Poisson means; the result is then a
+    list with one (acc, tail) per mean (uniformization on a time grid;
+    Reibman & Trivedi, Comput. Oper. Res. 15(1), 1988).  The terms v0 S^j
+    are computed once, up to the last positive weight of any mean, and
+    every mean is checked against the series cap before any term.
+
+    The terms live in a ring of K rows, K = max(2, min(_CHUNK_TERMS, J,
+    _CHUNK_SIZE // v0.size)) for J terms in all: term j >= 1 is written
+    into row (j-1) % K, so each row always steps into the next, as the
+    birth-death step's slice cache needs.  After every K-th term and after
+    the last, each weighting takes the chunk's terms of positive weight
+    (weights underflow to 0 below the mode, and past it when min_terms
+    runs the series far out) in one product and one sum: a buffer holds
+    acc in row 0 and fl(w_j v_j) below it, and np.add.reduce along axis 0
+    adds the rows in order into acc, from initial = -0.0 (its default
+    +0.0 would turn a -0.0 in row 0 into +0.0).  So each acc is
+    fl(acc + fl(w_j v_j)) over the j >= 1 with w_j > 0, term after term,
+    signed zeros included.  A buffer wider than 2 _CHUNK_SIZE floats runs
+    in column slabs of at least two columns: over a single column
+    np.add.reduce sums pairwise.  That, or any other reordering such as
+    BLAS sums, moves the last bits of every law, which perfbench's suite
+    references pin, and wf_residual's centered difference over h = 1e-5
+    amplifies those bits by 1/(2h).
     """
-    v = np.array(v0, dtype=float)
-    if lam_t == 0.0:
-        return v, 0.0
-    w, tail = _poisson_weights(lam_t, tol, min_terms + 1)
-    acc = w[0] * v
-    out, term = np.empty_like(v), np.empty_like(v)
-    for wj in w[1:].tolist():
-        step(v, out)
-        v, out = out, v
-        if wj > 0.0:
-            np.multiply(v, wj, out=term)
-            acc += term
-    return acc, tail
+    lam_ts = np.atleast_1d(lam_t).tolist()
+    for x in lam_ts:
+        _check_poisson_mean(x)
+    v0 = np.asarray(v0, dtype=float)
+    sums, runs = [], []  # runs: (weights, flat acc, first and last positive index)
+    for x in lam_ts:
+        if x == 0.0:
+            sums.append((v0.copy(), 0.0))
+            continue
+        w, tail = _poisson_weights(x, tol, min_terms + 1)
+        acc = w[0] * v0
+        sums.append((acc, tail))
+        # the weights rise to the mode and fall after it, so the positive
+        # ones from index 1 on are one run
+        positive = np.flatnonzero(w[1:]) + 1
+        if positive.size:
+            runs.append((w, acc.reshape(-1), int(positive[0]), int(positive[-1])))
+    J = max((last for _, _, _, last in runs), default=0)
+    if J:
+        K = max(2, min(_CHUNK_TERMS, J, _CHUNK_SIZE // v0.size))
+        ring = np.empty((K, v0.size))
+        rows = [r.reshape(v0.shape) for r in ring]
+        slabs = -(-(K + 1) * v0.size // (2 * _CHUNK_SIZE))
+        edges = [v0.size * i // slabs for i in range(slabs + 1)]
+        buf = np.empty((K + 1, -(-v0.size // slabs)))
+        v = v0
+        for c in range(1, J + 1, K):  # terms c, c+1, ... in ring rows 0, 1, ...
+            n = min(K, J + 1 - c)
+            for r in range(n):
+                step(v, rows[r])
+                v = rows[r]
+            for w, acc, first, last in runs:
+                a, b = max(c, first) - c, min(c + n - 1, last) - c  # the ring rows it weights
+                if a > b:
+                    continue
+                wcol = w[c + a : c + b + 1, None]
+                for lo, hi in zip(edges, edges[1:]):
+                    part = buf[: b - a + 2, : hi - lo]
+                    part[0] = acc[lo:hi]
+                    np.multiply(ring[a : b + 1, lo:hi], wcol, out=part[1:])
+                    np.add.reduce(part, axis=0, out=acc[lo:hi], initial=-0.0)
+    return sums if np.ndim(lam_t) else sums[0]
 
 
-def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t: float, tol: float):
+def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t, tol: float):
     """The series for a birth-death chain on {0..N}: v0 has N+2 columns,
-    birth out of state N feeds the overflow column N+1.
+    birth out of state N feeds the overflow column N+1.  t is one time, or
+    a sequence of times that share one run of the terms (see
+    _uniformized_series, whose result shape this follows).
 
     A pure-death chain skips the birth product: with every birth rate 0
     that product is +-0.0, and adding it changes no entry whose sign bit
@@ -205,16 +259,16 @@ def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t: f
     N = len(beta_arr) - 1
     out_rate = beta_arr + delta_arr
     lam = float(out_rate.max())
-    if lam <= 0.0:
-        return np.array(v0, dtype=float), 0.0
+    if lam <= 0.0:  # nothing moves: the law at every time is v0
+        return _uniformized_series(v0, None, np.zeros(np.shape(t)), tol, 0)
     stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
     up = beta_arr / lam  # k -> k+1, N -> overflow
     down = delta_arr[1:] / lam  # k -> k-1 for 1 <= k <= N
     add_births = bool(up.any() or np.signbit(v0).any())
     rows = np.shape(v0)[:-1]
     born, died = np.empty(rows + (N + 1,)), np.empty(rows + (N,))
-    # id(v) -> slices of v and of out: the series alternates two buffers,
-    # so each v always steps into the same out
+    # id(v) -> slices of v and of out: each term row of the series' ring
+    # always steps into the same next row
     views = {}
     # every state above top is +0.0 in every row of every later term
     top, terms = N, 0
@@ -249,10 +303,10 @@ def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t: f
                 out[top] = 0.0
                 top -= 1
 
-    return _uniformized_series(v0, step, lam * t, tol, min_terms=N + 4)
+    return _uniformized_series(v0, step, lam * np.asarray(t), tol, min_terms=N + 4)
 
 
-def _bd_uniformize(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t: float, tol: float):
+def _bd_uniformize(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t, tol: float):
     """_bd_series, with a pure-death vector series (no birth rate, no sign
     bit in v0) that passes the cap check cut at the times t 2^-m, ..., t/2
     into m + 1 pieces: m = floor(log2(lambda t / (_PIECE_MEAN (top +
@@ -263,20 +317,33 @@ def _bd_uniformize(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, 
     tol/(m+1).  Death never moves mass up and the states above top hold
     +0.0, so this is the same chain; each piece is l1-nonexpansive, so the
     escaped masses and the tails add.  With m = 0, and for blocks and
-    chains with births, _bd_series runs on the whole box.
+    chains with births, _bd_series runs on the whole box.  For a sequence
+    of times, every time's lambda*t is checked first; the times with m = 0
+    share one _bd_series run and each other time runs its pieces alone.
     """
     if np.ndim(v0) > 1 or beta_arr.any() or np.signbit(v0).any():
         return _bd_series(v0, beta_arr, delta_arr, t, tol)
     out_rate = beta_arr + delta_arr
-    lam_t = float(out_rate.max()) * t
-    _check_poisson_mean(lam_t)
-    m = 0
-    if lam_t >= 2 * _PIECE_MEAN * _PIECE_PAD:  # else m = 0 for every top
+    lam = float(out_rate.max())
+    ts = np.atleast_1d(t).tolist()
+    for s in ts:
+        _check_poisson_mean(lam * s)
+    ms = [0] * len(ts)
+    if lam * max(ts, default=0.0) >= 2 * _PIECE_MEAN * _PIECE_PAD:  # else m = 0 for every top
         top = int(np.flatnonzero(v0[:-1]).max(initial=0))
-        ratio = float(out_rate[: top + 1].max()) * t / (_PIECE_MEAN * (top + _PIECE_PAD))
-        m = max(math.frexp(ratio)[1] - 1, 0)  # floor(log2(ratio)), or 0
-    if not m:
-        return _bd_series(v0, beta_arr, delta_arr, t, tol)
+        lam_top = float(out_rate[: top + 1].max())
+        for i, s in enumerate(ts):
+            if lam * s >= 2 * _PIECE_MEAN * _PIECE_PAD:
+                ratio = lam_top * s / (_PIECE_MEAN * (top + _PIECE_PAD))
+                ms[i] = max(math.frexp(ratio)[1] - 1, 0)  # floor(log2(ratio)), or 0
+    shared = [s for s, m in zip(ts, ms) if not m]
+    whole = iter(_bd_series(v0, beta_arr, delta_arr, shared, tol) if shared else [])
+    sums = [next(whole) if not m else _death_pieces(v0, beta_arr, delta_arr, s, m, tol) for s, m in zip(ts, ms)]
+    return sums if np.ndim(t) else sums[0]
+
+
+def _death_pieces(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t: float, m: int, tol: float):
+    """The m + 1 pieces of _bd_uniformize's pure-death series at time t."""
     v, tail = np.array(v0, dtype=float), 0.0
     for i in range(m + 1):
         live = slice(0, int(np.flatnonzero(v[:-1]).max(initial=0)) + 1)
@@ -348,40 +415,85 @@ def evolve(
     below tol, at most 12 times.  A birth rate b among the states up to
     the support plus 10 with b*t above the series cap raises
     InputRangeError before the box is sized, as every box's lambda*t is
-    at least b*t.
+    at least b*t.  This is evolve_grid at the one time t.
+    """
+    return evolve_grid(mu, rates, [t], tol, N)[0]
+
+
+def evolve_grid(
+    mu: Measure,
+    rates: BirthDeathRates,
+    t_grid: Sequence[float],
+    tol: float = DEFAULT.uniformization_tol,
+    N: int | None = None,
+) -> list[EvolvedPGF]:
+    """evolve at every time of t_grid, one law per time in order, each
+    bit for bit the law that evolve returns for that time alone.
+
+    Times whose first truncation level is the same (every time, when N is
+    given) share one run of the series terms, each with its own Poisson
+    weights; a pure-death time that _bd_uniformize cuts into pieces runs
+    alone, and so does every rerun of a time whose escaped mass exceeds
+    tol on a doubled level.  Every time, and the series cap of every time
+    on its first level, is checked before any series runs.
     """
     _check_tol(tol)
     if mu.ndim != 1:
         raise ValueError("univariate initial laws only")
-    _check_time(t)
+    ts = list(t_grid)
+    for t in ts:
+        _check_time(t)
     support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
     if N is None:
         b_ref = max(rates.beta(k) for k in range(support + 11))
         if not math.isfinite(b_ref):
             raise InputRangeError("rates must be finite")
-        if b_ref * t > _MAX_POISSON_MEAN:
+        t_max = max(ts, default=0.0)
+        if b_ref * t_max > _MAX_POISSON_MEAN:
             # a rate sum that overflows among these states is named first
             _rate_arrays(rates.beta, rates.delta, support + 10)
             # every box holds these states, so its lambda*t is >= b_ref*t
-            _check_poisson_mean(b_ref * t)
-        pad = 0 if b_ref == 0 else int(math.ceil(10.0 + 5.0 * b_ref * t))
-        N = max(support + pad, support, 1)
-    if N < support:
+            _check_poisson_mean(b_ref * t_max)
+        pads = [0 if b_ref == 0 else int(math.ceil(10.0 + 5.0 * b_ref * t)) for t in ts]
+        boxes = [max(support + pad, support, 1) for pad in pads]
+    elif N < support:
         raise ValueError(f"N={N} is below the initial law's support {support}")
-    for _ in range(13):
-        beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, N)
-        v0 = np.zeros(N + 2)
+    else:
+        boxes = [N] * len(ts)
+    groups = {}  # first level -> indices of its times
+    for i, box in enumerate(boxes):
+        groups.setdefault(box, []).append(i)
+    arrays = {box: _rate_arrays(rates.beta, rates.delta, box) for box in groups}
+    for box, idx in groups.items():
+        lam = float((arrays[box][0] + arrays[box][1]).max())
+        for i in idx:
+            _check_poisson_mean(lam * ts[i])
+
+    def start(box):
+        v0 = np.zeros(box + 2)
         v0[: support + 1] = mu.weights[: support + 1]
-        v, tail = _bd_uniformize(v0, beta_arr, delta_arr, t, tol)
-        absorbed = float(v[-1])
-        if absorbed <= tol:
-            return EvolvedPGF(
+        return v0
+
+    laws = [None] * len(ts)
+    for box, idx in groups.items():
+        sums = _bd_uniformize(start(box), *arrays[box], [ts[i] for i in idx], tol)
+        for i, (v, tail) in zip(idx, sums):
+            level = box
+            for _ in range(12):
+                if v[-1] <= tol:
+                    break
+                level = max(2 * level, 1)
+                beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, level)
+                v, tail = _bd_uniformize(start(level), beta_arr, delta_arr, ts[i], tol)
+            absorbed = float(v[-1])
+            if not absorbed <= tol:
+                raise RuntimeError("truncation level cap reached before meeting tolerance")
+            laws[i] = EvolvedPGF(
                 poly=UniPoly.from_coeffs(list(v[:-1])),
-                t=t,
+                t=ts[i],
                 tail_bound=mu.tail_bound + absorbed + tail,
             )
-        N = max(2 * N, 1)
-    raise RuntimeError("truncation level cap reached before meeting tolerance")
+    return laws
 
 
 def backward_residual(
@@ -400,8 +512,11 @@ def backward_residual(
         raise ValueError("interior start states only")
     h = 1e-4 * max(t, 1.0)
     h = min(h, t) if t > 0 else h
-    plus = transition(rates, t + h, N, tol=_PROBE_TOL).matrix
-    minus = transition(rates, t - h if t - h > 0 else 0.0, N, tol=_PROBE_TOL).matrix
+    # the transitions at t + h and t - h: one series, two weightings
+    beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, N)
+    times = [t + h, t - h if t - h > 0 else 0.0]
+    sums = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, times, _PROBE_TOL)
+    plus, minus = (P[:, :-1] for P, _ in sums)
     dt = (plus[j, k] - minus[j, k]) / (2 * h if t - h > 0 else (t + h))
     P = semigroup.matrix
     (b,), (d,) = _rate_arrays(rates.beta, rates.delta, j, j)
@@ -425,8 +540,9 @@ def wf_residual(mu: Measure, t: float) -> float:
         stencil = ((t - h, -1.0), (t + h, 1.0))
     else:
         stencil = ((0.0, -3.0), (h, 4.0), (2 * h, -1.0))
-    phis = [(evolve(mu, rates, s, tol=_PROBE_TOL).poly, c) for s, c in stencil]
-    d2 = evolve(mu, rates, t, tol=_PROBE_TOL).poly.derivative().derivative()
+    *laws, at_t = evolve_grid(mu, rates, [s for s, _ in stencil] + [t], tol=_PROBE_TOL)
+    phis = [(ev.poly, c) for ev, (_, c) in zip(laws, stencil)]
+    d2 = at_t.poly.derivative().derivative()
     worst = 0.0
     for z in np.linspace(-0.9, 0.9, 20):
         dt = sum(c * phi(z) for phi, c in phis) / (2 * h)
@@ -471,8 +587,7 @@ def hermite_root_law(
     targets = sorted(z.real for z in hl.roots)
     scale = math.sqrt(w * (w - 1.0))
     records = []
-    for t in t_grid:
-        ev = evolve(mu, rates, t, tol=_ROOT_LAW_TOL)
+    for t, ev in zip(t_grid, evolve_grid(mu, rates, t_grid, tol=_ROOT_LAW_TOL)):
         roots = sorted(real_roots(ev.poly).roots, key=lambda z: abs(z - w))[:n]
         rescaled = sorted((z.real - w) / math.sqrt(t) for z in roots)
         report = max(abs(r - scale * h) for r, h in zip(rescaled, targets))
@@ -497,8 +612,7 @@ def kummer_root_law(n: int, t_grid: Sequence[float]) -> list:
     targets = sorted(z.real for z in cl.roots)
     mu = Measure.point_mass(n)
     rates = BirthDeathRates.quadratic_death()
-    for t in t_grid:
-        ev = evolve(mu, rates, t, tol=_ROOT_LAW_TOL)
+    for t, ev in zip(t_grid, evolve_grid(mu, rates, t_grid, tol=_ROOT_LAW_TOL)):
         # coefficient 0 is exactly zero (the chain is absorbed at 1), so
         # divide out the root at the origin before tracking.
         coeffs = ev.poly.coeffs_float()
@@ -540,8 +654,8 @@ def birth_monotonicity_probe(
         raise ValueError("probe needs beta_k, beta_{k+1} > 0")
     m = k + 2
     records = []
-    for t in t_grid:
-        ev = evolve(Measure.point_mass(k), rates, t, tol=_ROOT_LAW_TOL, N=max(2 * (k + 2) + 10, 16))
+    laws = evolve_grid(Measure.point_mass(k), rates, t_grid, tol=_ROOT_LAW_TOL, N=max(2 * (k + 2) + 10, 16))
+    for t, ev in zip(t_grid, laws):
         coeffs = ev.poly.coeffs_float()
         cmap = {j: float(coeffs[j]) for j in range(min(len(coeffs), m + 1))}
         fm = tstable_approximant(cmap, m).poly.to_uni()
@@ -581,12 +695,7 @@ def lie_split_evolve(
     chain1, chain2 = BirthDeathRates.mm_infty(b0, d1), BirthDeathRates.quadratic_death(d2)
     if mu.ndim != 1:
         raise ValueError("univariate initial laws only")
-    support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
-    # the box grows with b0*t, which evolve refuses above the same cap
-    _check_poisson_mean(b0 * t)
-    N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
-    if N > _MAX_SPLIT_BOX:
-        raise InputRangeError(f"Lie split box N = {N} is above the cap {_MAX_SPLIT_BOX}")
+    support, N = _split_box(mu, b0, t)
     b1, d1a = _rate_arrays(chain1.beta, chain1.delta, N)
     b2, d2a = _rate_arrays(chain2.beta, chain2.delta, N)
     h = t / steps
@@ -597,8 +706,7 @@ def lie_split_evolve(
         # Each sub-step is a fixed propagator: the rows of one block series
         # from the identity, with the escaped mass in its last column.
         eye = np.eye(N + 1, N + 2)
-        half1 = _bd_uniformize(eye, b1, d1a, h / 2.0, _ROOT_LAW_TOL)
-        full1 = _bd_uniformize(eye, b1, d1a, h, _ROOT_LAW_TOL)
+        half1, full1 = _bd_uniformize(eye, b1, d1a, [h / 2.0, h], _ROOT_LAW_TOL)
         full2 = _bd_uniformize(eye, b2, d2a, h, _ROOT_LAW_TOL)
 
         def substep(v, propagator):
@@ -613,6 +721,19 @@ def lie_split_evolve(
             v, lost1 = substep(v, full1 if i < steps - 1 else half1)
             lost += lost1 + lost2
     return EvolvedPGF(poly=UniPoly.from_coeffs(list(v)), t=t, tail_bound=lost)
+
+
+def _split_box(mu: Measure, b0: float, t: float) -> tuple[int, int]:
+    """The top state of a univariate mu's support and lie_split_evolve's box
+    N; raises InputRangeError for a b0*t above the series cap or an N above
+    _MAX_SPLIT_BOX, before anything is sized by N."""
+    support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
+    # the box grows with b0*t, which evolve refuses above the same cap
+    _check_poisson_mean(b0 * t)
+    N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
+    if N > _MAX_SPLIT_BOX:
+        raise InputRangeError(f"Lie split box N = {N} is above the cap {_MAX_SPLIT_BOX}")
+    return support, N
 
 
 def tv_distance(a: EvolvedPGF | Measure, b: EvolvedPGF | Measure) -> float:

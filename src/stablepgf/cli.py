@@ -65,8 +65,7 @@ def _run_quad_death_preserve(p, seed):
     checked = 0
     for _ in range(int(p["count"])):
         mu = _random_real_rooted(rng, int(p["deg_max"]))
-        for t in t_grid:
-            ev = bdchain.evolve(mu, rates, t, tol=1e-13)
+        for ev in bdchain.evolve_grid(mu, rates, t_grid, tol=1e-13):
             cert = ev.certificate()
             checked += 1
             if cert.verdict is stability.Verdict.REFUTED:
@@ -181,6 +180,9 @@ def _run_trotter_split(p, seed):
     mu = Measure.point_mass(int(p["start"]))
     b0, d1, d2, t = (float(p[k]) for k in ("b0", "d1", "d2", "t"))
     combined = bdchain.BirthDeathRates.from_polynomial(b0, d1, d2)
+    # refuse a split box past its cap before the reference, whose box grows
+    # with b0*t too but has no such cap
+    bdchain._split_box(mu, b0, t)
     ref = bdchain.evolve(mu, combined, t, tol=1e-14)
     tvs = []
     for steps in (16, 64, 256, 1024, 4096):

@@ -20,6 +20,7 @@ OPTIONS = {
     "UniPoly.zero": ["exact"],
     "certify_tstable": ["m_max", "tail_bound"],
     "evolve": ["tol", "N"],
+    "evolve_grid": ["tol", "N"],
     "is_real_rooted": ["coeff_perturb"],
     "is_stable_multi": ["budget"],
     "transition": ["tol"],

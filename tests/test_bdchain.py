@@ -4,18 +4,26 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from stablepgf import bdchain, particles
 from stablepgf.bdchain import (
     _BLOCK_DROP_EVERY,
+    _CHUNK_SIZE,
+    _CHUNK_TERMS,
+    _PROBE_TOL,
+    _ROOT_LAW_TOL,
     BirthDeathRates,
     _bd_series,
     _bd_uniformize,
     _rate_arrays,
+    _uniformized_series,
     backward_residual,
     birth_monotonicity_probe,
     evolve,
+    evolve_grid,
     generator,
     hermite_root_law,
     kingman,
@@ -399,6 +407,252 @@ class TestDeathPieces:
         assert gap <= Decimal(ev.tail_bound)
 
 
+def allocating(step):
+    """step(v, out) as the allocating step(v) of reference_series."""
+
+    def fresh(v):
+        nxt = np.empty_like(v)
+        step(v, nxt)
+        return nxt
+
+    return fresh
+
+
+def stencil_step(shape, seed):
+    """A two-diagonal step with random coefficients: like the birth-death
+    step it writes out and reads v through slices."""
+    rng = np.random.default_rng(seed)
+    stay, up = rng.uniform(0.2, 0.8, shape[-1]), rng.uniform(0.1, 0.5, shape[-1] - 1)
+
+    def step(v, out):
+        np.multiply(v, stay, out=out)
+        out[..., 1:] += v[..., :-1] * up
+
+    return step
+
+
+def signed_start(shape, seed):
+    """Entries of both signs, with -0.0 and +0.0 among them."""
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(shape)
+    v0.flat[::7] = -0.0
+    v0.flat[3::11] = 0.0
+    return v0
+
+
+def chunk_cap(shape):
+    return max(2, min(_CHUNK_TERMS, _CHUNK_SIZE // math.prod(shape)))
+
+
+def assert_series_matches_reference(v0, step, lam_ts, tol, min_terms):
+    sums = _uniformized_series(v0, step, lam_ts, tol, min_terms)
+    assert len(sums) == len(lam_ts)
+    for (acc, tail), lam_t in zip(sums, lam_ts):
+        ref, ref_tail = reference_series(v0, allocating(step), lam_t, tol, min_terms)
+        assert_same_bits(acc, ref)
+        assert tail == ref_tail
+
+
+# a vector (chunks of 32 terms), a block (chunks of 8) and a block whose
+# chunk buffer runs in five column slabs (chunks of 2)
+SHAPES = [(40,), (32, 64), (150, 300)]
+
+
+class TestChunkedSeries:
+    """The chunked kernel against the one-term-at-a-time reference_series,
+    at the chunk boundaries and with several weightings per run."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("offset", ["1", "K-1", "K", "K+1", "2K+1"])
+    def test_chunk_boundaries(self, shape, offset):
+        K = chunk_cap(shape)
+        J = {"1": 1, "K-1": K - 1, "K": K, "K+1": K + 1, "2K+1": 2 * K + 1}[offset]
+        # tol = 1 stops the weights at min_terms, and lambda*t = 0.6 J
+        # keeps the last ones large enough to move the sum's bits
+        w, _ = _poisson_weights(0.6 * J, 1.0, J + 1)
+        assert len(w) == J + 1 and w[1:].all()
+        v0, step = signed_start(shape, J), stencil_step(shape, J)
+        acc, tail = _uniformized_series(v0, step, 0.6 * J, 1.0, J)
+        ref, ref_tail = reference_series(v0, allocating(step), 0.6 * J, 1.0, J)
+        assert_same_bits(acc, ref)
+        assert tail == ref_tail
+
+    @pytest.mark.parametrize("shape", SHAPES[:2])
+    def test_weights_that_start_at_zero(self, shape):
+        # Kingman-like: w[0..70] underflow to 0 and index 71 is inside a chunk
+        w, _ = _poisson_weights(1000.0, 1e-13, 5)
+        first = int(np.flatnonzero(w)[0])
+        assert first == 71 and first % chunk_cap(shape) > 1
+        v0, step = signed_start(shape, 1), stencil_step(shape, 1)
+        assert_series_matches_reference(v0, step, [1000.0], 1e-13, 4)
+
+    def test_weights_that_end_at_zero(self):
+        # min_terms past the underflow of the upper weights
+        w, _ = _poisson_weights(1e-3, 1e-13, 121)
+        assert w[-1] == 0.0 and w[1] > 0.0
+        v0, step = signed_start((40,), 2), stencil_step((40,), 2)
+        assert_series_matches_reference(v0, step, [1e-3], 1e-13, 120)
+
+    @pytest.mark.parametrize("lam_t,min_terms", [(1000.0, 4), (1e-3, 120)])
+    def test_zero_weights_leave_signed_zeros(self, lam_t, min_terms):
+        # Entry 0 starts at -0.0 and is -0.0 in every term of positive
+        # weight but +0.0 in one of weight 0, which must not be added.
+        w, _ = _poisson_weights(lam_t, 1e-13, min_terms + 1)
+        positive = np.flatnonzero(w)
+        flip = 1 if positive[0] > 1 else positive[-1] + 1
+        assert w[flip] == 0.0
+
+        def sign_step():
+            terms = []
+
+            def step(v, out):
+                terms.append(1)
+                np.multiply(v, -1.0 if len(terms) in (flip, flip + 1) else 1.0, out=out)
+
+            return step
+
+        v0 = signed_start((40,), 5)
+        v0[0] = -0.0
+        acc, tail = _uniformized_series(v0, sign_step(), lam_t, 1e-13, min_terms)
+        ref, ref_tail = reference_series(v0, allocating(sign_step()), lam_t, 1e-13, min_terms)
+        assert np.signbit(ref[0])
+        assert_same_bits(acc, ref)
+        assert tail == ref_tail
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_several_weightings_share_the_terms(self, shape):
+        lam_ts = [0.0, 2.0, 17.0, 40.0, 17.0, 1e-3]
+        v0, step = signed_start(shape, 3), stencil_step(shape, 3)
+        assert_series_matches_reference(v0, step, lam_ts, 1e-13, 3)
+
+    def test_scalar_and_sequence_agree(self):
+        v0, step = signed_start((40,), 4), stencil_step((40,), 4)
+        acc, tail = _uniformized_series(v0, step, 7.5, 1e-13, 3)
+        ((acc_seq, tail_seq),) = _uniformized_series(v0, step, [7.5], 1e-13, 3)
+        assert_same_bits(acc, acc_seq)
+        assert tail == tail_seq
+
+    def test_every_mean_is_checked_before_any_term(self):
+        calls = []
+        with pytest.raises(InputRangeError):
+            _uniformized_series(np.ones(3), lambda v, out: calls.append(1), [1.0, 2e7], 1e-13, 3)
+        assert not calls
+
+    @pytest.mark.parametrize("offset", [0, 1, 31, 32, 33, 65])
+    def test_particle_step(self, monkeypatch, offset):
+        system = SiteSystem(
+            jump=np.array([[0.0, 0.7], [0.4, 0.0]]), birth=np.array([0.5, 0.2]), death=np.array([1.0, 0.6])
+        )
+        mu = Measure.product(Measure.bernoulli(0.3), Measure.bernoulli(0.6))
+        captured = {}
+
+        def capture(v0, step, lam_t, tol, min_terms):
+            captured.update(v0=v0.copy(), step=step)
+            return _uniformized_series(v0, step, lam_t, tol, min_terms)
+
+        monkeypatch.setattr(particles, "_uniformized_series", capture)
+        truncated_generator_evolve(mu, system, 0.4, box=(12, 12))
+        v0, step = captured["v0"], captured["step"]
+        assert chunk_cap(v0.shape) == 32
+        J = max(offset, 1)
+        w, _ = _poisson_weights(0.6 * J, 1.0, J + 1)
+        assert len(w) == J + 1
+        assert_series_matches_reference(v0, step, [0.6 * J, 3.0], 1.0, J)
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_birth_death_step_over_several_times(self, block):
+        # the step's slice cache and the block drop schedule on a shared run
+        N, ts = 24, [0.05, 0.7, 0.0, 0.3, 0.7]
+        for rates in (BirthDeathRates.quadratic_death(1.3), BirthDeathRates.from_polynomial(0.9, 0.5, 0.3)):
+            beta, delta = _rate_arrays(rates.beta, rates.delta, N)
+            if block:
+                v0 = np.eye(N + 1, N + 2)
+            else:
+                v0 = np.zeros(N + 2)
+                v0[5:12] = np.arange(1.0, 8.0) / 28.0
+            for (acc, tail), t in zip(_bd_series(v0, beta, delta, ts, 1e-13), ts):
+                ref, ref_tail = reference_bd_uniformize(v0, beta, delta, t, 1e-13)
+                assert_same_bits(acc, ref)
+                assert tail == ref_tail
+
+
+QUAD_DEATH_5 = BirthDeathRates.quadratic_death(5.0)
+# from 11 at scale 5, t = 3 and 6 run in time pieces; -0.0 with births
+PIECES_CASE = (Measure.point_mass(11), QUAD_DEATH_5, [3.0, 0.05, 0.0, 3.0, 6.0], None, 1e-13)
+SIGNED_CASE = (
+    Measure(np.array([0.5, -0.0, 0.5])), BirthDeathRates.from_polynomial(1.0, 0.5, 0.3), [1.0, 0.0, 0.5, 1.0], 4, 1e-12
+)
+
+
+@st.composite
+def grid_cases(draw):
+    """(mu, rates, times, N, tol): laws with -0.0 entries and tiny negative
+    weights, pure death past the piece split, births whose first box
+    grows with t, a fixed N, t = 0 and repeated times."""
+    size = draw(st.integers(1, 12))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    marks = np.array(draw(st.lists(st.sampled_from(["", "", "-0", "tiny"]), min_size=size, max_size=size)))
+    raw[marks != ""] = 0.0
+    if not raw.any():
+        raw[-1], marks[-1] = 1.0, ""
+    w = raw / raw.sum()
+    w[marks == "-0"] = -0.0
+    w[marks == "tiny"] = -1e-12
+    mu = Measure(w)
+    if draw(st.booleans()):
+        rates = draw(st.sampled_from([BirthDeathRates.kingman_coalescent(), QUAD_DEATH_5]))
+        t_max = 6.0
+    else:
+        b0, d1, d2 = (draw(st.floats(lo, 1.0)) for lo in (0.05, 0.0, 0.0))
+        rates = BirthDeathRates.from_polynomial(b0, d1, d2)
+        t_max = 1.0
+    pool = [0.0, 1e-4, 0.05, 0.5, t_max] + draw(st.lists(st.floats(0.0, t_max), max_size=2))
+    times = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    N = draw(st.one_of(st.none(), st.integers(max(size - 1, 0), size + 15)))
+    tol = draw(st.sampled_from([1e-12, 1e-13]))
+    return mu, rates, times, N, tol
+
+
+class TestEvolveGrid:
+    @given(grid_cases())
+    @settings(max_examples=60, deadline=None)
+    @example(PIECES_CASE)
+    @example(SIGNED_CASE)
+    def test_equals_evolve_per_time(self, case):
+        mu, rates, times, N, tol = case
+        grid = evolve_grid(mu, rates, times, tol=tol, N=N)
+        assert len(grid) == len(times)
+        for ev, t in zip(grid, times):
+            one = evolve(mu, rates, t, tol=tol, N=N)
+            assert ev.t is t
+            assert_same_bits(np.array(ev.poly.coeffs), np.array(one.poly.coeffs))
+            assert ev.tail_bound == one.tail_bound
+
+    def test_pure_death_grid_runs_one_series_plus_pieces(self, monkeypatch):
+        # from 11 at scale 5, t = 3 and 6 run in pieces and the rest share one run
+        calls = []
+        series = bdchain._uniformized_series
+
+        def counting(v0, step, lam_t, tol, min_terms):
+            calls.append(np.ndim(lam_t))
+            return series(v0, step, lam_t, tol, min_terms)
+
+        monkeypatch.setattr(bdchain, "_uniformized_series", counting)
+        evolve_grid(Measure.point_mass(11), QUAD_DEATH_5, [0.05, 3.0, 0.5, 6.0])
+        assert calls[0] == 1  # the shared run, for 0.05 and 0.5
+        assert len(calls) > 3 and not any(calls[1:])  # one scalar run per piece
+
+    def test_empty_grid(self):
+        assert evolve_grid(Measure.point_mass(2), BirthDeathRates.quadratic_death(), []) == []
+
+    def test_every_time_is_checked_first(self, monkeypatch):
+        monkeypatch.setattr(bdchain, "_bd_uniformize", None)  # no series may run
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            evolve_grid(Measure.point_mass(3), BirthDeathRates.quadratic_death(), [0.1, -1.0])
+        with pytest.raises(InputRangeError):
+            evolve_grid(Measure.point_mass(3), BirthDeathRates.quadratic_death(), [0.1, 1e7])
+
+
 class TestEvolve:
     def test_identity_at_zero(self):
         mu = Measure.point_mass(3)
@@ -467,6 +721,29 @@ class TestBackwardResidual:
         sg = transition(rates, 0.0, 6, tol=1e-13)
         assert backward_residual(rates, sg, 2, 3) < 1e-3
 
+    @pytest.mark.parametrize(
+        "rates,t,N,j,k",
+        [
+            (BirthDeathRates(lambda k: 0.0, lambda k: float(k)), 0.5, 6, 1, 0),
+            (BirthDeathRates.mm_infty(1.0, 1.0), 1e-3, 6, 2, 3),
+            (BirthDeathRates.kingman_coalescent(), 0.4, 10, 8, 4),
+            (BirthDeathRates.mm_infty(1.3, 0.4), 0.0, 6, 2, 3),
+            (BirthDeathRates.quadratic_death(), 0.5, 64, 5, 2),  # a block that drops
+        ],
+    )
+    def test_equals_two_transitions(self, rates, t, N, j, k):
+        # P(t + h) and P(t - h) come from one series with two weightings
+        sg = transition(rates, t, N, tol=1e-13)
+        h = 1e-4 * max(t, 1.0)
+        h = min(h, t) if t > 0 else h
+        plus = transition(rates, t + h, N, tol=_PROBE_TOL).matrix
+        minus = transition(rates, t - h if t - h > 0 else 0.0, N, tol=_PROBE_TOL).matrix
+        dt = (plus[j, k] - minus[j, k]) / (2 * h if t - h > 0 else (t + h))
+        (b,), (d,) = _rate_arrays(rates.beta, rates.delta, j, j)
+        P = sg.matrix
+        rhs = b * P[j + 1, k] + d * P[j - 1, k] - (b + d) * P[j, k]
+        assert backward_residual(rates, sg, j, k) == abs(dt - rhs)
+
 
 class TestWrightFisher:
     def test_single_particle_static(self):
@@ -486,6 +763,24 @@ class TestWrightFisher:
     def test_time_zero_second_order(self):
         # a first-order one-sided difference would read 3.8e-4 here
         assert wf_residual(Measure.point_mass(3), 0.0) <= 1e-7
+
+    @pytest.mark.parametrize("start,t", [(5, 0.0), (5, 0.2), (3, 5e-6), (8, 1.0)])
+    def test_matches_per_time_evolve(self, start, t):
+        # one evolve per stencil time and one at t, as before evolve_grid
+        mu, rates = Measure.point_mass(start), BirthDeathRates.quadratic_death()
+        h = 1e-5 * max(t, 1.0)
+        if t > 0:
+            h = min(h, t)
+            stencil = ((t - h, -1.0), (t + h, 1.0))
+        else:
+            stencil = ((0.0, -3.0), (h, 4.0), (2 * h, -1.0))
+        phis = [(evolve(mu, rates, s, tol=_PROBE_TOL).poly, c) for s, c in stencil]
+        d2 = evolve(mu, rates, t, tol=_PROBE_TOL).poly.derivative().derivative()
+        worst = 0.0
+        for z in np.linspace(-0.9, 0.9, 20):
+            dt = sum(c * phi(z) for phi, c in phis) / (2 * h)
+            worst = max(worst, abs(dt - z * (1 - z) * d2(z)))
+        assert wf_residual(mu, t) == worst
 
 
 class TestHermiteLaw:
@@ -666,6 +961,18 @@ class TestLieSplit:
         w = np.zeros(N + 1)
         w[: ev.poly.degree + 1] = ev.poly.coeffs_float()
         assert np.abs(w - ref).sum() <= ev.tail_bound + 1e-11
+
+    @pytest.mark.parametrize("b0,d1", [(1.0, 0.5), (0.0, 0.7)])  # d1 alone drops underflow
+    def test_chain1_propagators_share_one_series(self, b0, d1):
+        N, h = 30, 0.5 / 16
+        chain1 = BirthDeathRates.mm_infty(b0, d1)
+        beta, delta = _rate_arrays(chain1.beta, chain1.delta, N)
+        eye = np.eye(N + 1, N + 2)
+        shared = _bd_uniformize(eye, beta, delta, [h / 2.0, h], _ROOT_LAW_TOL)
+        for (acc, tail), dt in zip(shared, [h / 2.0, h]):
+            one, one_tail = _bd_uniformize(eye, beta, delta, dt, _ROOT_LAW_TOL)
+            assert_same_bits(acc, one)
+            assert tail == one_tail
 
     def test_nontrivial_split_tv_decreasing(self):
         mu = Measure.point_mass(5)

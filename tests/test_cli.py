@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -141,8 +142,8 @@ class TestRun:
         assert "Traceback" not in err
 
     def test_lie_split_box_above_the_cap_exits_2(self, tmp_path, capsys):
-        # the evolve reference runs first on its own box; the split's box
-        # of 5 + ceil(10 + 5 * 2000 * 0.5) + 20 = 5035 states is refused
+        # the split's box of 5 + ceil(10 + 5 * 2000 * 0.5) + 20 = 5035
+        # states is refused before the evolve reference runs
         args = ["--param", "b0=2000", "--param", "d1=0", "--param", "d2=0"]
         code = main(["run", "trotter-split", *args, "--out", str(tmp_path / "out")])
         assert code == 2
@@ -151,6 +152,18 @@ class TestRun:
         assert err.strip().splitlines() == [
             "trotter-split: Lie split box N = 5035 is above the cap 1024"
         ]
+
+    @pytest.mark.parametrize("b0,N", [("20000", 50035), ("200000", 500035)])
+    def test_lie_split_box_refused_before_any_work(self, tmp_path, capsys, b0, N):
+        # the evolve reference on these boxes would take about 10 s and over 590 s
+        args = ["--param", f"b0={b0}", "--param", "d1=0", "--param", "d2=0"]
+        start = time.perf_counter()
+        code = main(["run", "trotter-split", *args, "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"trotter-split: Lie split box N = {N} is above the cap 1024"]
 
     def test_error_inside_a_run_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(p, seed):
