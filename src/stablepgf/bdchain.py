@@ -20,9 +20,9 @@ import numpy as np
 
 from .config import DEFAULT
 from .measures import (
-    _MAX_POISSON_MEAN,
     InputRangeError,
     Measure,
+    _check_count,
     _check_poisson_mean,
     _check_tol,
     _poisson_weights,
@@ -138,15 +138,17 @@ class EvolvedPGF:
 
 def generator(rates: BirthDeathRates, N: int) -> np.ndarray:
     """Tridiagonal generator on {0..N} with the birth rate clamped at N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _check_count(N, "N")
     beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, N)
     beta_arr[N] = 0.0
     return np.diag(beta_arr[:-1], 1) + np.diag(delta_arr[1:], -1) - np.diag(beta_arr + delta_arr)
 
 
-def _uniformized_series(v0: np.ndarray, step: Callable, lam_t, tol: float, min_terms: int):
-    """Poisson-weighted series sum_j P(Poisson(lam_t) = j) v0 S^j; returns (acc, tail).
+def _uniformized_series(v0: np.ndarray, step: Callable, lam_ts: list, tol: float, min_terms: int):
+    """Poisson-weighted series sum_j P(Poisson(lam_t) = j) v0 S^j for each
+    mean lam_t of the list lam_ts; returns a list with one (acc, tail) per
+    mean (uniformization on a time grid; Reibman & Trivedi, Comput. Oper.
+    Res. 15(1), 1988).
 
     v0 is one row vector or a block of row vectors over the truncated
     states plus an absorbing overflow state in the last column, with at
@@ -160,13 +162,9 @@ def _uniformized_series(v0: np.ndarray, step: Callable, lam_t, tol: float, min_t
     the box size); where it stops depends on lam_t, tol and min_terms
     only, so every row of a block shares the same tail.  A step may also
     move mass into the overflow state itself, as the pure-death step of
-    _bd_series does with underflowed states.
-
-    lam_t may also be a sequence of Poisson means; the result is then a
-    list with one (acc, tail) per mean (uniformization on a time grid;
-    Reibman & Trivedi, Comput. Oper. Res. 15(1), 1988).  The terms v0 S^j
-    are computed once, up to the last positive weight of any mean, and
-    every mean is checked against the series cap before any term.
+    _bd_series does with underflowed states.  The terms v0 S^j are
+    computed once, up to the last positive weight of any mean, and every
+    mean is checked against the series cap before any term.
 
     The terms live in a ring of K rows, K = max(2, min(_CHUNK_TERMS, J,
     _CHUNK_SIZE // v0.size)) for J terms in all: term j >= 1 is written
@@ -186,15 +184,11 @@ def _uniformized_series(v0: np.ndarray, step: Callable, lam_t, tol: float, min_t
     references pin, and wf_residual's centered difference over h = 1e-5
     amplifies those bits by 1/(2h).
     """
-    lam_ts = np.atleast_1d(lam_t).tolist()
     for x in lam_ts:
         _check_poisson_mean(x)
     v0 = np.asarray(v0, dtype=float)
     sums, runs = [], []  # runs: (weights, flat acc, first and last positive index)
     for x in lam_ts:
-        if x == 0.0:
-            sums.append((v0.copy(), 0.0))
-            continue
         w, tail = _poisson_weights(x, tol, min_terms + 1)
         acc = w[0] * v0
         sums.append((acc, tail))
@@ -227,14 +221,13 @@ def _uniformized_series(v0: np.ndarray, step: Callable, lam_t, tol: float, min_t
                     part[0] = acc[lo:hi]
                     np.multiply(ring[a : b + 1, lo:hi], wcol, out=part[1:])
                     np.add.reduce(part, axis=0, out=acc[lo:hi], initial=-0.0)
-    return sums if np.ndim(lam_t) else sums[0]
+    return sums
 
 
-def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t, tol: float):
-    """The series for a birth-death chain on {0..N}: v0 has N+2 columns,
-    birth out of state N feeds the overflow column N+1.  t is one time, or
-    a sequence of times that share one run of the terms (see
-    _uniformized_series, whose result shape this follows).
+def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, ts: list, tol: float):
+    """The series for a birth-death chain on {0..N} at each time of the
+    list ts, one run of the terms for all (see _uniformized_series): v0 has
+    N+2 columns, birth out of state N feeds the overflow column N+1.
 
     A pure-death chain skips the birth product: with every birth rate 0
     that product is +-0.0, and adding it changes no entry whose sign bit
@@ -260,7 +253,7 @@ def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t, t
     out_rate = beta_arr + delta_arr
     lam = float(out_rate.max())
     if lam <= 0.0:  # nothing moves: the law at every time is v0
-        return _uniformized_series(v0, None, np.zeros(np.shape(t)), tol, 0)
+        return _uniformized_series(v0, None, [0.0] * len(ts), tol, 0)
     stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
     up = beta_arr / lam  # k -> k+1, N -> overflow
     down = delta_arr[1:] / lam  # k -> k-1 for 1 <= k <= N
@@ -303,13 +296,13 @@ def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t, t
                 out[top] = 0.0
                 top -= 1
 
-    return _uniformized_series(v0, step, lam * np.asarray(t), tol, min_terms=N + 4)
+    return _uniformized_series(v0, step, [lam * t for t in ts], tol, min_terms=N + 4)
 
 
-def _bd_uniformize(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t, tol: float):
+def _bd_uniformize(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, ts: list, tol: float):
     """_bd_series, with a pure-death vector series (no birth rate, no sign
-    bit in v0) that passes the cap check cut at the times t 2^-m, ..., t/2
-    into m + 1 pieces: m = floor(log2(lambda t / (_PIECE_MEAN (top +
+    bit in v0) at a time t of ts cut at the times t 2^-m, ..., t/2 into
+    m + 1 pieces: m = floor(log2(lambda t / (_PIECE_MEAN (top +
     _PIECE_PAD)))), with top v0's highest nonzero state and lambda the
     largest out-rate of states 0..top (adaptive uniformization; van Moorsel
     & Sanders, 1994).  Each piece runs _bd_series on states 0..top of the
@@ -317,15 +310,14 @@ def _bd_uniformize(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, 
     tol/(m+1).  Death never moves mass up and the states above top hold
     +0.0, so this is the same chain; each piece is l1-nonexpansive, so the
     escaped masses and the tails add.  With m = 0, and for blocks and
-    chains with births, _bd_series runs on the whole box.  For a sequence
-    of times, every time's lambda*t is checked first; the times with m = 0
-    share one _bd_series run and each other time runs its pieces alone.
+    chains with births, _bd_series runs on the whole box.  Every time's
+    lambda*t is checked first; the times with m = 0 share one _bd_series
+    run and each other time runs its pieces alone.
     """
     if np.ndim(v0) > 1 or beta_arr.any() or np.signbit(v0).any():
-        return _bd_series(v0, beta_arr, delta_arr, t, tol)
+        return _bd_series(v0, beta_arr, delta_arr, ts, tol)
     out_rate = beta_arr + delta_arr
     lam = float(out_rate.max())
-    ts = np.atleast_1d(t).tolist()
     for s in ts:
         _check_poisson_mean(lam * s)
     ms = [0] * len(ts)
@@ -336,10 +328,8 @@ def _bd_uniformize(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, 
             if lam * s >= 2 * _PIECE_MEAN * _PIECE_PAD:
                 ratio = lam_top * s / (_PIECE_MEAN * (top + _PIECE_PAD))
                 ms[i] = max(math.frexp(ratio)[1] - 1, 0)  # floor(log2(ratio)), or 0
-    shared = [s for s, m in zip(ts, ms) if not m]
-    whole = iter(_bd_series(v0, beta_arr, delta_arr, shared, tol) if shared else [])
-    sums = [next(whole) if not m else _death_pieces(v0, beta_arr, delta_arr, s, m, tol) for s, m in zip(ts, ms)]
-    return sums if np.ndim(t) else sums[0]
+    whole = iter(_bd_series(v0, beta_arr, delta_arr, [s for s, m in zip(ts, ms) if not m], tol))
+    return [next(whole) if not m else _death_pieces(v0, beta_arr, delta_arr, s, m, tol) for s, m in zip(ts, ms)]
 
 
 def _death_pieces(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t: float, m: int, tol: float):
@@ -348,7 +338,8 @@ def _death_pieces(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t
     for i in range(m + 1):
         live = slice(0, int(np.flatnonzero(v[:-1]).max(initial=0)) + 1)
         h = math.ldexp(t, max(i - 1, 0) - m)  # t 2^-m, t 2^-m, t 2^(1-m), ..., t/2
-        acc, piece_tail = _bd_series(np.append(v[live], 0.0), beta_arr[live], delta_arr[live], h, tol / (m + 1))
+        sub = np.append(v[live], 0.0)
+        [(acc, piece_tail)] = _bd_series(sub, beta_arr[live], delta_arr[live], [h], tol / (m + 1))
         v[live], v[-1] = acc[:-1], v[-1] + acc[-1]
         tail += piece_tail
     return v, tail
@@ -394,10 +385,9 @@ def transition(
     """Uniformized transition matrix rows p_t(j, .) on {0..N}."""
     _check_tol(tol)
     _check_time(t)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _check_count(N, "N")
     beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, N)
-    P, tail = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, t, tol)
+    [(P, tail)] = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, [t], tol)
     return TruncatedSemigroup(N=N, t=t, matrix=P[:, :-1], trunc_error=float(P[:, -1].max()) + tail)
 
 
@@ -406,18 +396,18 @@ def evolve(
     rates: BirthDeathRates,
     t: float,
     tol: float = DEFAULT.uniformization_tol,
-    N: int | None = None,
 ) -> EvolvedPGF:
     """Push a univariate initial law through the chain for time t.
 
-    The truncation level starts just above the initial support (plus
-    birth headroom) and doubles until the certified escaping mass is
-    below tol, at most 12 times.  A birth rate b among the states up to
-    the support plus 10 with b*t above the series cap raises
-    InputRangeError before the box is sized, as every box's lambda*t is
-    at least b*t.  This is evolve_grid at the one time t.
+    The rates of states 0..support+10, support the initial law's top
+    state, pass the one rate check first, box or not.  The truncation level
+    starts at max(support + ceil(10 + 5 b t), 1), b > 0 the largest birth
+    rate among them, or at max(support, 1) if b = 0, and doubles until the
+    escaped mass is below tol, at most 12 times.  A b*t above the series
+    cap raises InputRangeError, as every box's lambda*t is at least b*t.
+    This is evolve_grid at the one time t.
     """
-    return evolve_grid(mu, rates, [t], tol, N)[0]
+    return evolve_grid(mu, rates, [t], tol)[0]
 
 
 def evolve_grid(
@@ -425,17 +415,16 @@ def evolve_grid(
     rates: BirthDeathRates,
     t_grid: Sequence[float],
     tol: float = DEFAULT.uniformization_tol,
-    N: int | None = None,
 ) -> list[EvolvedPGF]:
     """evolve at every time of t_grid, one law per time in order, each
     bit for bit the law that evolve returns for that time alone.
 
-    Times whose first truncation level is the same (every time, when N is
-    given) share one run of the series terms, each with its own Poisson
-    weights; a pure-death time that _bd_uniformize cuts into pieces runs
-    alone, and so does every rerun of a time whose escaped mass exceeds
-    tol on a doubled level.  Every time, and the series cap of every time
-    on its first level, is checked before any series runs.
+    Times whose first truncation level is the same share one run of the
+    series terms, each with its own Poisson weights; a pure-death time
+    that _bd_uniformize cuts into pieces runs alone, and so does every
+    rerun of a time whose escaped mass exceeds tol on a doubled level.
+    Every time, the rates and the series cap of every time on its first
+    level are checked before any series runs.
     """
     _check_tol(tol)
     if mu.ndim != 1:
@@ -444,25 +433,13 @@ def evolve_grid(
     for t in ts:
         _check_time(t)
     support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
-    if N is None:
-        b_ref = max(rates.beta(k) for k in range(support + 11))
-        if not math.isfinite(b_ref):
-            raise InputRangeError("rates must be finite")
-        t_max = max(ts, default=0.0)
-        if b_ref * t_max > _MAX_POISSON_MEAN:
-            # a rate sum that overflows among these states is named first
-            _rate_arrays(rates.beta, rates.delta, support + 10)
-            # every box holds these states, so its lambda*t is >= b_ref*t
-            _check_poisson_mean(b_ref * t_max)
-        pads = [0 if b_ref == 0 else int(math.ceil(10.0 + 5.0 * b_ref * t)) for t in ts]
-        boxes = [max(support + pad, support, 1) for pad in pads]
-    elif N < support:
-        raise ValueError(f"N={N} is below the initial law's support {support}")
-    else:
-        boxes = [N] * len(ts)
+    b_ref = float(_rate_arrays(rates.beta, rates.delta, support + 10)[0].max())
+    # every box holds these states, so its lambda*t is >= b_ref*t
+    _check_poisson_mean(b_ref * max(ts, default=0.0))
     groups = {}  # first level -> indices of its times
-    for i, box in enumerate(boxes):
-        groups.setdefault(box, []).append(i)
+    for i, t in enumerate(ts):
+        pad = int(math.ceil(10.0 + 5.0 * b_ref * t)) if b_ref else 0
+        groups.setdefault(max(support + pad, 1), []).append(i)
     arrays = {box: _rate_arrays(rates.beta, rates.delta, box) for box in groups}
     for box, idx in groups.items():
         lam = float((arrays[box][0] + arrays[box][1]).max())
@@ -482,17 +459,13 @@ def evolve_grid(
             for _ in range(12):
                 if v[-1] <= tol:
                     break
-                level = max(2 * level, 1)
+                level = 2 * level
                 beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, level)
-                v, tail = _bd_uniformize(start(level), beta_arr, delta_arr, ts[i], tol)
+                [(v, tail)] = _bd_uniformize(start(level), beta_arr, delta_arr, [ts[i]], tol)
             absorbed = float(v[-1])
             if not absorbed <= tol:
                 raise RuntimeError("truncation level cap reached before meeting tolerance")
-            laws[i] = EvolvedPGF(
-                poly=UniPoly.from_coeffs(list(v[:-1])),
-                t=ts[i],
-                tail_bound=mu.tail_bound + absorbed + tail,
-            )
+            laws[i] = EvolvedPGF(UniPoly.from_coeffs(list(v[:-1])), ts[i], mu.tail_bound + absorbed + tail)
     return laws
 
 
@@ -510,6 +483,8 @@ def backward_residual(
     N, t = semigroup.N, semigroup.t
     if not (0 < j < N):
         raise ValueError("interior start states only")
+    if not (0 <= k <= N):
+        raise ValueError("k must lie in 0..N")
     h = 1e-4 * max(t, 1.0)
     h = min(h, t) if t > 0 else h
     # the transitions at t + h and t - h: one series, two weightings
@@ -571,8 +546,7 @@ def hermite_root_law(
     """
     if w >= 0:
         raise ValueError("w must be negative")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count(n, "n")
     _check_grid(t_grid)
     base = UniPoly.from_roots([float(w)] * n)
     if q_factor is not None:
@@ -602,8 +576,7 @@ def kummer_root_law(n: int, t_grid: Sequence[float]) -> list:
     negative zeros of the small-root limit polynomial
     quadratic_death_cluster_poly(n).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count(n, "n")
     _check_grid(t_grid)
     records = []
     if n == 1:
@@ -654,8 +627,7 @@ def birth_monotonicity_probe(
         raise ValueError("probe needs beta_k, beta_{k+1} > 0")
     m = k + 2
     records = []
-    laws = evolve_grid(Measure.point_mass(k), rates, t_grid, tol=_ROOT_LAW_TOL, N=max(2 * (k + 2) + 10, 16))
-    for t, ev in zip(t_grid, laws):
+    for t, ev in zip(t_grid, evolve_grid(Measure.point_mass(k), rates, t_grid, tol=_ROOT_LAW_TOL)):
         coeffs = ev.poly.coeffs_float()
         cmap = {j: float(coeffs[j]) for j in range(min(len(coeffs), m + 1))}
         fm = tstable_approximant(cmap, m).poly.to_uni()
@@ -666,8 +638,7 @@ def birth_monotonicity_probe(
 
 def kingman(n: int, coalescent: bool, t: float) -> EvolvedPGF:
     """Law of the ancestral block count started from n lineages."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count(n, "n")
     rates = (
         BirthDeathRates.kingman_coalescent() if coalescent else BirthDeathRates.quadratic_death()
     )
@@ -689,13 +660,17 @@ def lie_split_evolve(
     the series cap, or an N above _MAX_SPLIT_BOX, raises InputRangeError
     before anything is sized by N.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _check_count(steps, "steps")
     _check_time(t)
     chain1, chain2 = BirthDeathRates.mm_infty(b0, d1), BirthDeathRates.quadratic_death(d2)
     if mu.ndim != 1:
         raise ValueError("univariate initial laws only")
-    support, N = _split_box(mu, b0, t)
+    support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
+    # the box grows with b0*t, which evolve refuses above the same cap
+    _check_poisson_mean(b0 * t)
+    N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
+    if N > _MAX_SPLIT_BOX:
+        raise InputRangeError(f"Lie split box N = {N} is above the cap {_MAX_SPLIT_BOX}")
     b1, d1a = _rate_arrays(chain1.beta, chain1.delta, N)
     b2, d2a = _rate_arrays(chain2.beta, chain2.delta, N)
     h = t / steps
@@ -707,7 +682,7 @@ def lie_split_evolve(
         # from the identity, with the escaped mass in its last column.
         eye = np.eye(N + 1, N + 2)
         half1, full1 = _bd_uniformize(eye, b1, d1a, [h / 2.0, h], _ROOT_LAW_TOL)
-        full2 = _bd_uniformize(eye, b2, d2a, h, _ROOT_LAW_TOL)
+        [full2] = _bd_uniformize(eye, b2, d2a, [h], _ROOT_LAW_TOL)
 
         def substep(v, propagator):
             P, tail = propagator
@@ -721,19 +696,6 @@ def lie_split_evolve(
             v, lost1 = substep(v, full1 if i < steps - 1 else half1)
             lost += lost1 + lost2
     return EvolvedPGF(poly=UniPoly.from_coeffs(list(v)), t=t, tail_bound=lost)
-
-
-def _split_box(mu: Measure, b0: float, t: float) -> tuple[int, int]:
-    """The top state of a univariate mu's support and lie_split_evolve's box
-    N; raises InputRangeError for a b0*t above the series cap or an N above
-    _MAX_SPLIT_BOX, before anything is sized by N."""
-    support = int(np.max(np.nonzero(mu.weights)[0])) if mu.weights.any() else 0
-    # the box grows with b0*t, which evolve refuses above the same cap
-    _check_poisson_mean(b0 * t)
-    N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
-    if N > _MAX_SPLIT_BOX:
-        raise InputRangeError(f"Lie split box N = {N} is above the cap {_MAX_SPLIT_BOX}")
-    return support, N
 
 
 def tv_distance(a: EvolvedPGF | Measure, b: EvolvedPGF | Measure) -> float:

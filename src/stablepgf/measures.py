@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -119,6 +120,17 @@ def _check_poisson_mean(lam: float) -> None:
         raise InputRangeError(
             f"Poisson mean (lambda*t) {lam:.6g} is above the cap {_MAX_POISSON_MEAN:.0e}"
         )
+
+
+def _check_count(n, name: str) -> int:
+    """n as an int; a float (4.0 included) or a count below 1 raises ValueError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return n
 
 
 def _poisson_weights(lam: float, tol: float, min_len: int) -> tuple[np.ndarray, float]:

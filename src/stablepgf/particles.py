@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from .bdchain import _check_time, _rate_arrays, _uniformized_series
 from .config import DEFAULT
-from .measures import InputRangeError, Measure, _check_tol
+from .measures import InputRangeError, Measure, _check_count, _check_tol
 from .polycore import MultiPoly
 
 _MAX_EVENTS = 1_000_000  # events one Gillespie run may take before it gives up
@@ -268,7 +268,7 @@ def truncated_generator_evolve(
     def step(v, out):
         np.copyto(out, UT.dot(v))
 
-    acc, tail = _uniformized_series(v, step, lam * t, tol, min_terms=int(sum(box)) + 4)
+    [(acc, tail)] = _uniformized_series(v, step, [lam * t], tol, min_terms=int(sum(box)) + 4)
     escaped = float(acc[OVER])
     if escaped > tol:
         raise ValueError(f"box too small for tolerance: escaped mass {escaped:.3e} > {tol:.1e}")
@@ -365,8 +365,7 @@ def gillespie_empirical(
     Run r (r = 0 .. samples - 1) gets its own Philox key (seed, r + 1);
     mass falling outside the box is recorded in tail_bound.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _check_count(samples, "samples")
     shape = _box_shape(box, system.n)
     keys = np.arange(1, samples + 1, dtype=np.uint64)
     final = _gillespie_runs(system, init, t, seed, keys, _MAX_EVENTS)

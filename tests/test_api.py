@@ -19,8 +19,8 @@ OPTIONS = {
     "StabilityCertificate.__init__": ["witness", "m", "tolerance_used", "note"],
     "UniPoly.zero": ["exact"],
     "certify_tstable": ["m_max", "tail_bound"],
-    "evolve": ["tol", "N"],
-    "evolve_grid": ["tol", "N"],
+    "evolve": ["tol"],
+    "evolve_grid": ["tol"],
     "is_real_rooted": ["coeff_perturb"],
     "is_stable_multi": ["budget"],
     "transition": ["tol"],

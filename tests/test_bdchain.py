@@ -91,18 +91,16 @@ class TestTransition:
         "rates,t,N",
         [
             (BirthDeathRates.quadratic_death(1.3), 0.1, 40),
-            # births stop at the top state, so evolve never doubles N
             (BirthDeathRates(lambda k: float(max(12 - k, 0)), lambda k: float(k)), 0.7, 12),
         ],
     )
     def test_rows_match_single_vector_evolve(self, rates, t, N):
+        # each row against the series of one vector on the same box
         sg = transition(rates, t, N, tol=1e-13)
+        beta, delta = _rate_arrays(rates.beta, rates.delta, N)
         for j in range(N + 1):
-            ev = evolve(Measure.point_mass(j, shape=(N + 1,)), rates, t, tol=1e-13, N=N)
-            row = np.zeros(N + 1)
-            w = ev.poly.coeffs_float()
-            row[: len(w)] = w
-            assert np.abs(sg.matrix[j] - row).max() <= 1e-15
+            [(acc, _)] = _bd_uniformize(np.eye(1, N + 2, j)[0], beta, delta, [t], 1e-13)
+            assert np.abs(sg.matrix[j] - acc[:-1]).max() <= 1e-15
 
     def test_matches_expm_oracle(self):
         rates = BirthDeathRates.from_polynomial(0.8, 0.5, 0.3)
@@ -204,7 +202,7 @@ class TestUniformizedSeries:
         else:
             v0 = np.zeros(N + 2)
             v0[5:12] = np.arange(1.0, 8.0) / 28.0
-        acc, tail = _bd_uniformize(v0, beta, delta, t, 1e-13)
+        [(acc, tail)] = _bd_uniformize(v0, beta, delta, [t], 1e-13)
         ref, ref_tail = reference_bd_uniformize(v0, beta, delta, t, 1e-13)
         assert_same_bits(acc, ref)
         assert tail == ref_tail
@@ -218,7 +216,7 @@ class TestUniformizedSeries:
         assert w[0] == 0.0 and w[-1] > 0.0
         v0 = np.zeros(n + 2)
         v0[n] = 1.0
-        acc, tail = _bd_series(v0, beta, delta, t, 1e-13)
+        [(acc, tail)] = _bd_series(v0, beta, delta, [t], 1e-13)
         ref, ref_tail = reference_bd_uniformize(v0, beta, delta, t, 1e-13)
         assert_same_bits(acc, ref)
         assert tail == ref_tail
@@ -227,7 +225,7 @@ class TestUniformizedSeries:
     def test_signed_input_without_births(self, v0):
         # the birth product turns -0.0 into +0.0 here, so it is not skipped
         beta, delta = np.zeros(2), np.array([0.0, 1.0])
-        acc, tail = _bd_uniformize(np.array(v0), beta, delta, 0.5, 1e-13)
+        [(acc, tail)] = _bd_uniformize(np.array(v0), beta, delta, [0.5], 1e-13)
         ref, ref_tail = reference_bd_uniformize(np.array(v0), beta, delta, 0.5, 1e-13)
         assert_same_bits(acc, ref)
         assert tail == ref_tail
@@ -239,13 +237,13 @@ class TestUniformizedSeries:
         mu = Measure.product(Measure.bernoulli(0.3), Measure.bernoulli(0.6))
         out = truncated_generator_evolve(mu, system, 0.4, box=(12, 12))
 
-        def allocating(v0, step, lam_t, tol, min_terms):
+        def allocating(v0, step, lam_ts, tol, min_terms):
             def fresh(v):
                 nxt = np.empty_like(v)
                 step(v, nxt)
                 return nxt
 
-            return reference_series(v0, fresh, lam_t, tol, min_terms)
+            return [reference_series(v0, fresh, lam_t, tol, min_terms) for lam_t in lam_ts]
 
         monkeypatch.setattr(particles, "_uniformized_series", allocating)
         ref = truncated_generator_evolve(mu, system, 0.4, box=(12, 12))
@@ -268,7 +266,7 @@ class TestUnderflowDrop:
         # the one-piece series from kingman(100)'s start
         n, t = 100, 0.5
         old, old_tail = reference_bd_uniformize_parent(*kingman_start(n), t, 1e-13)
-        acc, tail = _bd_series(*kingman_start(n), t, 1e-13)
+        [(acc, tail)] = _bd_series(*kingman_start(n), [t], 1e-13)
         assert_same_bits(acc[:-1], old[:-1])
         # the parent's tail_bound: input tail + escaped mass + series tail
         assert 0.0 + acc[-1] + tail == 0.0 + old[-1] + old_tail
@@ -277,7 +275,7 @@ class TestUnderflowDrop:
     def test_kingman_moves_only_underflowed_entries(self, n):
         t = 0.5
         old, old_tail = reference_bd_uniformize_parent(*kingman_start(n), t, 1e-13)
-        acc, tail = _bd_series(*kingman_start(n), t, 1e-13)
+        [(acc, tail)] = _bd_series(*kingman_start(n), [t], 1e-13)
         differ = acc != old
         assert differ.any()
         assert (acc[differ] < 1e-290).all() and (old[differ] < 1e-290).all()
@@ -290,7 +288,7 @@ class TestUnderflowDrop:
         N = 64
         rates = BirthDeathRates.quadratic_death()
         beta, delta = _rate_arrays(rates.beta, rates.delta, N)
-        acc, _ = _bd_uniformize(np.eye(N + 1, N + 2), beta, delta, 0.5, 1e-13)
+        [(acc, _)] = _bd_uniformize(np.eye(N + 1, N + 2), beta, delta, [0.5], 1e-13)
         old, _ = reference_bd_uniformize_parent(np.eye(N + 1, N + 2), beta, delta, 0.5, 1e-13)
         assert acc[:, -1].any() and not old[:, -1].any()
         assert (acc[:, -1] <= (N + 1) * 2.0**-1022).all()
@@ -370,8 +368,8 @@ class TestDeathPieces:
 
     @pytest.mark.parametrize("n", [50, 68])
     def test_one_piece_below_the_split(self, n):
-        one, one_tail = _bd_series(*kingman_start(n), 0.5, 1e-13)
-        acc, tail = _bd_uniformize(*kingman_start(n), 0.5, 1e-13)
+        [(one, one_tail)] = _bd_series(*kingman_start(n), [0.5], 1e-13)
+        [(acc, tail)] = _bd_uniformize(*kingman_start(n), [0.5], 1e-13)
         assert_same_bits(acc, one)
         assert tail == one_tail
 
@@ -382,8 +380,8 @@ class TestDeathPieces:
         signed[0] = -0.0
         births = np.full(N + 1, 1e-3)
         for v, b in [(np.stack([v0, v0]), beta), (signed, beta), (v0, births)]:
-            one, one_tail = _bd_series(v, b, delta, 0.5, 1e-13)
-            acc, tail = _bd_uniformize(v, b, delta, 0.5, 1e-13)
+            [(one, one_tail)] = _bd_series(v, b, delta, [0.5], 1e-13)
+            [(acc, tail)] = _bd_uniformize(v, b, delta, [0.5], 1e-13)
             assert_same_bits(acc, one)
             assert tail == one_tail
 
@@ -472,7 +470,7 @@ class TestChunkedSeries:
         w, _ = _poisson_weights(0.6 * J, 1.0, J + 1)
         assert len(w) == J + 1 and w[1:].all()
         v0, step = signed_start(shape, J), stencil_step(shape, J)
-        acc, tail = _uniformized_series(v0, step, 0.6 * J, 1.0, J)
+        [(acc, tail)] = _uniformized_series(v0, step, [0.6 * J], 1.0, J)
         ref, ref_tail = reference_series(v0, allocating(step), 0.6 * J, 1.0, J)
         assert_same_bits(acc, ref)
         assert tail == ref_tail
@@ -513,7 +511,7 @@ class TestChunkedSeries:
 
         v0 = signed_start((40,), 5)
         v0[0] = -0.0
-        acc, tail = _uniformized_series(v0, sign_step(), lam_t, 1e-13, min_terms)
+        [(acc, tail)] = _uniformized_series(v0, sign_step(), [lam_t], 1e-13, min_terms)
         ref, ref_tail = reference_series(v0, allocating(sign_step()), lam_t, 1e-13, min_terms)
         assert np.signbit(ref[0])
         assert_same_bits(acc, ref)
@@ -524,13 +522,6 @@ class TestChunkedSeries:
         lam_ts = [0.0, 2.0, 17.0, 40.0, 17.0, 1e-3]
         v0, step = signed_start(shape, 3), stencil_step(shape, 3)
         assert_series_matches_reference(v0, step, lam_ts, 1e-13, 3)
-
-    def test_scalar_and_sequence_agree(self):
-        v0, step = signed_start((40,), 4), stencil_step((40,), 4)
-        acc, tail = _uniformized_series(v0, step, 7.5, 1e-13, 3)
-        ((acc_seq, tail_seq),) = _uniformized_series(v0, step, [7.5], 1e-13, 3)
-        assert_same_bits(acc, acc_seq)
-        assert tail == tail_seq
 
     def test_every_mean_is_checked_before_any_term(self):
         calls = []
@@ -546,9 +537,9 @@ class TestChunkedSeries:
         mu = Measure.product(Measure.bernoulli(0.3), Measure.bernoulli(0.6))
         captured = {}
 
-        def capture(v0, step, lam_t, tol, min_terms):
+        def capture(v0, step, lam_ts, tol, min_terms):
             captured.update(v0=v0.copy(), step=step)
-            return _uniformized_series(v0, step, lam_t, tol, min_terms)
+            return _uniformized_series(v0, step, lam_ts, tol, min_terms)
 
         monkeypatch.setattr(particles, "_uniformized_series", capture)
         truncated_generator_evolve(mu, system, 0.4, box=(12, 12))
@@ -578,17 +569,17 @@ class TestChunkedSeries:
 
 QUAD_DEATH_5 = BirthDeathRates.quadratic_death(5.0)
 # from 11 at scale 5, t = 3 and 6 run in time pieces; -0.0 with births
-PIECES_CASE = (Measure.point_mass(11), QUAD_DEATH_5, [3.0, 0.05, 0.0, 3.0, 6.0], None, 1e-13)
+PIECES_CASE = (Measure.point_mass(11), QUAD_DEATH_5, [3.0, 0.05, 0.0, 3.0, 6.0], 1e-13)
 SIGNED_CASE = (
-    Measure(np.array([0.5, -0.0, 0.5])), BirthDeathRates.from_polynomial(1.0, 0.5, 0.3), [1.0, 0.0, 0.5, 1.0], 4, 1e-12
+    Measure(np.array([0.5, -0.0, 0.5])), BirthDeathRates.from_polynomial(1.0, 0.5, 0.3), [1.0, 0.0, 0.5, 1.0], 1e-12
 )
 
 
 @st.composite
 def grid_cases(draw):
-    """(mu, rates, times, N, tol): laws with -0.0 entries and tiny negative
+    """(mu, rates, times, tol): laws with -0.0 entries and tiny negative
     weights, pure death past the piece split, births whose first box
-    grows with t, a fixed N, t = 0 and repeated times."""
+    grows with t, t = 0 and repeated times."""
     size = draw(st.integers(1, 12))
     raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
     marks = np.array(draw(st.lists(st.sampled_from(["", "", "-0", "tiny"]), min_size=size, max_size=size)))
@@ -608,9 +599,8 @@ def grid_cases(draw):
         t_max = 1.0
     pool = [0.0, 1e-4, 0.05, 0.5, t_max] + draw(st.lists(st.floats(0.0, t_max), max_size=2))
     times = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
-    N = draw(st.one_of(st.none(), st.integers(max(size - 1, 0), size + 15)))
     tol = draw(st.sampled_from([1e-12, 1e-13]))
-    return mu, rates, times, N, tol
+    return mu, rates, times, tol
 
 
 class TestEvolveGrid:
@@ -619,28 +609,29 @@ class TestEvolveGrid:
     @example(PIECES_CASE)
     @example(SIGNED_CASE)
     def test_equals_evolve_per_time(self, case):
-        mu, rates, times, N, tol = case
-        grid = evolve_grid(mu, rates, times, tol=tol, N=N)
+        mu, rates, times, tol = case
+        grid = evolve_grid(mu, rates, times, tol=tol)
         assert len(grid) == len(times)
         for ev, t in zip(grid, times):
-            one = evolve(mu, rates, t, tol=tol, N=N)
+            one = evolve(mu, rates, t, tol=tol)
             assert ev.t is t
             assert_same_bits(np.array(ev.poly.coeffs), np.array(one.poly.coeffs))
             assert ev.tail_bound == one.tail_bound
 
     def test_pure_death_grid_runs_one_series_plus_pieces(self, monkeypatch):
-        # from 11 at scale 5, t = 3 and 6 run in pieces and the rest share one run
+        # from 11 at scale 5 (lambda = 550), t = 3 and 6 run in pieces and
+        # 0.05 and 0.1 share one run (lambda t below 2 * 8 * 5 = 80)
         calls = []
         series = bdchain._uniformized_series
 
-        def counting(v0, step, lam_t, tol, min_terms):
-            calls.append(np.ndim(lam_t))
-            return series(v0, step, lam_t, tol, min_terms)
+        def counting(v0, step, lam_ts, tol, min_terms):
+            calls.append(len(lam_ts))
+            return series(v0, step, lam_ts, tol, min_terms)
 
         monkeypatch.setattr(bdchain, "_uniformized_series", counting)
-        evolve_grid(Measure.point_mass(11), QUAD_DEATH_5, [0.05, 3.0, 0.5, 6.0])
-        assert calls[0] == 1  # the shared run, for 0.05 and 0.5
-        assert len(calls) > 3 and not any(calls[1:])  # one scalar run per piece
+        evolve_grid(Measure.point_mass(11), QUAD_DEATH_5, [0.05, 3.0, 0.1, 6.0])
+        assert calls[0] == 2  # the shared run
+        assert len(calls) > 3 and set(calls[1:]) == {1}  # one run per piece
 
     def test_empty_grid(self):
         assert evolve_grid(Measure.point_mass(2), BirthDeathRates.quadratic_death(), []) == []
@@ -651,6 +642,21 @@ class TestEvolveGrid:
             evolve_grid(Measure.point_mass(3), BirthDeathRates.quadratic_death(), [0.1, -1.0])
         with pytest.raises(InputRangeError):
             evolve_grid(Measure.point_mass(3), BirthDeathRates.quadratic_death(), [0.1, 1e7])
+
+    @pytest.mark.parametrize("state", [4, 13])
+    @pytest.mark.parametrize(
+        "bad,message", [(-1.0, "rates must be nonnegative"), (math.nan, "rates must be finite")]
+    )
+    def test_rates_above_the_support_are_checked_first(self, monkeypatch, state, bad, message):
+        # from 3 a pure-death first box is 3, yet a bad birth or death rate
+        # of any of states 4..13 is refused before any series runs
+        monkeypatch.setattr(bdchain, "_bd_uniformize", None)
+        for rates in (
+            BirthDeathRates(lambda k: bad if k == state else 0.0, lambda k: float(k)),
+            BirthDeathRates(lambda k: 0.0, lambda k: bad if k == state else float(k)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                evolve_grid(Measure.point_mass(3), rates, [0.1])
 
 
 class TestEvolve:
@@ -694,7 +700,7 @@ class TestEvolve:
         for _ in range(10):
             mu = _random_real_rooted(rng, deg_max=n)
             for t in (0.05, 0.3, 1.0):
-                ev = evolve(mu, rates, t, tol=1e-13, N=n)
+                ev = evolve(mu, rates, t, tol=1e-13)
                 assert ev.certificate().verdict is not Verdict.REFUTED
 
 
@@ -720,6 +726,14 @@ class TestBackwardResidual:
         rates = BirthDeathRates.mm_infty(1.3, 0.4)
         sg = transition(rates, 0.0, 6, tol=1e-13)
         assert backward_residual(rates, sg, 2, 3) < 1e-3
+
+    @pytest.mark.parametrize("k", [-1, 7])
+    def test_k_outside_the_box(self, monkeypatch, k):
+        rates = BirthDeathRates.mm_infty(1.0, 1.0)
+        sg = transition(rates, 0.5, 6, tol=1e-13)
+        monkeypatch.setattr(bdchain, "_bd_uniformize", None)  # no series may run
+        with pytest.raises(ValueError, match="k must lie in 0..N"):
+            backward_residual(rates, sg, 2, k)
 
     @pytest.mark.parametrize(
         "rates,t,N,j,k",
@@ -881,6 +895,12 @@ class TestBirthMonotonicityProbe:
         recs = birth_monotonicity_probe(rates, 2, [1e-4])
         assert recs[0]["verdict"] == "Refuted"
 
+    def test_witness_pinned(self):
+        # pure birth never feeds a lower state, so the coefficients 0..k+2
+        # and the witness do not depend on the box top
+        recs = birth_monotonicity_probe(BirthDeathRates.from_sequences([1.0, 2.0, 1.0]), 0, [1e-4])
+        assert recs[0]["witness"] == (complex(-9999.833336111093, 10000.49998611185),)
+
 
 class TestKingman:
     def test_single_lineage_frozen(self):
@@ -970,9 +990,15 @@ class TestLieSplit:
         eye = np.eye(N + 1, N + 2)
         shared = _bd_uniformize(eye, beta, delta, [h / 2.0, h], _ROOT_LAW_TOL)
         for (acc, tail), dt in zip(shared, [h / 2.0, h]):
-            one, one_tail = _bd_uniformize(eye, beta, delta, dt, _ROOT_LAW_TOL)
+            [(one, one_tail)] = _bd_uniformize(eye, beta, delta, [dt], _ROOT_LAW_TOL)
             assert_same_bits(acc, one)
             assert tail == one_tail
+
+    @pytest.mark.parametrize("steps", [2.5, 4.0, "4", None])
+    def test_steps_must_be_an_integer(self, monkeypatch, steps):
+        monkeypatch.setattr(bdchain, "_rate_arrays", None)  # nothing may be sized
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            lie_split_evolve(Measure.point_mass(5), 1.0, 1.0, 1.0, 0.5, steps)
 
     def test_nontrivial_split_tv_decreasing(self):
         mu = Measure.point_mass(5)
@@ -1060,20 +1086,15 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match="N must be >= 1"):
             transition(BirthDeathRates.mm_infty(1.0, 1.0), 0.1, N)
 
-    @pytest.mark.parametrize("N", [1, 0, -1])
-    def test_box_below_initial_support(self, N):
-        mu = Measure.point_mass(2)
-        with pytest.raises(ValueError, match="below the initial law's support 2"):
-            evolve(mu, BirthDeathRates.mm_infty(1.0, 1.0), 0.1, N=N)
-
     def test_box_of_one_state_grows(self):
-        # M/M/infinity from 0 is Poisson with mean 1 - e^{-t}
-        ev = evolve(Measure.point_mass(0), BirthDeathRates.mm_infty(1.0, 1.0), 0.5, N=0)
+        # from state 0 the first box is 0 + ceil(10 + 5 b t) with births and
+        # 1 without: M/M/infinity from 0 is Poisson with mean 1 - e^{-t}
+        ev = evolve(Measure.point_mass(0), BirthDeathRates.mm_infty(1.0, 1.0), 0.5)
         mean = 1.0 - math.exp(-0.5)
         ref = [math.exp(-mean) * mean**k / math.factorial(k) for k in range(ev.poly.degree + 1)]
         gap = sum(abs(c - r) for c, r in zip(ev.poly.coeffs, ref)) + 1.0 - sum(ref)
         assert gap <= ev.tail_bound
-        ev = evolve(Measure.point_mass(0), self.still, 0.5, N=0)
+        ev = evolve(Measure.point_mass(0), self.still, 0.5)
         assert ev.poly.coeffs == (1.0,) and ev.tail_bound == 0.0
 
     @pytest.mark.parametrize("n", [0, -1])
@@ -1099,7 +1120,6 @@ class TestInputBoundary:
         mu = Measure.point_mass(1)
         for call in (
             lambda: evolve(mu, huge, 0.1),
-            lambda: evolve(mu, huge, 0.1, N=3),
             lambda: transition(huge, 0.1, 3),
             lambda: generator(huge, 3),
         ):

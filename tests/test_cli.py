@@ -165,6 +165,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.strip().splitlines() == [f"trotter-split: Lie split box N = {N} is above the cap 1024"]
 
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    @pytest.mark.parametrize(
+        "flag,value,shown",
+        [
+            ("seed", "-1", "-1"),
+            ("tol", "nan", "nan"),
+            ("tol", "inf", "inf"),
+            ("tol", "0", "0.0"),
+            ("tol", "-1e-9", "-1e-09"),
+        ],
+    )
+    def test_bad_seed_or_tol_exits_2(self, tmp_path, capsys, command, flag, value, shown):
+        # a negative seed fails inside numpy, and tol = nan would write "tol": NaN
+        name = ["double-root-counterexample"] if command == "run" else []
+        code = main([command, *name, f"--{flag}={value}", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.strip().splitlines() == [f"--{flag}={shown} is out of range"]
+
+    def test_artifact_is_strict_json(self, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert main(["run", "kingman-bp", "--seed", "3", "--tol", "1e-6", "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "kingman-bp.json").read_text(), parse_constant=refuse)
+        assert (data["seed"], data["tol"]) == (3, 1e-6)
+
     def test_error_inside_a_run_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(p, seed):
             raise ValueError("internal")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from stablepgf import particles
 from stablepgf.measures import InputRangeError, Measure, marginal_sum, pgf
 from stablepgf.particles import (
     Configuration,
@@ -477,6 +478,12 @@ class TestSamplerInputBoundary:
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples(self, samples):
         with pytest.raises(ValueError, match="samples must be >= 1"):
+            self.empirical(samples=samples)
+
+    @pytest.mark.parametrize("samples", [2.5, 3.0, None])
+    def test_samples_must_be_an_integer(self, monkeypatch, samples):
+        monkeypatch.setattr(particles, "_gillespie_runs", None)  # no run may start
+        with pytest.raises(ValueError, match="samples must be an integer"):
             self.empirical(samples=samples)
 
     def test_box_length(self):
