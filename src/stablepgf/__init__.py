@@ -36,7 +36,6 @@ from .measures import (
 )
 from .bdchain import (
     BirthDeathRates,
-    EvolvedPGF,
     TruncatedSemigroup,
     backward_residual,
     birth_monotonicity_probe,

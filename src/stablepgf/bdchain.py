@@ -121,21 +121,6 @@ class TruncatedSemigroup:
     trunc_error: float
 
 
-@dataclass(frozen=True)
-class EvolvedPGF:
-    """Coefficients of the generating function at time t on {0..N}."""
-
-    poly: UniPoly
-    t: float
-    tail_bound: float
-
-    def to_measure(self) -> Measure:
-        return Measure(np.maximum(self.poly.coeffs_float(), 0.0), tail_bound=self.tail_bound)
-
-    def certificate(self) -> StabilityCertificate:
-        return is_real_rooted(self.poly, coeff_perturb=self.tail_bound)
-
-
 def generator(rates: BirthDeathRates, N: int) -> np.ndarray:
     """Tridiagonal generator on {0..N} with the birth rate clamped at N."""
     N = _check_count(N, "N")
@@ -396,7 +381,7 @@ def evolve(
     rates: BirthDeathRates,
     t: float,
     tol: float = DEFAULT.uniformization_tol,
-) -> EvolvedPGF:
+) -> Measure:
     """Push a univariate initial law through the chain for time t.
 
     The rates of states 0..support+10, support the initial law's top
@@ -415,7 +400,7 @@ def evolve_grid(
     rates: BirthDeathRates,
     t_grid: Sequence[float],
     tol: float = DEFAULT.uniformization_tol,
-) -> list[EvolvedPGF]:
+) -> list[Measure]:
     """evolve at every time of t_grid, one law per time in order, each
     bit for bit the law that evolve returns for that time alone.
 
@@ -465,7 +450,7 @@ def evolve_grid(
             absorbed = float(v[-1])
             if not absorbed <= tol:
                 raise RuntimeError("truncation level cap reached before meeting tolerance")
-            laws[i] = EvolvedPGF(UniPoly.from_coeffs(list(v[:-1])), ts[i], mu.tail_bound + absorbed + tail)
+            laws[i] = Measure(v[:-1], tail_bound=mu.tail_bound + absorbed + tail)
     return laws
 
 
@@ -588,8 +573,7 @@ def kummer_root_law(n: int, t_grid: Sequence[float]) -> list:
     for t, ev in zip(t_grid, evolve_grid(mu, rates, t_grid, tol=_ROOT_LAW_TOL)):
         # coefficient 0 is exactly zero (the chain is absorbed at 1), so
         # divide out the root at the origin before tracking.
-        coeffs = ev.poly.coeffs_float()
-        reduced = UniPoly.from_coeffs(list(coeffs[1:]))
+        reduced = UniPoly.from_coeffs(list(ev.weights[1:]))
         roots = sorted(real_roots(reduced).roots, key=lambda z: z.real)
         rescaled = [z.real / t for z in roots]
         report = max(abs(r - z) for r, z in zip(rescaled, targets))
@@ -628,15 +612,14 @@ def birth_monotonicity_probe(
     m = k + 2
     records = []
     for t, ev in zip(t_grid, evolve_grid(Measure.point_mass(k), rates, t_grid, tol=_ROOT_LAW_TOL)):
-        coeffs = ev.poly.coeffs_float()
-        cmap = {j: float(coeffs[j]) for j in range(min(len(coeffs), m + 1))}
+        cmap = {j: float(c) for j, c in enumerate(ev.weights[: m + 1])}
         fm = tstable_approximant(cmap, m).poly.to_uni()
         cert = is_real_rooted(fm, coeff_perturb=ev.tail_bound)
         records.append({"t": t, "verdict": cert.verdict.value, "witness": cert.witness})
     return records
 
 
-def kingman(n: int, coalescent: bool, t: float) -> EvolvedPGF:
+def kingman(n: int, coalescent: bool, t: float) -> Measure:
     """Law of the ancestral block count started from n lineages."""
     n = _check_count(n, "n")
     rates = (
@@ -647,7 +630,7 @@ def kingman(n: int, coalescent: bool, t: float) -> EvolvedPGF:
 
 def lie_split_evolve(
     mu: Measure, b0: float, d1: float, d2: float, t: float, steps: int
-) -> EvolvedPGF:
+) -> Measure:
     """Alternate exact sub-steps of the two half-chains.
 
     Chain 1 has constant birth b0 and linear death d1*k; chain 2 has pure
@@ -695,13 +678,14 @@ def lie_split_evolve(
             v, lost2 = substep(v, full2)
             v, lost1 = substep(v, full1 if i < steps - 1 else half1)
             lost += lost1 + lost2
-    return EvolvedPGF(poly=UniPoly.from_coeffs(list(v)), t=t, tail_bound=lost)
+    return Measure(v, tail_bound=lost)
 
 
-def tv_distance(a: EvolvedPGF | Measure, b: EvolvedPGF | Measure) -> float:
+def tv_distance(a: Measure, b: Measure) -> float:
     """Total variation distance between two univariate laws."""
-    wa = a.poly.coeffs_float() if isinstance(a, EvolvedPGF) else a.weights
-    wb = b.poly.coeffs_float() if isinstance(b, EvolvedPGF) else b.weights
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError("univariate measures only")
+    wa, wb = a.weights, b.weights
     n = max(len(wa), len(wb))
     pa = np.zeros(n)
     pa[: len(wa)] = wa

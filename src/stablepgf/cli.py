@@ -66,7 +66,7 @@ def _run_quad_death_preserve(p, seed):
     for _ in range(int(p["count"])):
         mu = _random_real_rooted(rng, int(p["deg_max"]))
         for ev in bdchain.evolve_grid(mu, rates, t_grid, tol=1e-13):
-            cert = ev.certificate()
+            cert = stability.is_real_rooted(ev.poly, coeff_perturb=ev.tail_bound)
             checked += 1
             if cert.verdict is stability.Verdict.REFUTED:
                 refuted += 1
@@ -148,8 +148,8 @@ def _run_kummer_law(p, seed):
 def _run_kingman_bp(p, seed):
     n, t = int(p["n"]), float(p["t"])
     ev = bdchain.kingman(n, True, t)
-    cert = ev.certificate()
-    dec = measures.bp_decompose(ev.to_measure())
+    cert = stability.is_real_rooted(ev.poly, coeff_perturb=ev.tail_bound)
+    dec = measures.bp_decompose(ev)
     ok = (
         cert.verdict is not stability.Verdict.REFUTED
         and dec.residual < 1e-8
@@ -481,8 +481,14 @@ def main(argv: list | None = None) -> int:
     if args.command == "run":
         overrides = {}
         if args.config:
-            with open(args.config) as fh:
-                overrides.update(json.load(fh))
+            try:  # an unreadable file is an OSError, bad JSON a ValueError
+                with open(args.config, encoding="utf-8") as fh:
+                    overrides = json.load(fh)
+                if not isinstance(overrides, dict):
+                    raise ValueError("not a JSON object")
+            except (OSError, ValueError) as exc:
+                print(f"--config {args.config}: {exc}", file=sys.stderr)
+                return 2
         for kv in args.param:
             if "=" not in kv:
                 print(f"bad --param {kv!r}, expected key=value", file=sys.stderr)

@@ -60,6 +60,13 @@ class Measure:
     def shape(self) -> tuple:
         return self.weights.shape
 
+    @property
+    def poly(self) -> UniPoly:
+        """The pgf of a univariate measure, trailing zero weights trimmed."""
+        if self.ndim != 1:
+            raise ValueError("univariate measures only")
+        return UniPoly.from_coeffs(list(self.weights))
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -122,14 +129,14 @@ def _check_poisson_mean(lam: float) -> None:
         )
 
 
-def _check_count(n, name: str) -> int:
-    """n as an int; a float (4.0 included) or a count below 1 raises ValueError."""
+def _check_count(n, name: str, low: int = 1) -> int:
+    """n as an int; a float (4.0 included) or a count below low raises ValueError."""
     try:
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if n < low:
+        raise ValueError(f"{name} must be >= {low}")
     return n
 
 

@@ -302,8 +302,9 @@ def _gillespie_runs(system, init, t, seed, keys, max_events):
     if len(init.counts) != n:
         raise ValueError("configuration length does not match site count")
     _check_time(t)
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    seed = _check_count(seed, "seed", low=0)
+    if seed >= 2**64:  # the Philox key word is 64 bits
+        raise ValueError("seed must be < 2**64")
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen, state = np.random.Generator(bits), bits.state  # counter 0, empty buffer
 

@@ -38,7 +38,7 @@ from stablepgf.cli import _random_real_rooted
 from stablepgf.measures import InputRangeError, Measure, _poisson_weights, bp_decompose, poisson_box
 from stablepgf.particles import SiteSystem, exact_pgf_transform, truncated_generator_evolve
 from stablepgf.polycore import MultiPoly, UniPoly
-from stablepgf.stability import Verdict
+from stablepgf.stability import Verdict, is_real_rooted
 
 
 class TestGenerator:
@@ -614,8 +614,7 @@ class TestEvolveGrid:
         assert len(grid) == len(times)
         for ev, t in zip(grid, times):
             one = evolve(mu, rates, t, tol=tol)
-            assert ev.t is t
-            assert_same_bits(np.array(ev.poly.coeffs), np.array(one.poly.coeffs))
+            assert_same_bits(ev.weights, one.weights)
             assert ev.tail_bound == one.tail_bound
 
     def test_pure_death_grid_runs_one_series_plus_pieces(self, monkeypatch):
@@ -689,7 +688,7 @@ class TestEvolve:
         mu = Measure(base / base.sum())
         for t in np.logspace(-3, 0, 6):
             ev = evolve(mu, BirthDeathRates.quadratic_death(), float(t), tol=1e-13)
-            assert ev.certificate().verdict is Verdict.STABLE
+            assert is_real_rooted(ev.poly, coeff_perturb=ev.tail_bound).verdict is Verdict.STABLE
 
     def test_ehrenfest_control_preserves_low_degree(self):
         # finitely many nonzero rates: beta_k = n-k, delta_k = k preserves
@@ -701,7 +700,7 @@ class TestEvolve:
             mu = _random_real_rooted(rng, deg_max=n)
             for t in (0.05, 0.3, 1.0):
                 ev = evolve(mu, rates, t, tol=1e-13)
-                assert ev.certificate().verdict is not Verdict.REFUTED
+                assert is_real_rooted(ev.poly, coeff_perturb=ev.tail_bound).verdict is not Verdict.REFUTED
 
 
 class TestBackwardResidual:
@@ -916,14 +915,14 @@ class TestKingman:
 
     def test_big_n_decomposes(self):
         ev = kingman(100, True, 0.5)
-        dec = bp_decompose(ev.to_measure())
+        dec = bp_decompose(ev)
         assert dec.q in (0, 1)
         assert dec.residual < 1e-8
 
     def test_large_atom_decomposes(self):
         # the fit once divided by x^q, which is 0 in floats on its smallest
         # node from q = 327
-        dec = bp_decompose(kingman(500, True, 1e-9).to_measure())
+        dec = bp_decompose(kingman(500, True, 1e-9))
         assert dec.q == 498 and math.isfinite(dec.sigma)
 
     @pytest.mark.parametrize("n", [50, 100, 150, 200, 300, 400, 800])
@@ -1010,6 +1009,32 @@ class TestLieSplit:
         assert tvs[0] > tvs[1] > tvs[2]
 
 
+class TestOneLawType:
+    engines = {
+        "evolve": lambda: [evolve(Measure.point_mass(3), BirthDeathRates.mm_infty(1.0, 1.0), 0.5)],
+        "evolve_grid": lambda: evolve_grid(
+            Measure.point_mass(3), BirthDeathRates.quadratic_death(), [0.0, 0.1, 0.5]
+        ),
+        "kingman": lambda: [kingman(5, True, 0.5)],
+        "lie_split_evolve": lambda: [lie_split_evolve(Measure.point_mass(1), 1.0, 1.0, 1.0, 0.5, 4)],
+    }
+
+    @pytest.mark.parametrize("engine", sorted(engines))
+    def test_engines_return_measures(self, engine):
+        laws = self.engines[engine]()
+        assert laws and all(type(law) is Measure and law.ndim == 1 for law in laws)
+
+    def test_tv_distance_refuses_a_2d_measure(self):
+        one, two = Measure.point_mass(1), Measure.point_mass((1, 0))
+        for a, b in ((one, two), (two, one), (two, two)):
+            with pytest.raises(ValueError, match="univariate measures only"):
+                tv_distance(a, b)
+
+    def test_tv_distance_pads_the_shorter_law(self):
+        assert tv_distance(Measure.point_mass(0), Measure.point_mass(0, shape=(4,))) == 0.0
+        assert tv_distance(Measure.point_mass(0), Measure.point_mass(3)) == 1.0
+
+
 class TestPreservation:
     def test_random_laws_never_refuted(self):
         rng = np.random.default_rng(7)
@@ -1018,7 +1043,7 @@ class TestPreservation:
             mu = _random_real_rooted(rng)
             for t in np.logspace(-3, 0, 4):
                 ev = evolve(mu, rates, float(t), tol=1e-13)
-                assert ev.certificate().verdict is not Verdict.REFUTED
+                assert is_real_rooted(ev.poly, coeff_perturb=ev.tail_bound).verdict is not Verdict.REFUTED
 
     def test_general_polynomial_family_never_refuted(self):
         rng = np.random.default_rng(8)
@@ -1027,7 +1052,7 @@ class TestPreservation:
             rates = BirthDeathRates.from_polynomial(float(b0), float(d1), float(d2))
             mu = _random_real_rooted(rng, deg_max=5)
             ev = evolve(mu, rates, 0.4, tol=1e-12)
-            assert ev.certificate().verdict is not Verdict.REFUTED
+            assert is_real_rooted(ev.poly, coeff_perturb=ev.tail_bound).verdict is not Verdict.REFUTED
 
 
 class TestInputBoundary:

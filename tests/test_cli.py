@@ -242,6 +242,31 @@ class TestRun:
         assert "not an integer" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "No such file"),
+            ('{"r": ', "Expecting value"),
+            ("[1, 2]", "not a JSON object"),
+            ('"r=0.3"', "not a JSON object"),
+            (b"\xff\xfe{", "codec can't decode"),
+        ],
+        ids=["missing", "truncated", "list", "string", "not-utf8"],
+    )
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        elif text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "c"
+        code = main(["run", "double-root-counterexample", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
+        assert not out.exists()
+
     def test_config_integral_float_for_int(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"count": 2.0}))

@@ -47,6 +47,15 @@ class TestMeasureBasics:
         with pytest.raises(ValueError):
             Measure(np.array([0.5, 0.1]), tail_bound=0.0)
 
+    def test_poly_is_the_trimmed_pgf(self):
+        m = Measure(np.array([0.25, 0.75, 0.0, 0.0]))
+        assert m.poly.coeffs == (0.25, 0.75)
+        assert Measure.point_mass(0, shape=(3,)).poly.coeffs == (1.0,)
+
+    def test_poly_refuses_a_2d_measure(self):
+        with pytest.raises(ValueError, match="univariate measures only"):
+            Measure.point_mass((1, 0)).poly
+
 
 class TestPgf:
     def test_point_mass(self):

@@ -502,6 +502,26 @@ class TestSamplerInputBoundary:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             self.empirical(seed=-1)
 
+    @pytest.mark.parametrize("seed", [2.5, 4.0, np.float64(3.0), None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            self.sample(seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            self.empirical(seed=seed)
+
+    def test_seed_above_the_key_range(self):
+        with pytest.raises(ValueError, match="seed must be < 2\\*\\*64"):
+            self.sample(seed=2**64)
+        with pytest.raises(ValueError, match="seed must be < 2\\*\\*64"):
+            self.empirical(seed=2**64)
+        self.sample(seed=2**64 - 1)
+
+    def test_numpy_integer_seed(self):
+        assert self.sample(seed=np.uint64(3)) == self.sample(seed=3)
+        assert np.array_equal(
+            self.empirical(seed=np.uint64(3)).weights, self.empirical(seed=3).weights
+        )
+
     @pytest.mark.parametrize("counts", [(1.5,), (np.float64(2.0),)])
     def test_non_integer_occupancy(self, counts):
         with pytest.raises(ValueError, match="occupancies must be integers"):
