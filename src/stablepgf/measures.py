@@ -130,8 +130,11 @@ def _check_poisson_mean(lam: float) -> None:
 
 
 def _check_count(n, name: str, low: int = 1) -> int:
-    """n as an int; a float (4.0 included) or a count below low raises ValueError."""
+    """n as an int; a float (4.0 included), a bool or a count below low
+    raises ValueError."""
     try:
+        if isinstance(n, (bool, np.bool_)):  # operator.index(True) is 1
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None

@@ -25,6 +25,14 @@ from .measures import InputRangeError, Measure, _check_count, _check_tol
 from .polycore import MultiPoly
 
 _MAX_EVENTS = 1_000_000  # events one Gillespie run may take before it gives up
+# Doubles in one window of Gillespie uniforms, over all live runs, unless
+# one block (4 doubles) per run is more.
+_DRAW_WORDS = 2**14
+# Philox4x64-10's multipliers, lanes 0 and 2, as 32-bit limbs, and its Weyl
+# key increments (Salmon, Moraes, Dror & Shaw, SC 2011).
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)[:, :, None]
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -80,10 +88,12 @@ class SiteSystem:
 
 def _box_shape(box: Sequence[int], n: int) -> tuple:
     """The array shape of a box of top counts, one per site of n, each an
-    integral value >= 0; checked before anything is sized by the box."""
+    integral value >= 0 and not a bool; checked before anything is sized
+    by the box."""
     if len(box) != n:
         raise ValueError("box length does not match site count")
-    if not all(b >= 0 and float(b).is_integer() for b in box):
+    ok = (not isinstance(b, (bool, np.bool_)) and b >= 0 and float(b).is_integer() for b in box)
+    if not all(ok):
         raise ValueError("box entries must be integers >= 0")
     return tuple(int(b) + 1 for b in box)
 
@@ -112,7 +122,7 @@ class Configuration:
     counts: tuple
 
     def __post_init__(self):
-        if not all(isinstance(c, (int, np.integer)) for c in self.counts):
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in self.counts):
             raise ValueError("occupancies must be integers")
         if any(c < 0 for c in self.counts):
             raise ValueError("negative occupancy")
@@ -288,15 +298,49 @@ def gillespie_sample(
     return Configuration(tuple(final[0].tolist()))
 
 
+def _philox_uniforms(seed, keys, first, count):
+    """Doubles of the Philox4x64-10 blocks first .. first + count - 1 under
+    the key (seed, k), one row of 4 * count per k in the uint64 array keys.
+
+    Row k is bit for bit what Generator(Philox(key=[seed, k])).random()
+    draws from those blocks: numpy computes block b from the counter
+    (b, 0, 0, 0), and a double is (word >> 11) * 2**-53.  The 128-bit
+    products of a round are built from 32-bit limbs; lanes 0 and 2 of the
+    counter are held in x, lanes 1 and 3 in y, both (2, len(keys), count).
+    """
+    key = np.empty((2, len(keys), 1), dtype=np.uint64)
+    key[0], key[1, :, 0] = seed, keys
+    x = np.zeros((2, len(keys), count), dtype=np.uint64)
+    x[0] = np.arange(first, first + count, dtype=np.uint64)
+    y = np.zeros_like(x)
+    for _ in range(10):
+        lo, xl, xh = _PHILOX_M * x, x & 0xFFFFFFFF, x >> 32  # uint64 arrays wrap silently
+        ll, hl = _PHILOX_M_LO * xl, _PHILOX_M_HI * xl
+        mid = _PHILOX_M_LO * xh + (ll >> 32)  # below 2**64, as is the next sum
+        hl += mid & 0xFFFFFFFF
+        hi = _PHILOX_M_HI * xh + (mid >> 32) + (hl >> 32)
+        # the next counter, lanes 0-3: hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        x, y = hi[::-1] ^ y ^ key, lo[::-1]
+        key += _PHILOX_W
+    words = np.stack((x[0], y[0], x[1], y[1]), axis=2).reshape(len(keys), 4 * count)
+    return (words >> 11) * 2.0**-53
+
+
 def _gillespie_runs(system, init, t, seed, keys, max_events):
     """Final counts, one row per run, of runs keyed (seed, keys[r]).
 
     All runs advance together, one event per step.  Each run takes two
     uniforms per event from its own Philox stream (the waiting time, then
-    the choice) and one for the step that passes t.  The rates of a run
-    sit in a fixed column order, per site birth, death, then jumps i -> j
-    for j != i, and are summed by a row-wise cumsum in that order, so every
-    run draws, sums and ends exactly as it would if simulated alone.
+    the choice) and one for the step that passes t: step s reads words
+    2 (s mod 2) and 2 (s mod 2) + 1 of block s // 2 + 1.  The uniforms come
+    in windows of blocks, computed by _philox_uniforms for all live runs at
+    once; each window starts where the last one ended.  The first holds 3
+    blocks and each next one 4 times as many as the last, at most
+    max(1, _DRAW_WORDS // (4 * live runs)) and none past the blocks that
+    max_events can use.  The rates of a run sit in a fixed column order,
+    per site birth, death, then jumps i -> j for j != i, and are summed by
+    a row-wise cumsum in that order, so every run draws, sums and ends
+    exactly as it would if simulated alone.
     """
     n = system.n
     if len(init.counts) != n:
@@ -305,17 +349,6 @@ def _gillespie_runs(system, init, t, seed, keys, max_events):
     seed = _check_count(seed, "seed", low=0)
     if seed >= 2**64:  # the Philox key word is 64 bits
         raise ValueError("seed must be < 2**64")
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen, state = np.random.Generator(bits), bits.state  # counter 0, empty buffer
-
-    def blocks(run, width):
-        # The first `width` uniforms of each run's stream.
-        U = np.empty((len(run), width))
-        for out, key in zip(U, keys[run].tolist()):
-            state["state"]["key"][1] = key
-            bits.state = state
-            gen.random(out=out)
-        return U
 
     eye, off = np.eye(n, dtype=np.int64), ~np.eye(n, dtype=bool)
     # Change of the counts for each rate column's event.
@@ -327,7 +360,7 @@ def _gillespie_runs(system, init, t, seed, keys, max_events):
     final = np.empty((len(keys), n), dtype=np.int64)
     run, now = np.arange(len(keys)), np.zeros(len(keys))
     counts = np.tile(np.asarray(init.counts, dtype=np.int64), (len(keys), 1))
-    U, row = blocks(run, 12), run  # row: each live run's row of U
+    U, base, size = np.empty((len(keys), 0)), 0, 3  # U[:, j] is word base + j of each stream
     for step in range(max_events):
         top = int(counts.max())
         if top >= table.shape[1]:
@@ -338,23 +371,27 @@ def _gillespie_runs(system, init, t, seed, keys, max_events):
         pos = acc > 0  # a run alone skips the other rates
         acc[~pos] = 0.0
         total = np.cumsum(acc, axis=1, out=acc)[:, -1]  # running sums, in place
-        if 2 * step + 2 > U.shape[1]:
-            # same keys: the longer block starts with the old one
-            U, row = blocks(run, 4 * U.shape[1]), np.arange(len(run))
+        j = 2 * step - base
+        if j == U.shape[1]:  # used up: the next window starts where this one ended
+            cap = max(1, _DRAW_WORDS // (4 * len(run)))
+            size = min(size, cap, (max_events + 1) // 2 - step // 2)
+            U, base, j = _philox_uniforms(seed, keys[run], step // 2 + 1, size), 2 * step, 0
+            size *= 4
         live = total > 0
         # math.log, as a run alone takes it: np.log can differ in the last bit.
-        logs = np.fromiter(map(math.log, U[row[live], 2 * step].tolist()), float, int(live.sum()))
+        logs = np.fromiter(map(math.log, U[live, j].tolist()), float, int(live.sum()))
         now[live] += -logs / total[live]
         go = live & (now < t)
-        hit = ((U[row, 2 * step + 1] * total)[:, None] <= acc) & pos
+        hit = ((U[:, j + 1] * total)[:, None] <= acc) & pos
         col = hit.argmax(axis=1)
         took = go & hit[np.arange(len(run)), col]
         counts[took] += move[col[took]]
         del acc, pos, total, hit  # free them before the next step builds its own
-        final[run[~go]] = counts[~go]
-        run, row, counts, now = run[go], row[go], counts[go], now[go]
-        if not len(run):
-            return final
+        if not go.all():
+            final[run[~go]] = counts[~go]
+            run, counts, now, U = run[go], counts[go], now[go], U[go]
+            if not len(run):
+                return final
     raise RuntimeError("event-count cap exceeded")
 
 

@@ -8,6 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablepgf import particles
+from stablepgf.bdchain import (
+    BirthDeathRates,
+    generator,
+    hermite_root_law,
+    kingman,
+    kummer_root_law,
+    lie_split_evolve,
+    transition,
+)
 from stablepgf.measures import (
     Measure,
     _poisson_weights,
@@ -328,3 +338,48 @@ class TestFiniteSupportEquivalence:
             assert ct.verdict is Verdict.STABLE
         if rr.verdict is Verdict.REFUTED:
             assert ct.verdict is Verdict.REFUTED
+
+
+class TestBoolIsNotACount:
+    """A bool is an int to operator.index, but no count: every caller of
+    _check_count refuses True and False, Python's and numpy's, before any
+    work."""
+
+    still = particles.SiteSystem(jump=np.zeros((1, 1)), birth=np.zeros(1), death=np.zeros(1))
+    start = particles.Configuration((0,))
+    callers = {
+        "generator": ("N", lambda v: generator(BirthDeathRates.quadratic_death(), v)),
+        "transition": ("N", lambda v: transition(BirthDeathRates.quadratic_death(), 0.1, v)),
+        "kingman": ("n", lambda v: kingman(v, True, 0.5)),
+        "hermite_root_law": ("n", lambda v: hermite_root_law(-0.5, v, None, [0.01])),
+        "kummer_root_law": ("n", lambda v: kummer_root_law(v, [0.01])),
+        "lie_split_evolve": (
+            "steps",
+            lambda v: lie_split_evolve(Measure.point_mass(1), 1.0, 1.0, 1.0, 0.5, v),
+        ),
+        "gillespie_empirical-samples": (
+            "samples",
+            lambda v: particles.gillespie_empirical(
+                TestBoolIsNotACount.still, TestBoolIsNotACount.start, 1.0, v, 1, (4,)
+            ),
+        ),
+        "gillespie_empirical-seed": (
+            "seed",
+            lambda v: particles.gillespie_empirical(
+                TestBoolIsNotACount.still, TestBoolIsNotACount.start, 1.0, 10, v, (4,)
+            ),
+        ),
+        "gillespie_sample-seed": (
+            "seed",
+            lambda v: particles.gillespie_sample(
+                TestBoolIsNotACount.still, TestBoolIsNotACount.start, 1.0, v
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(callers))
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_refused(self, caller, value):
+        name, call = self.callers[caller]
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call(value)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -19,6 +19,7 @@ from stablepgf.particles import (
     gillespie_empirical,
     _gillespie_runs,
     gillespie_sample,
+    _philox_uniforms,
     single_jump_transform,
     truncated_generator_evolve,
 )
@@ -388,7 +389,8 @@ class TestBatchedRuns:
         init, t, seed, keys = Configuration((0,)), 3.0, 17, range(1, 41)
         streams = [CountingStream(seed, k) for k in keys]
         ref = [reference_gillespie_run(busy, init, t, s, 1_000_000).counts for s in streams]
-        # the first block holds 12 uniforms, the next 48: runs outgrow both
+        # windows of 3 and then 12 blocks hold a run's first 12 and next 48
+        # uniforms: runs outgrow the first
         assert max(s.draws for s in streams) > 48
         assert batched_runs(busy, init, t, seed, keys) == ref
 
@@ -451,6 +453,88 @@ class TestBatchedRuns:
         )
         with pytest.raises(ValueError, match="empty site"):
             gillespie_sample(system, Configuration((0,)), 1.0, seed=1)
+
+
+WORD = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+class TestPhiloxKernel:
+    """_philox_uniforms against numpy's own Philox4x64-10 stream."""
+
+    @given(
+        seed=WORD,
+        keys=st.lists(WORD, min_size=1, max_size=4),
+        first=st.integers(1, 2**63),
+        count=st.integers(1, 40),
+    )
+    @example(seed=0, keys=[0, 2**64 - 1], first=1, count=3)
+    @example(seed=2**64 - 1, keys=[2**64 - 1, 0], first=1, count=1)
+    @example(seed=2**64 - 1, keys=[2**64 - 1], first=2**63, count=40)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy(self, seed, keys, first, count):
+        got = _philox_uniforms(seed, np.array(keys, dtype=np.uint64), first, count)
+        assert got.shape == (len(keys), 4 * count)
+        for row, key in zip(got, keys):
+            bits = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
+            bits.advance(first - 1)  # the next block drawn is block `first`
+            assert np.array_equal(row, np.random.Generator(bits).random(4 * count))
+
+
+class TestWindows:
+    """A run's uniforms come in windows of 3, 12, 48, ... blocks, at most
+    _DRAW_WORDS doubles over the live runs: a lone run's windows start at
+    steps 0, 6, 30, 126, 510, 2046, 8190 (the first at the cap of 4096
+    blocks), 16382, ..."""
+
+    two_sites = SiteSystem(
+        jump=np.array([[0.0, 0.5], [0.5, 0.0]]), birth=np.array([2.0, 2.0]), death=np.ones(2)
+    )
+    busy = SiteSystem(jump=np.zeros((1, 1)), birth=np.array([50.0]), death=np.array([1.0]))
+
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        """(live runs, first block, block count) of each kernel call."""
+        calls = []
+
+        def counted(seed, keys, first, count):
+            calls.append((len(keys), first, count))
+            return _philox_uniforms(seed, keys, first, count)
+
+        monkeypatch.setattr(particles, "_philox_uniforms", counted)
+        return calls
+
+    @staticmethod
+    def contiguous(calls):
+        # each window starts where the last one ended
+        return all(f + c == g for (_, f, c), (_, g, _) in zip(calls, calls[1:]))
+
+    def test_lone_run_across_capped_windows(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
+        init, t, seed = Configuration((0,)), 200.0, 12
+        stream = CountingStream(seed, 0)
+        ref = reference_gillespie_run(self.busy, init, t, stream, 1_000_000)
+        assert stream.draws > 2 * 16_382 + 2  # into the second window at the cap
+        assert gillespie_sample(self.busy, init, t, seed=seed) == ref
+        counts = [c for _, _, c in calls]
+        assert counts[:8] == [3, 12, 48, 192, 768, 3072, 4096, 4096]
+        assert set(counts[6:]) == {4096} and self.contiguous(calls)
+
+    def test_lone_run_makes_few_kernel_calls(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
+        init, t, seed = Configuration((1, 1)), 300.0, 5
+        stream = CountingStream(seed, 0)
+        ref = reference_gillespie_run(self.two_sites, init, t, stream, 1_000_000)
+        assert stream.draws > 2 * 2_046  # drawing per step would take > 1000 calls
+        assert gillespie_sample(self.two_sites, init, t, seed=seed) == ref
+        assert 1 <= len(calls) <= 8 and self.contiguous(calls)
+
+    def test_windows_of_many_runs_stay_small(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
+        init, t, seed, keys = Configuration((0,)), 1.0, 3, range(1, 1001)
+        got = batched_runs(self.busy, init, t, seed, keys)
+        assert got == reference_runs(self.busy, init, t, seed, keys)
+        assert all(4 * live * c <= max(particles._DRAW_WORDS, 4 * live) for live, _, c in calls)
+        assert calls[0] == (1000, 1, 3) and calls[1][2] == 4 and self.contiguous(calls)
 
 
 class TestSamplerInputBoundary:
@@ -522,7 +606,7 @@ class TestSamplerInputBoundary:
             self.empirical(seed=np.uint64(3)).weights, self.empirical(seed=3).weights
         )
 
-    @pytest.mark.parametrize("counts", [(1.5,), (np.float64(2.0),)])
+    @pytest.mark.parametrize("counts", [(1.5,), (np.float64(2.0),), (True,), (np.False_,)])
     def test_non_integer_occupancy(self, counts):
         with pytest.raises(ValueError, match="occupancies must be integers"):
             Configuration(counts)
@@ -647,6 +731,12 @@ class TestBoxBoundary:
     @pytest.mark.parametrize("caller", sorted(callers))
     @pytest.mark.parametrize("box", [(2.5, 4), (4, math.nan), (math.inf, 4), (2.5, 10**12)])
     def test_non_integral_entry(self, caller, box):
+        with pytest.raises(ValueError, match="box entries must be integers >= 0"):
+            self.callers[caller](self.system, box)
+
+    @pytest.mark.parametrize("caller", sorted(callers))
+    @pytest.mark.parametrize("box", [(True, 4), (4, False), (np.True_, 4), (4, np.False_)])
+    def test_bool_entry(self, caller, box):
         with pytest.raises(ValueError, match="box entries must be integers >= 0"):
             self.callers[caller](self.system, box)
 
