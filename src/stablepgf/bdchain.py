@@ -54,14 +54,17 @@ _BLOCK_DROP_EVERY = 16
 _CHUNK_TERMS = 32
 _CHUNK_SIZE = 2**14
 
-# A pure-death vector series whose lambda*t is at least 2 * _PIECE_MEAN *
-# (top + _PIECE_PAD) runs in time pieces, each at its top live state's rate
-# (see _bd_uniformize).
+# A vector series whose lambda*t is at least 2 * mean * (box + _PIECE_PAD)
+# runs in time pieces, each at its own range's largest rate; mean is
+# _PIECE_MEAN for pure death and _BIRTH_PIECE_MEAN with births (see
+# _bd_uniformize).
 _PIECE_MEAN = 8
+_BIRTH_PIECE_MEAN = 2
 _PIECE_PAD = 5
 
 # Largest box of lie_split_evolve's dense propagators, whose cost grows
-# like N^3: a call at N = 1023 takes about 10 s and 120 MB on a 2-core host.
+# like N^3: a call at N = 1023 takes 10 s or more and about 140 MB on a 2-core
+# host.
 _MAX_SPLIT_BOX = 1024
 
 
@@ -214,6 +217,14 @@ def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, ts: 
     list ts, one run of the terms for all (see _uniformized_series): v0 has
     N+2 columns, birth out of state N feeds the overflow column N+1.
 
+    The step works on each term's flat buffer, so that every product and
+    every sum is one contiguous pass: stay, up and down are tiled across
+    the rows of a block, with a 0 at each row seam.  A vector is the
+    one-row case, whose passes are its plain slices.  A seam adds a product
+    with 0 to an entry, which changes it only if it is -0.0; a block here
+    always starts from the identity, with no sign bit set, so each of its
+    rows is bit for bit the series of that row alone at the same lambda.
+
     A pure-death chain skips the birth product: with every birth rate 0
     that product is +-0.0, and adding it changes no entry whose sign bit
     is clear.  If no entry of v0 has its sign bit set, no entry of any
@@ -239,13 +250,14 @@ def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, ts: 
     lam = float(out_rate.max())
     if lam <= 0.0:  # nothing moves: the law at every time is v0
         return _uniformized_series(v0, None, [0.0] * len(ts), tol, 0)
-    stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
-    up = beta_arr / lam  # k -> k+1, N -> overflow
-    down = delta_arr[1:] / lam  # k -> k-1 for 1 <= k <= N
-    add_births = bool(up.any() or np.signbit(v0).any())
     rows = np.shape(v0)[:-1]
-    born, died = np.empty(rows + (N + 1,)), np.empty(rows + (N,))
-    # id(v) -> slices of v and of out: each term row of the series' ring
+    R = math.prod(rows)
+    stay = np.tile(np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0), R)
+    up = np.tile(np.append(beta_arr / lam, 0.0), R)[:-1]  # k -> k+1, N -> overflow
+    down = np.tile(np.append(delta_arr[1:] / lam, (0.0, 0.0)), R)[:-2]  # k -> k-1 for 1 <= k <= N
+    add_births = bool(up.any() or np.signbit(v0).any())
+    born, died = np.empty(up.size), np.empty(down.size)
+    # id(v) -> flat views of v and of out: each term row of the series' ring
     # always steps into the same next row
     views = {}
     # every state above top is +0.0 in every row of every later term
@@ -255,9 +267,10 @@ def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, ts: 
         nonlocal top, terms
         key = id(v)
         if key not in views:
-            views[key] = (v[..., :-1], v[..., 1:-1], out[..., 1:], out[..., :-2])
-        below, inner, out_up, out_down = views[key]
-        np.multiply(v, stay, out=out)
+            flat, flat_out = v.reshape(-1), out.reshape(-1)
+            views[key] = (flat, flat[:-1], flat[1:-1], flat_out, flat_out[1:], flat_out[:-2])
+        flat, below, inner, flat_out, out_up, out_down = views[key]
+        np.multiply(flat, stay, out=flat_out)
         if add_births:
             np.multiply(below, up, out=born)
             out_up += born
@@ -285,49 +298,93 @@ def _bd_series(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, ts: 
 
 
 def _bd_uniformize(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, ts: list, tol: float):
-    """_bd_series, with a pure-death vector series (no birth rate, no sign
-    bit in v0) at a time t of ts cut at the times t 2^-m, ..., t/2 into
-    m + 1 pieces: m = floor(log2(lambda t / (_PIECE_MEAN (top +
-    _PIECE_PAD)))), with top v0's highest nonzero state and lambda the
-    largest out-rate of states 0..top (adaptive uniformization; van Moorsel
-    & Sanders, 1994).  Each piece runs _bd_series on states 0..top of the
-    current law, top read afresh, plus an overflow column, at tolerance
-    tol/(m+1).  Death never moves mass up and the states above top hold
-    +0.0, so this is the same chain; each piece is l1-nonexpansive, so the
-    escaped masses and the tails add.  With m = 0, and for blocks and
-    chains with births, _bd_series runs on the whole box.  Every time's
-    lambda*t is checked first; the times with m = 0 share one _bd_series
-    run and each other time runs its pieces alone.
+    """_bd_series, with a vector series (no sign bit in v0) at a time t of
+    ts cut at the times t 2^-m, ..., t/2 into m + 1 pieces (adaptive
+    uniformization; van Moorsel & Sanders, 1994).
+
+    Each piece first sets top, the highest state of the current law whose
+    suffix mass exceeds a floor.  With births the floor is tol/(4(m+1)):
+    the mass above top moves to the overflow column and counts as escaped
+    mass, at most tol/4 over all pieces (finite state projection; Munsky &
+    Khammash, J. Chem. Phys. 124, 2006).  For pure death it is 0, so top is
+    the highest nonzero state and nothing moves.  The piece then runs
+    _bd_series on states 0..min(N, top + H), plus a fresh overflow column,
+    at tolerance tol/(m+1), and adds its escaped mass to the law's.  H is 0
+    for pure death, which never moves mass up, and N - s with births, s
+    the highest nonzero state of v0: the headroom that the caller's box
+    gave the input.  Each piece is l1-nonexpansive, so the escaped masses
+    and the tails add.
+
+    m = floor(log2(lambda t / (mean (box + _PIECE_PAD)))), or 0, with box
+    the first piece's range for m = 0 (top at s, or at a floor of tol/4
+    with births) and lambda the largest out-rate of states 0..box; mean is
+    _PIECE_MEAN for pure death and _BIRTH_PIECE_MEAN with births.  The
+    times with m = 0 share one run: as one series on the whole box for
+    pure death, and as one pruned piece with births, which is the whole
+    box when nothing is pruned.  Blocks and input with a sign bit run as
+    one series.  Every time's lambda*t is checked on the whole box first;
+    each time with m > 0 runs its pieces alone.
     """
-    if np.ndim(v0) > 1 or beta_arr.any() or np.signbit(v0).any():
+    if np.ndim(v0) > 1 or np.signbit(v0).any():
         return _bd_series(v0, beta_arr, delta_arr, ts, tol)
     out_rate = beta_arr + delta_arr
     lam = float(out_rate.max())
     for s in ts:
         _check_poisson_mean(lam * s)
-    ms = [0] * len(ts)
-    if lam * max(ts, default=0.0) >= 2 * _PIECE_MEAN * _PIECE_PAD:  # else m = 0 for every top
-        top = int(np.flatnonzero(v0[:-1]).max(initial=0))
-        lam_top = float(out_rate[: top + 1].max())
-        for i, s in enumerate(ts):
-            if lam * s >= 2 * _PIECE_MEAN * _PIECE_PAD:
-                ratio = lam_top * s / (_PIECE_MEAN * (top + _PIECE_PAD))
-                ms[i] = max(math.frexp(ratio)[1] - 1, 0)  # floor(log2(ratio)), or 0
-    whole = iter(_bd_series(v0, beta_arr, delta_arr, [s for s, m in zip(ts, ms) if not m], tol))
-    return [next(whole) if not m else _death_pieces(v0, beta_arr, delta_arr, s, m, tol) for s, m in zip(ts, ms)]
+    births = bool(beta_arr.any())
+    N, top = len(beta_arr) - 1, _top_state(v0, 0.0)
+    if births:
+        mean, H = _BIRTH_PIECE_MEAN, N - top
+        box = min(N, _top_state(v0, tol / 4) + H)
+    else:
+        mean, H, box = _PIECE_MEAN, 0, top
+    lam_box = float(out_rate[: box + 1].max())
+    # floor(log2(ratio)), or 0
+    ms = [max(math.frexp(lam_box * s / (mean * (box + _PIECE_PAD)))[1] - 1, 0) for s in ts]
+    whole_ts = [s for s, m in zip(ts, ms) if not m]
+    whole = iter(())
+    if whole_ts and births:
+        whole = iter(_piece(v0, beta_arr, delta_arr, whole_ts, tol, H, tol / 4))
+    elif whole_ts:
+        whole = iter(_bd_series(v0, beta_arr, delta_arr, whole_ts, tol))
+    laws = []
+    for s, m in zip(ts, ms):
+        if not m:
+            laws.append(next(whole))
+            continue
+        v, tail = v0, 0.0
+        floor = tol / (4 * (m + 1)) if births else 0.0
+        for i in range(m + 1):
+            h = math.ldexp(s, max(i - 1, 0) - m)  # t 2^-m, t 2^-m, t 2^(1-m), ..., t/2
+            [(v, piece_tail)] = _piece(v, beta_arr, delta_arr, [h], tol / (m + 1), H, floor)
+            tail += piece_tail
+        laws.append((v, tail))
+    return laws
 
 
-def _death_pieces(v0: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, t: float, m: int, tol: float):
-    """The m + 1 pieces of _bd_uniformize's pure-death series at time t."""
-    v, tail = np.array(v0, dtype=float), 0.0
-    for i in range(m + 1):
-        live = slice(0, int(np.flatnonzero(v[:-1]).max(initial=0)) + 1)
-        h = math.ldexp(t, max(i - 1, 0) - m)  # t 2^-m, t 2^-m, t 2^(1-m), ..., t/2
-        sub = np.append(v[live], 0.0)
-        [(acc, piece_tail)] = _bd_series(sub, beta_arr[live], delta_arr[live], [h], tol / (m + 1))
-        v[live], v[-1] = acc[:-1], v[-1] + acc[-1]
-        tail += piece_tail
-    return v, tail
+def _top_state(v: np.ndarray, floor: float) -> int:
+    """The highest state of the vector v (overflow column last) whose suffix
+    mass exceeds floor, or 0: with floor = 0 and no sign bit set, the
+    highest nonzero state."""
+    suffix = np.cumsum(v[-2::-1])
+    return len(v) - 2 - int(np.argmax(suffix > floor)) if suffix[-1] > floor else 0
+
+
+def _piece(v: np.ndarray, beta_arr: np.ndarray, delta_arr: np.ndarray, hs: list, tol: float, H: int, floor: float):
+    """One time piece of _bd_uniformize from the vector law v, at each step
+    length of hs: a list of (law, tail), v itself left as it is."""
+    v = np.array(v, dtype=float)
+    top = _top_state(v, floor)
+    if v[top + 1 : -1].any():  # the pruned states
+        v[-1] += v[top + 1 : -1].sum()
+        v[top + 1 : -1] = 0.0
+    live = slice(0, min(len(v) - 2, top + H) + 1)
+    laws = []
+    for acc, tail in _bd_series(np.append(v[live], 0.0), beta_arr[live], delta_arr[live], hs, tol):
+        w = v.copy()
+        w[live], w[-1] = acc[:-1], w[-1] + acc[-1]
+        laws.append((w, tail))
+    return laws
 
 
 def _check_time(t: float) -> None:
@@ -388,9 +445,12 @@ def evolve(
     state, pass the one rate check first, box or not.  The truncation level
     starts at max(support + ceil(10 + 5 b t), 1), b > 0 the largest birth
     rate among them, or at max(support, 1) if b = 0, and doubles until the
-    escaped mass is below tol, at most 12 times.  A b*t above the series
-    cap raises InputRangeError, as every box's lambda*t is at least b*t.
-    This is evolve_grid at the one time t.
+    escaped mass is below tol, at most 12 times.  The series runs in time
+    pieces when lambda*t is large against the box, and with births each
+    piece first prunes the top states whose suffix mass is below a share
+    of tol/4 (see _bd_uniformize): that mass is part of the escaped mass.
+    A b*t above the series cap raises InputRangeError, as every box's
+    lambda*t is at least b*t.  This is evolve_grid at the one time t.
     """
     return evolve_grid(mu, rates, [t], tol)[0]
 
@@ -405,9 +465,10 @@ def evolve_grid(
     bit for bit the law that evolve returns for that time alone.
 
     Times whose first truncation level is the same share one run of the
-    series terms, each with its own Poisson weights; a pure-death time
-    that _bd_uniformize cuts into pieces runs alone, and so does every
-    rerun of a time whose escaped mass exceeds tol on a doubled level.
+    series terms, each with its own Poisson weights (with births, on the
+    box that their shared pruning leaves); a time that _bd_uniformize cuts
+    into pieces runs alone, and so does every rerun of a time whose
+    escaped mass, pruned mass included, exceeds tol on a doubled level.
     Every time, the rates and the series cap of every time on its first
     level are checked before any series runs.
     """
@@ -466,6 +527,7 @@ def backward_residual(
     compared against beta_j p(j+1,k) + delta_j p(j-1,k) - (beta_j+delta_j) p(j,k).
     """
     N, t = semigroup.N, semigroup.t
+    j, k = _check_count(j, "j", low=0), _check_count(k, "k", low=0)
     if not (0 < j < N):
         raise ValueError("interior start states only")
     if not (0 <= k <= N):
@@ -607,6 +669,7 @@ def birth_monotonicity_probe(
     discriminant has the sign of beta_k - beta_{k+1}: increasing birth
     rates refute stability, non-increasing ones do not.
     """
+    k = _check_count(k, "k", low=0)
     if _rate_arrays(rates.beta, rates.delta, k + 1, k)[0].min() <= 0:
         raise ValueError("probe needs beta_k, beta_{k+1} > 0")
     m = k + 2

@@ -143,6 +143,10 @@ def _slack(F: np.ndarray, G: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _axes(idx: Iterable[int]) -> tuple:
     try:
+        idx = list(idx)
+        # operator.index(True) is 1, so a bool would pass as axis 1
+        if any(isinstance(a, (bool, np.bool_)) for a in idx):
+            raise TypeError
         return tuple(sorted({operator.index(a) for a in idx}))
     except TypeError:
         raise ValueError("A and B must hold integer axis indices") from None

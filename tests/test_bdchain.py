@@ -202,7 +202,7 @@ class TestUniformizedSeries:
         else:
             v0 = np.zeros(N + 2)
             v0[5:12] = np.arange(1.0, 8.0) / 28.0
-        [(acc, tail)] = _bd_uniformize(v0, beta, delta, [t], 1e-13)
+        [(acc, tail)] = _bd_series(v0, beta, delta, [t], 1e-13)
         ref, ref_tail = reference_bd_uniformize(v0, beta, delta, t, 1e-13)
         assert_same_bits(acc, ref)
         assert tail == ref_tail
@@ -373,15 +373,14 @@ class TestDeathPieces:
         assert_same_bits(acc, one)
         assert tail == one_tail
 
-    def test_blocks_births_and_sign_bits_run_one_series(self):
+    def test_blocks_and_sign_bits_run_one_series(self):
         N = 150  # three pieces for its pure-death vector
         v0, beta, delta = kingman_start(N)
         signed = v0.copy()
         signed[0] = -0.0
-        births = np.full(N + 1, 1e-3)
-        for v, b in [(np.stack([v0, v0]), beta), (signed, beta), (v0, births)]:
-            [(one, one_tail)] = _bd_series(v, b, delta, [0.5], 1e-13)
-            [(acc, tail)] = _bd_uniformize(v, b, delta, [0.5], 1e-13)
+        for v in (np.stack([v0, v0]), signed):
+            [(one, one_tail)] = _bd_series(v, beta, delta, [0.5], 1e-13)
+            [(acc, tail)] = _bd_uniformize(v, beta, delta, [0.5], 1e-13)
             assert_same_bits(acc, one)
             assert tail == one_tail
 
@@ -403,6 +402,119 @@ class TestDeathPieces:
         w = [Decimal(float(c)) for c in ev.poly.coeffs_float()]
         gap = sum(abs(a - b) for a, b in zip(w, exact)) + sum(exact[len(w) :])
         assert gap <= Decimal(ev.tail_bound)
+
+
+def exact_mm_infty_law(n, b, d, t, size, digits):
+    """P(X_t = k | X_0 = n), k = 0..size-1, of M/M/infinity with birth rate
+    b and death rate d k, in `digits`-digit decimal: Bin(n, e^(-dt)) plus
+    an independent Poisson(b (1 - e^(-dt)) / d)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        p = (-Decimal(d) * Decimal(t)).exp()
+        mean = Decimal(b) * (1 - p) / Decimal(d)
+        binom = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+        pois = [(-mean).exp() * mean**k / math.factorial(k) for k in range(size)]
+        return [sum(binom[j] * pois[k - j] for j in range(min(k, n) + 1)) for k in range(size)]
+
+
+def chain_sized_births_law():
+    """A degree-80 real-rooted law, roots spread over (-3.05, -0.05), as in
+    the benchmark's evolve tasks."""
+    roots = -(0.05 + 2.95 * (np.arange(80) + 0.5) / 80)
+    w = np.poly(roots)[::-1]
+    return Measure(w / w.sum())
+
+
+class TestBirthPieces:
+    """A births vector series in pruned time pieces."""
+
+    @pytest.mark.parametrize(
+        "n,b,d,t,boxes",
+        [
+            (20, 1.0, 5.0, 2.0, [40, 37, 31]),
+            (50, 2.0, 6.0, 2.0, [80, 52, 42]),
+            (80, 1.0, 1.0, 8.0, [130, 72]),  # one series was over its bound
+            pytest.param(
+                30, 3.0, 2.0, 4.0, [100, 90],
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="tail_bound leaves out the rounding of the steps: 1.2e-14 of the 5.83e-14 gap",
+                ),
+            ),
+        ],
+    )
+    def test_tail_bound_covers_exact_law(self, monkeypatch, n, b, d, t, boxes):
+        ranges = []
+        series = bdchain._bd_series
+
+        def spy(v0, beta, delta, ts, tol):
+            ranges.append(len(beta) - 1)
+            return series(v0, beta, delta, ts, tol)
+
+        monkeypatch.setattr(bdchain, "_bd_series", spy)
+        ev = evolve(Measure.point_mass(n), BirthDeathRates.mm_infty(b, d), t, tol=1e-13)
+        # one series per piece, each on its pruned range
+        assert ranges == boxes
+        exact = exact_mm_infty_law(n, b, d, t, len(ev.weights), 80)
+        w = [Decimal(float(c)) for c in ev.weights]
+        gap = sum(abs(a - e) for a, e in zip(w, exact)) + (1 - sum(exact))
+        assert gap <= Decimal(ev.tail_bound)
+
+    def test_chain_sized_call_takes_few_terms(self, monkeypatch):
+        # one series on the whole box took 1,502 terms
+        terms = []
+        series = bdchain._uniformized_series
+
+        def counting(v0, step, lam_ts, tol, min_terms):
+            def counted(v, out):
+                step(v, out)
+                terms.append(1)
+
+            return series(v0, counted, lam_ts, tol, min_terms)
+
+        monkeypatch.setattr(bdchain, "_uniformized_series", counting)
+        ev = evolve(chain_sized_births_law(), BirthDeathRates.from_polynomial(1.0, 1.0, 1.0), 0.15)
+        assert len(terms) == 657
+        assert ev.tail_bound <= 2 * bdchain.DEFAULT.uniformization_tol
+
+    def test_pruned_mass_lands_in_overflow(self):
+        N, tol = 30, 1e-13
+        rates = BirthDeathRates.from_polynomial(1.0, 0.5, 0.3)
+        beta, delta = _rate_arrays(rates.beta, rates.delta, N)
+        v0 = np.zeros(N + 2)
+        v0[:6] = [0.25, 0.25, 0.2, 0.1, 0.1, 0.1]
+        v0[6:10] = 4e-15  # suffix masses 1.6e-14 ... 4e-15, all below tol/4
+        [(at_zero, tail), (later, _)] = _bd_uniformize(v0, beta, delta, [0.0, 0.02], tol)
+        pruned = v0[6:10].sum()
+        assert tail == 0.0
+        assert_same_bits(at_zero[:6], v0[:6])
+        assert not at_zero[6:-1].any() and at_zero[-1] == pruned
+        assert later[-1] >= pruned
+        # the piece runs on states 0..5 + H, H = N - 9 the input's headroom
+        [(one, _)] = _bd_series(np.append(v0[:6], np.zeros(N - 9 + 1)), beta[: N - 3], delta[: N - 3], [0.02], tol)
+        assert_same_bits(later[: N - 3], one[:-1])
+        assert later[-1] == pruned + one[-1]
+
+    def test_nothing_pruned_above_the_floor(self):
+        v = np.array([0.5, 0.25, 0.125, 2.0**-40, 2.0**-41, 0.0, 0.0])
+        suffix = 2.0**-40 + 2.0**-41
+        assert bdchain._top_state(v, 0.0) == 4
+        assert bdchain._top_state(v, 2.0**-42) == 4
+        assert bdchain._top_state(v, 2.0**-41) == 3  # a suffix mass at the floor is pruned
+        assert bdchain._top_state(v, suffix) == 2
+        assert bdchain._top_state(v, 1.0) == 0
+        # every suffix mass above tol/4 and m = 0: the one series, bit for bit
+        N = 24
+        rates = TestUniformizedSeries.rates["mm-infty"]
+        beta, delta = _rate_arrays(rates.beta, rates.delta, N)
+        v0 = np.zeros(N + 2)
+        v0[5:12] = np.arange(1.0, 8.0) / 28.0
+        ts = [0.0, 0.05, 0.7]
+        for (acc, tail), (one, one_tail) in zip(
+            _bd_uniformize(v0, beta, delta, ts, 1e-13), _bd_series(v0, beta, delta, ts, 1e-13)
+        ):
+            assert_same_bits(acc, one)
+            assert tail == one_tail
 
 
 def allocating(step):
@@ -731,8 +843,20 @@ class TestBackwardResidual:
         rates = BirthDeathRates.mm_infty(1.0, 1.0)
         sg = transition(rates, 0.5, 6, tol=1e-13)
         monkeypatch.setattr(bdchain, "_bd_uniformize", None)  # no series may run
-        with pytest.raises(ValueError, match="k must lie in 0..N"):
+        with pytest.raises(ValueError, match="k must be >= 0" if k < 0 else "k must lie in 0..N"):
             backward_residual(rates, sg, 2, k)
+
+    @pytest.mark.parametrize(
+        "j,k,name",
+        [(2, True, "k"), (2, 2.5, "k"), (2, 4.0, "k"), (True, 2, "j"), (np.bool_(False), 2, "j"), (2.0, 2, "j")],
+    )
+    def test_indices_must_be_integers(self, monkeypatch, j, k, name):
+        # numpy would read plus[True, k] as a mask and return a row
+        rates = BirthDeathRates.mm_infty(1.0, 1.0)
+        sg = transition(rates, 0.5, 6, tol=1e-13)
+        monkeypatch.setattr(bdchain, "_bd_uniformize", None)  # no series may run
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            backward_residual(rates, sg, j, k)
 
     @pytest.mark.parametrize(
         "rates,t,N,j,k",
@@ -893,6 +1017,12 @@ class TestBirthMonotonicityProbe:
         rates = BirthDeathRates.from_sequences([1.0, 1.0, 1.0, 2.0, 1.0])
         recs = birth_monotonicity_probe(rates, 2, [1e-4])
         assert recs[0]["verdict"] == "Refuted"
+
+    @pytest.mark.parametrize("k", [True, np.bool_(True), 1.5, 1.0, -1])
+    def test_start_must_be_a_count(self, monkeypatch, k):
+        monkeypatch.setattr(bdchain, "evolve_grid", None)  # no series may run
+        with pytest.raises(ValueError, match="k must be >= 0" if k == -1 else "k must be an integer"):
+            birth_monotonicity_probe(BirthDeathRates.mm_infty(1.0, 1.0), k, [0.01])
 
     def test_witness_pinned(self):
         # pure birth never feeds a lower state, so the coefficients 0..k+2

@@ -157,8 +157,10 @@ class TestIsNa:
             is_na(np.full((2, 2), 0.25), [0], [5])
 
     def test_non_integer_axis(self):
-        with pytest.raises(ValueError, match="integer"):
-            is_na(np.full((2, 2), 0.25), [0], [1.7])
+        # operator.index(True) is 1, so bools once passed as axes 0 and 1
+        for A, B in [([0], [1.7]), ((False,), (True,)), ([0], [np.bool_(True)]), ([True], [0])]:
+            with pytest.raises(ValueError, match="A and B must hold integer axis indices"):
+                is_na(np.full((2, 2), 0.25), A, B)
 
     def test_over_cap_side_raises(self):
         # the (0, 1, 2) side is a (3,3,3) box
