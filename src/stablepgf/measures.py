@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import DEFAULT
-from .polycore import MultiPoly, UniPoly, _classify_float, _im_floor
+from .polycore import MultiPoly, UniPoly, _check_count, _classify_float, _im_floor
 from .stability import Verdict, certify_tstable
 
 _SLACK = 1e-9
@@ -127,20 +126,6 @@ def _check_poisson_mean(lam: float) -> None:
         raise InputRangeError(
             f"Poisson mean (lambda*t) {lam:.6g} is above the cap {_MAX_POISSON_MEAN:.0e}"
         )
-
-
-def _check_count(n, name: str, low: int = 1) -> int:
-    """n as an int; a float (4.0 included), a bool or a count below low
-    raises ValueError."""
-    try:
-        if isinstance(n, (bool, np.bool_)):  # operator.index(True) is 1
-            raise TypeError
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
-    if n < low:
-        raise ValueError(f"{name} must be >= {low}")
-    return n
 
 
 def _poisson_weights(lam: float, tol: float, min_len: int) -> tuple[np.ndarray, float]:

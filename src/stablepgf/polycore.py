@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +30,22 @@ _U = EPS / 2.0  # unit roundoff
 def _coerce_coeffs(values: Iterable):
     vals = list(values)
     if all(isinstance(v, (int, Fraction)) for v in vals):
-        return [Fraction(v) for v in vals], True
+        return [v if type(v) is Fraction else Fraction(v) for v in vals], True
     return [float(v) for v in vals], False
+
+
+def _check_count(n, name: str, low: int = 1) -> int:
+    """n as an int; a float (4.0 included), a bool or a count below low
+    raises ValueError."""
+    try:
+        if isinstance(n, (bool, np.bool_)):  # operator.index(True) is 1
+            raise TypeError
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if n < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return n
 
 
 def _horner_gamma(n: int) -> float:
@@ -164,12 +179,6 @@ class UniPoly:
             out[i] += c
         return UniPoly(tuple(_trim_trailing(out)), exact)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs), self.exact)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return self.scale(other)
@@ -237,9 +246,11 @@ class MultiPoly:
             if not isinstance(c, (int, Fraction)):
                 exact = False
             if c != 0:
-                clean[alpha] = clean.get(alpha, 0) + c
+                clean[alpha] = clean[alpha] + c if alpha in clean else c
         if exact:
-            clean = {a: Fraction(c) for a, c in clean.items() if c != 0}
+            clean = {
+                a: c if type(c) is Fraction else Fraction(c) for a, c in clean.items() if c != 0
+            }
         else:
             clean = {a: float(c) for a, c in clean.items() if c != 0}
             if not all(math.isfinite(c) for c in clean.values()):
@@ -358,12 +369,6 @@ class MultiPoly:
     def scale(self, s) -> "MultiPoly":
         return MultiPoly.from_dict({a: c * s for a, c in self.terms}, self.nvars)
 
-    def pow(self, k: int) -> "MultiPoly":
-        out = MultiPoly.from_dict({(0,) * self.nvars: 1}, self.nvars)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- substitution ---------------------------------------------------------
 
     def compose_affine(self, consts: Sequence, mat: Sequence[Sequence]) -> "MultiPoly":
@@ -437,7 +442,8 @@ class MultiPoly:
         zero = Fraction(0) if exact else 0.0
         out = [zero] * (maxd + 1)
         for a, c in self.terms:
-            out[sum(a)] += c
+            k = sum(a)
+            out[k] = out[k] + c if out[k] else c  # not 0 + c, a new Fraction
         return UniPoly.from_coeffs(out)
 
     def to_uni(self) -> UniPoly:
@@ -575,60 +581,86 @@ def _gcd(a: list, b: list) -> list:
     return _primitive(a)
 
 
-def _yun_squarefree(c: Sequence) -> list:
-    """Yun's algorithm on rational coefficients c: [(factor, multiplicity)]
-    with c a rational multiple of prod f_i^i.
+def _yun_squarefree(c: list, g: list) -> list:
+    """Yun's algorithm on the primitive integer polynomial c, whose gcd with
+    c' is g: [(factor, multiplicity)] with c a rational multiple of
+    prod f_i^i.
 
     Each factor is a primitive integer polynomial with a positive leading
     coefficient.  w and y are always divided by the same polynomial, so
     they keep the ratio that Yun's z = y - w' needs.
     """
-    c = _primitive(_numerators(c)[0])
-    dc = _deriv(c)
-    g = _gcd(c, dc)
-    if len(g) == 1:
-        return [(c, 1)]
-    w, y = _div_exact(c, g), _div_exact(dc, g)
-    out, i = [], 1
+    w, y = _div_exact(c, g), _div_exact(_deriv(c), g)
+    out, i = [], 0
     while len(w) > 1:
+        i += 1
         dw = _deriv(w)
         z = _trim_trailing([u - v for u, v in itertools.zip_longest(y, dw, fillvalue=0)])
+        if len(z) == 1 and z[0]:
+            # gcd(w, z) = 1: no factor of multiplicity i, and w stays
+            y = z
+            continue
         fi = _gcd(w, z)
         if len(fi) > 1:
             out.append((fi, i))
         w, y = _div_exact(w, fi), _div_exact(z, fi)
-        i += 1
     return out
 
 
-def _sign_at(f: list, x: Fraction) -> int:
-    """Sign of the integer polynomial f at x = m/q (q > 0).
+def _sturm_chain(f: list) -> list:
+    """The Sturm chain of the primitive integer polynomial f, each member
+    primitive and a positive multiple of the chain's member over the
+    rationals, so that every sign, and with it every Sturm count, is the
+    same.  When f is not square-free the chain stops at a multiple of
+    gcd(f, f'), with which the primitive remainder sequence of gcd(f, f')
+    ends too."""
+    chain = [f, _primitive(_deriv(f))]
+    while len(chain[-1]) > 1:
+        r = _prem(chain[-2], chain[-1])
+        if r == [0]:
+            break
+        g = math.gcd(*r)
+        chain.append([-v // g for v in r])
+    return chain
 
-    Horner on the homogenized form sum_k f_k m^k q^(d-k) = q^d f(x), which
-    has the sign of f(x) and needs integer arithmetic only.
-    """
-    m, q = x.numerator, x.denominator
-    acc, qk = f[-1], 1
-    for v in f[-2::-1]:
-        qk *= q
-        acc = acc * m + v * qk
-    return (acc > 0) - (acc < 0)
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
 
 
-def _sign_variations(chain: list, x: Fraction) -> int:
-    signs = [s for s in (_sign_at(f, x) for f in chain) if s]
+def _variations(signs: Iterable) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _homogenized(f: list, m: int, e: int) -> int:
+    """2^(e d) f(m / 2^e) for the integer polynomial f of degree d: Horner
+    on sum_k f_k m^k 2^(e(d-k)), in which every power of the denominator
+    is a shift."""
+    acc, sh = f[-1], 0
+    for v in f[-2::-1]:
+        sh += e
+        acc = acc * m + (v << sh)
+    return acc
+
+
+def _dyadic_sign(f: list, m: int, e: int) -> int:
+    """Sign of the integer polynomial f at m / 2^e, taken in lowest terms."""
+    if m == 0:
+        return _sign(f[0])
+    t = min(e, (m & -m).bit_length() - 1)
+    return _sign(_homogenized(f, m >> t, e - t))
+
+
 class _SturmFactor(NamedTuple):
-    """A square-free Yun factor, its multiplicity, Sturm chain and Cauchy
-    bound B, and the chain's sign variations at -B and B, whose difference
-    counts the factor's real roots."""
+    """A square-free Yun factor, its multiplicity and Sturm chain, and the
+    chain's sign variations at -inf and +inf, whose difference counts the
+    factor's real roots.  Every root lies in (-B, B) for the Cauchy bound B
+    (_cauchy_bound), so these are also the variations at -B and B."""
 
     coeffs: list
     mult: int
     chain: list
-    bound: Fraction
     v_lo: int
     v_hi: int
 
@@ -641,61 +673,177 @@ def _sturm_factors(c: Sequence) -> list:
     """The exact pass over nonconstant rational coefficients c: each Yun
     factor with its _SturmFactor data.
 
-    Each member of the Sturm chain is primitive and a positive multiple of
-    the chain's member over the rationals, so every sign, and with it every
-    Sturm count, is the same.  Every root lies in (-B, B) for the Cauchy
-    bound B = 1 + max |c_k / c_n|, whatever the factor's scale.
+    The Sturm chain of the primitive input is built first.  It is the
+    primitive remainder sequence that gcd(c, c') runs, so it decides
+    whether c is square-free and, if it is not, ends with that gcd, from
+    which Yun's algorithm starts.
     """
-    out = []
-    for fac, mult in _yun_squarefree(c):
-        chain = [fac, _primitive(_deriv(fac))]
-        while len(chain[-1]) > 1:
-            r = _prem(chain[-2], chain[-1])
-            if r == [0]:
-                break
-            g = math.gcd(*r)
-            chain.append([-v // g for v in r])
-        B = 1 + max(Fraction(abs(v), fac[-1]) for v in fac[:-1])
-        v_lo, v_hi = _sign_variations(chain, -B), _sign_variations(chain, B)
-        out.append(_SturmFactor(fac, mult, chain, B, v_lo, v_hi))
-    return out
+    c = _primitive(_numerators(c)[0])
+    chain = _sturm_chain(c)
+    if len(chain[-1]) == 1:
+        pairs = [(c, 1, chain)]
+    else:
+        pairs = [(f, i, _sturm_chain(f)) for f, i in _yun_squarefree(c, _primitive(chain[-1]))]
+    return [
+        _SturmFactor(
+            f,
+            i,
+            ch,
+            _variations(_sign(g[-1]) * (-1) ** (len(g) - 1) for g in ch),
+            _variations(_sign(g[-1]) for g in ch),
+        )
+        for f, i, ch in pairs
+    ]
+
+
+def _root_bound_exponent(f: list) -> int:
+    """t with every root z of the integer polynomial f below 2^t in
+    modulus: Fujiwara's bound 2 max_k |f_(d-k) / f_d|^(1/k) (Tohoku Math.
+    J. 10, 1916), each ratio rounded up to a power of two from bit
+    lengths."""
+    d, top = len(f) - 1, f[-1].bit_length()
+    return 1 + max(
+        (-((top - 1 - abs(v).bit_length()) // k) for k, v in zip(range(d, 0, -1), f) if v),
+        default=0,
+    )
+
+
+def _cauchy_bound(f: list) -> tuple:
+    """(P, Q) in lowest terms with P/Q = 1 + max |f_k / f_d|, for f with a
+    positive leading coefficient f_d."""
+    n, d = f[-1] + max(abs(v) for v in f[:-1]), f[-1]
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _root_estimate(f: list, df: list, a: float, b: float, s_b: int, cell: float):
+    """A float near the one root of the integer polynomial f in (a, b), on
+    whose right f has the sign s_b, or None.
+
+    Newton's iteration runs from the midpoint, with f(x) and f'(x) taken
+    exactly at each iterate x, so that only the step is rounded, and the
+    sign of f(x) shrinks the bracket; a step that leaves the bracket is
+    replaced by its midpoint.  It stops once a step is below cell / 16,
+    and gives up after 40 steps.
+    """
+    x = a + (b - a) / 2
+    for _ in range(40):
+        n, q = x.as_integer_ratio()
+        s = q.bit_length() - 1
+        v = _homogenized(f, n, s)
+        if v == 0:
+            return x
+        if _sign(v) == s_b:
+            b = x
+        else:
+            a = x
+        try:
+            y = x - v / (_homogenized(df, n, s) << s)
+        except (ZeroDivisionError, OverflowError):
+            y = math.nan
+        if not a <= y <= b:
+            y = a + (b - a) / 2
+        if abs(y - x) <= cell / 16:
+            return y
+        x = y
+    return None
+
+
+def _bisect_cell(F: list, lo: int, hi: int, e: int, K: int, s_hi: int) -> tuple:
+    """Bisection of the cell (lo, hi] / 2^e that holds one simple root of
+    the scaled factor F down to depth K, judged by the sign of F, s_hi at
+    hi: a simple root is the only sign change of F in its cell.  The cell
+    is half-open, as the Sturm counts are: the root is hi when s_hi is 0,
+    and then no midpoint sign is 0 or matches."""
+    while e < K:
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        mid = (lo + hi) // 2
+        s_mid = _dyadic_sign(F, mid, e)
+        if s_mid == 0 or s_mid == s_hi:
+            hi, s_hi = mid, s_mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _final_cell(F: list, f: list, df: list, P: int, Q: int, lo: int, hi: int, e: int, K: int):
+    """The depth-K cell (c - 2, c] / 2^K that holds the one simple root of
+    the scaled factor F in (lo, hi] / 2^e, e < K: the cell that bisection
+    ends in, as the cells of all depths are nested.
+
+    Right of the root F has the sign s of F(hi), unless that is 0 and the
+    root is hi; left of it, -s.  _root_estimate proposes the cell, and
+    exact signs prove it: F(c) is 0 or s, and F(c - 2) is -s.  When F(c)
+    is -s instead, the root is right of c, in (c, c + 2] if F(c + 2) is 0
+    or s.  A cell inside (lo, hi] that holds a root holds this one.
+    Without an estimate or a proof, the cell is bisected.
+    """
+    s_hi = _dyadic_sign(F, hi, e)
+    left, right = lo << (K - e), hi << (K - e)
+    if s_hi == 0:
+        return right - 2, right
+    try:
+        a, b = P * lo / (Q << e), P * hi / (Q << e)
+        x = _root_estimate(f, df, a, b, s_hi, 2 * P / (Q << K))
+    except OverflowError:
+        x = None
+    if x is not None:
+        n, q = x.as_integer_ratio()
+        c = 2 * -((-n * Q << (K - 1)) // (q * P))
+        if left <= c - 2 and c <= right:
+            if _dyadic_sign(F, c, K) != -s_hi:
+                if _dyadic_sign(F, c - 2, K) == -s_hi:
+                    return c - 2, c
+            elif _dyadic_sign(F, c + 2, K) != -s_hi:  # F(right) is s, so c < right
+                return c, c + 2
+    return _bisect_cell(F, lo, hi, e, K, s_hi)
 
 
 def _isolate_roots(f: _SturmFactor, width: Fraction):
     """Isolating intervals (a, b] of width <= width for the roots of f.
 
-    Bisection of (-B, B] keeps the halves that hold roots, judged by Sturm
-    counts until an interval holds one root and from then on by the sign
-    of the factor alone: a simple root is the only sign change of the
-    factor in its interval.  The midpoints and the halves kept are those
-    of Sturm bisection throughout.
+    These are the intervals of Sturm bisection of (-B, B], B = P/Q the
+    Cauchy bound, worked in u = x / B: every midpoint is a dyadic m / 2^e,
+    and every chain member g of degree k is scaled once to the integer
+    polynomial Q^k g(P u / Q), which has the sign of g(x), so that each
+    sign is one integer Horner pass with shifts (_dyadic_sign).  Cells are
+    split by Sturm counts until one holds one root.  Its final cell, found
+    by _final_cell, is the cell of the first depth K at which a cell,
+    2B / 2^K wide, is within width; a cell isolated deeper than K is final
+    as it is.
     """
-    out = []
+    P, Q = _cauchy_bound(f.coeffs)
+    top = len(f.coeffs) - 1
+    pw, qw = [1], [1]
+    for _ in range(top):
+        pw.append(pw[-1] * P)
+        qw.append(qw[-1] * Q)
+    chain = [[v * pw[k] * qw[len(g) - 1 - k] for k, v in enumerate(g)] for g in f.chain]
+    a, b = 2 * P * width.denominator, width.numerator * Q
+    K = max(0, a.bit_length() - b.bit_length())
+    K += a > b << K
+    t = _root_bound_exponent(f.coeffs)
+    df, cells = _deriv(f.coeffs), []
 
-    def refine(lo, hi):
-        # one root in (lo, hi], kept half-open as the counts are: the root
-        # is hi when s_hi is 0, and then no midpoint sign is 0 or matches
-        s_hi = _sign_at(f.coeffs, hi)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            s_mid = _sign_at(f.coeffs, mid)
-            if s_mid == 0 or s_mid == s_hi:
-                hi, s_hi = mid, s_mid
-            else:
-                lo = mid
-        out.append((lo, hi))
-
-    def split(lo, hi, v_lo, v_hi):
+    def split(lo, hi, e, v_lo, v_hi):
         if v_lo - v_hi == 1:
-            refine(lo, hi)
+            if e < K:
+                lo, hi = _final_cell(chain[0], f.coeffs, df, P, Q, lo, hi, e, K)
+                e = K
+            cells.append((lo, hi, e))
         elif v_lo - v_hi > 1:
-            mid = (lo + hi) / 2
-            v_mid = _sign_variations(f.chain, mid)
-            split(lo, mid, v_lo, v_mid)
-            split(mid, hi, v_mid, v_hi)
+            mid, s = lo + hi, t + e + 1
+            # past 2^t in modulus, the midpoint x = B mid / 2^(e+1) has
+            # every root on its inner side, so its Sturm count is known
+            if P * abs(mid) << max(0, -s) >= Q << max(0, s):
+                v_mid = v_lo if mid < 0 else v_hi
+            else:
+                v_mid = _variations(_dyadic_sign(g, mid, e + 1) for g in chain)
+            split(2 * lo, mid, e + 1, v_lo, v_mid)
+            split(mid, 2 * hi, e + 1, v_mid, v_hi)
 
-    split(-f.bound, f.bound, f.v_lo, f.v_hi)
-    return out
+    split(-1, 1, 0, f.v_lo, f.v_hi)
+    return [(Fraction(P * lo, Q << e), Fraction(P * hi, Q << e)) for lo, hi, e in cells]
 
 
 def exact_real_root_count(p: UniPoly) -> int:
@@ -913,6 +1061,9 @@ def _located_roots(c: Sequence) -> list:
     return sorted(pairs, key=lambda zr: abs(zr[0].imag), reverse=True)
 
 
+_ISOLATION_WIDTH = Fraction(DEFAULT.isolation_width).limit_denominator(10**18)
+
+
 def real_roots(p: UniPoly) -> RootList:
     """Locate all roots of p; see RootList for the certification semantics."""
     if p.is_zero:
@@ -926,10 +1077,9 @@ def real_roots(p: UniPoly) -> RootList:
         return RootList(tuple(roots), tuple(radii), real)
 
     roots, radii, real = [], [], []
-    width = Fraction(DEFAULT.isolation_width).limit_denominator(10**18)
     for f in _sturm_factors(p.coeffs):
         located = []
-        for lo, hi in _isolate_roots(f, width):
+        for lo, hi in _isolate_roots(f, _ISOLATION_WIDTH):
             mid = float((lo + hi) / 2)
             located.append((complex(mid, 0.0), float(hi - lo) / 2 + abs(mid) * EPS, True))
         if f.nonreal_count:

@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .polycore import MultiPoly, UniPoly, _classify_float, _nonreal_roots, _sturm_factors
-from .polycore import _modulus, _times_power
+from .polycore import MultiPoly, UniPoly, _check_count, _classify_float, _modulus
+from .polycore import _nonreal_roots, _sturm_factors, _times_power
 
 
 class Verdict(str, Enum):
@@ -388,6 +388,8 @@ def _normalize_coeff_map(c: Mapping) -> tuple[dict, int]:
     nvars = None
     for key, val in c.items():
         alpha = (int(key),) if isinstance(key, int) else tuple(int(k) for k in key)
+        if any(a < 0 for a in alpha):
+            raise ValueError("negative exponent")
         if nvars is None:
             nvars = len(alpha)
         elif len(alpha) != nvars:
@@ -398,26 +400,32 @@ def _normalize_coeff_map(c: Mapping) -> tuple[dict, int]:
     return d, nvars
 
 
-def tstable_approximant(c: Mapping, m: int) -> TStableApproximant:
-    """Exact construction of the depth-m approximant of the sequence c."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    d, nvars = _normalize_coeff_map(c)
+def _approximant_terms(d: dict, m: int) -> dict:
+    """The nonzero coefficients of the depth-m approximant of the
+    normalized coefficient map d.  falling(m, a) = m!/(m-a)! is formed
+    incrementally, and a rational coefficient in one Fraction."""
+    fall = [1]
+    for a in range(m):
+        fall.append(fall[-1] * (m - a))
     terms = {}
     for alpha, val in d.items():
         if any(a > m for a in alpha):
             continue
-        fall = 1
-        for a in alpha:
-            fall *= math.factorial(m) // math.factorial(m - a)
-        tot = sum(alpha)
+        num, tot = math.prod(fall[a] for a in alpha), sum(alpha)
         if isinstance(val, (int, Fraction)):
-            coeff = Fraction(val) * Fraction(fall, m**tot)
+            coeff = Fraction(val.numerator * num, val.denominator * m**tot)
         else:
-            coeff = float(val) * fall / float(m) ** tot
+            coeff = float(val) * num / float(m) ** tot
         if coeff != 0:
             terms[alpha] = coeff
-    return TStableApproximant(m, MultiPoly.from_dict(terms, nvars))
+    return terms
+
+
+def tstable_approximant(c: Mapping, m: int) -> TStableApproximant:
+    """Exact construction of the depth-m approximant of the sequence c."""
+    m = _check_count(m, "m")
+    d, nvars = _normalize_coeff_map(c)
+    return TStableApproximant(m, MultiPoly.from_dict(_approximant_terms(d, m), nvars))
 
 
 def certify_tstable(
@@ -435,6 +443,7 @@ def certify_tstable(
     stable, which supplies both confirmations and a direct refutation
     fallback.  Everything else is inconclusive.
     """
+    m_max = _check_count(m_max, "m_max")
     if not (math.isfinite(tail_bound) and tail_bound >= 0):
         raise ValueError("tail_bound must be finite and >= 0")
     d, nvars = _normalize_coeff_map(c)
@@ -462,11 +471,15 @@ def certify_tstable(
     if truncated and nvars > 1:
         m_max = min(m_max, min(max(alpha[i] for alpha in d) for i in range(nvars)))
     for m in range(1, m_max + 1):
-        fm = tstable_approximant(d, m).poly
+        terms = _approximant_terms(d, m)
         if nvars == 1:
-            cert = is_real_rooted(fm.to_uni(), coeff_perturb=tail_bound)
+            # the approximant's to_uni(), built without the MultiPoly
+            coeffs = [Fraction(0)] * (max((a for (a,) in terms), default=0) + 1)
+            for (a,), v in terms.items():
+                coeffs[a] = v
+            cert = is_real_rooted(UniPoly.from_coeffs(coeffs), coeff_perturb=tail_bound)
         else:
-            cert = is_stable_multi(fm, budget=60)
+            cert = is_stable_multi(MultiPoly.from_dict(terms, nvars), budget=60)
         if cert.verdict is Verdict.REFUTED:
             return StabilityCertificate(
                 Verdict.REFUTED,

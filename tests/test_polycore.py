@@ -15,9 +15,15 @@ from stablepgf.polycore import (
     MultiPoly,
     UniPoly,
     _classify_float,
+    _deriv,
+    _gcd,
     _isolate_roots,
     _modulus,
+    _numerators,
+    _primitive,
+    _sturm_chain,
     _sturm_factors,
+    _yun_squarefree,
     elem_sym,
     elem_sym_all,
     exact_real_root_count,
@@ -314,9 +320,22 @@ DEFAULT_WIDTH = F(1e-12).limit_denominator(10**18)
 
 class TestExactIsolation:
     # x^3 - x has Cauchy bound 2, so its roots 0, 1, -1 are bisection
-    # midpoints, and 1 then sits on the right end of its interval
+    # midpoints, and 1 then sits on the right end of its interval.  The
+    # other examples reach each way to a final cell: two roots 1e-14 apart
+    # are split below its depth; 1/3 (B = 4/3) lies on the grid of cell
+    # ends, and an exact zero proves its cell; the estimate of 10^-400 is 0,
+    # one cell left of its root; and bisection takes over where the float
+    # estimate of 5/3 (B = 8/3) rounds up past the grid point it is, that of
+    # 10^200 cannot resolve a cell, Newton's iteration does not reach 1
+    # from far, and the cell of 1 beside 10^400 i overflows a float
     @given(planted_polys(), st.sampled_from([F(1, 2), F(1, 1000), F(1, 2**20)]))
     @example(_planted([F(0), F(1), F(-1)]), DEFAULT_WIDTH)
+    @example(_planted([F(1, 3), F(1, 3) + F(1, 10**14)]), DEFAULT_WIDTH)
+    @example(_planted([F(1, 3)]), DEFAULT_WIDTH)
+    @example(_planted([F(5, 3)]), DEFAULT_WIDTH)
+    @example(_planted([F(1, 10**400)]), DEFAULT_WIDTH)
+    @example(_planted([F(10**200), F(1)]), DEFAULT_WIDTH)
+    @example(_planted([F(1)], quad=[10**400, 0, 1]), DEFAULT_WIDTH)
     @example(_planted([F(0), F(1, 2), F(-1)], [2, 3, 1]), DEFAULT_WIDTH)
     @example(_planted([F(0), F(3, 4)], [1, 2], quad=[2, 0, 1]), F(1, 1000))
     @settings(max_examples=40, deadline=None)
@@ -335,6 +354,53 @@ class TestExactIsolation:
                 assert sum(lo < r <= hi for lo, hi in got) == 1
         assert exact_real_root_count(p) == sum(m for _, m in roots)
         assert real_roots(p).certified_real_count == sum(m for _, m in roots)
+
+    @pytest.mark.parametrize("miss", [1, -1, None])
+    def test_missed_estimates_still_give_the_bisection_intervals(self, monkeypatch, miss):
+        # the locator's estimate moved one final cell right or left of
+        # every root, or withheld
+        locate, bisect = polycore._root_estimate, polycore._bisect_cell
+        bisected = []
+
+        def missed(f, df, a, b, s_b, cell):
+            x = locate(f, df, a, b, s_b, cell)
+            return None if miss is None or x is None else x + miss * cell
+
+        def counted(*args):
+            bisected.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(polycore, "_root_estimate", missed)
+        monkeypatch.setattr(polycore, "_bisect_cell", counted)
+        for roots in ([F(k, 7) for k in range(-6, 6)], [F(1, 3)], [F(5, 3)], [F(1, 10**400)]):
+            for f in _sturm_factors(UniPoly.from_roots(roots).coeffs):
+                assert _isolate_roots(f, DEFAULT_WIDTH) == _ref_isolate_roots(f.coeffs, DEFAULT_WIDTH)
+        # 15 roots, 0 at the right end of its cell.  Missed one cell right,
+        # 10^-400, whose own estimate is a cell left, is still proven;
+        # missed one cell left, every right neighbour is
+        assert len(bisected) == {1: 13, -1: 0, None: 14}[miss]
+
+    @given(planted_polys())
+    @example(_planted([F(0), F(1, 2), F(-1)], [2, 3, 1]))
+    @example(_planted([F(-2, 3)], [3], quad=[5, 2, 1]))
+    @example(_planted([F(1, 2)], [3]))
+    @settings(max_examples=40, deadline=None)
+    def test_one_remainder_sequence_matches_yun_then_chains(self, planted):
+        # Yun's split first, on the gcd of the primitive input with its
+        # derivative, then a Sturm chain per factor; the counts at -B and B
+        # over the rationals
+        p, _ = planted
+        c = _primitive(_numerators(p.coeffs)[0])
+        g = _gcd(c, _deriv(c))
+        factors = [(c, 1)] if len(g) == 1 else _yun_squarefree(c, g)
+        got = _sturm_factors(p.coeffs)
+        assert [(f.coeffs, f.mult, f.chain) for f in got] == [
+            (fac, i, _sturm_chain(fac)) for fac, i in factors
+        ]
+        for f in got:
+            ref = _ref_sturm_chain(f.coeffs)
+            B = 1 + max(abs(F(v, f.coeffs[-1])) for v in f.coeffs[:-1])
+            assert (f.v_lo, f.v_hi) == (_ref_variations(ref, -B), _ref_variations(ref, B))
 
     @given(planted_polys())
     @example(_planted([F(0), F(1, 2), F(-1)], [2, 3, 1]))

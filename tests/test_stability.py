@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablepgf import stability
 from stablepgf.measures import Measure
 from stablepgf.polycore import MultiPoly, UniPoly, exact_real_root_count, polarize, real_roots
 from stablepgf.stability import (
@@ -472,6 +473,38 @@ class TestApproximants:
         fall = 3 * (3 * 2)
         assert ap.poly.terms_dict()[(1, 2)] == F(1, 4) * F(fall, 3**3)
 
+    @given(
+        st.dictionaries(st.integers(0, 8), st.fractions(0, 3, max_denominator=12), max_size=8)
+        | st.dictionaries(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.fractions(0, 3, max_denominator=12),
+            max_size=8,
+        ),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_on_random_maps(self, c, m):
+        # c_alpha prod_i m!/(m - a_i)! / m^|alpha|, from factorials; the
+        # float branch with the same operations on float(c_alpha)
+        exact, floats = {}, {}
+        for key, val in c.items():
+            alpha = (key,) if isinstance(key, int) else key
+            if max(alpha) > m or val == 0:
+                continue
+            fall = math.prod(math.factorial(m) // math.factorial(m - a) for a in alpha)
+            exact[alpha] = val * fall / F(m) ** sum(alpha)
+            floats[alpha] = float(val) * fall / float(m) ** sum(alpha)
+        got = tstable_approximant(c, m).poly.terms_dict()
+        assert got == exact and all(type(v) is F for v in got.values())
+        got = tstable_approximant({k: float(v) for k, v in c.items()}, m).poly.terms_dict()
+        assert got == floats and all(type(v) is float for v in got.values())
+
+    @pytest.mark.parametrize("m", [True, 2.0, 2.5, 0, -3])
+    def test_depth_must_be_a_count(self, m):
+        # True would run as depth 1, and 2.0 failed in math.factorial
+        with pytest.raises(ValueError, match="^m must be (an integer|>= 1)$"):
+            tstable_approximant({0: F(1, 2), 1: F(1, 2)}, m)
+
 
 class TestCertifyTstable:
     def test_poisson_truncated_never_refuted(self):
@@ -492,6 +525,29 @@ class TestCertifyTstable:
     def test_uniform_three_refuted(self):
         cert = certify_tstable({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
         assert cert.verdict is Verdict.REFUTED
+
+    @pytest.mark.parametrize("m_max", [True, 2.0, 2.5, 0, -3])
+    def test_depth_cap_must_be_a_count(self, m_max):
+        # True ran as depth 1, and 0 and -3 tried no approximant at all
+        with pytest.raises(ValueError, match="^m_max must be (an integer|>= 1)$"):
+            certify_tstable({0: F(1, 2), 1: F(1, 2)}, m_max=m_max)
+
+    @given(
+        st.dictionaries(
+            st.integers(0, 12), st.fractions(0, 3, max_denominator=12) | st.floats(0, 3), max_size=10
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_univariate_depths_test_the_approximants(self, c):
+        # every polynomial that a depth tries is the approximant's to_uni()
+        tried = []
+        check = stability.is_real_rooted
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stability, "is_real_rooted", lambda p, **kw: tried.append(p) or check(p, **kw))
+            if any(c.values()):
+                certify_tstable(c, m_max=8, tail_bound=1e-3)
+        for m, p in enumerate(tried, start=1):
+            assert p == tstable_approximant(c, m).poly.to_uni()
 
     def test_finite_support_stable(self):
         cert = certify_tstable({0: F(1, 2), 1: F(1, 3), 2: F(1, 6) * 0}, m_max=5)
