@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .polycore import MultiPoly, UniPoly, _check_count, _classify_float, _im_floor
+from .polycore import InputRangeError, MultiPoly, UniPoly, _check_count, _classify_float, _im_floor
 from .stability import Verdict, certify_tstable
 
 _SLACK = 1e-9
@@ -25,12 +25,6 @@ _POISSON_TOL = 1e-10  # truncation tolerance of Measure.poisson and poisson_box
 # Largest Poisson mean served, lambda*t for a series: the weights take more
 # than lambda floats and the series as many terms.  kingman(800) has 159,800.
 _MAX_POISSON_MEAN = 1e7
-
-
-class InputRangeError(ValueError):
-    """A finite input that no series computes: rates whose sum leaves the
-    float range, a Poisson mean above _MAX_POISSON_MEAN, or a Lie split
-    box above bdchain._MAX_SPLIT_BOX."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,14 @@ EPS = float(np.finfo(float).eps)
 _U = EPS / 2.0  # unit roundoff
 
 
+class InputRangeError(ValueError):
+    """A finite input that no float computation covers: rates whose sum
+    leaves the float range, a Poisson mean above
+    measures._MAX_POISSON_MEAN, a Lie split box above
+    bdchain._MAX_SPLIT_BOX, or an exact polynomial with a real root
+    outside the float range."""
+
+
 def _coerce_coeffs(values: Iterable):
     vals = list(values)
     if all(isinstance(v, (int, Fraction)) for v in vals):
@@ -1080,7 +1088,10 @@ def real_roots(p: UniPoly) -> RootList:
     for f in _sturm_factors(p.coeffs):
         located = []
         for lo, hi in _isolate_roots(f, _ISOLATION_WIDTH):
-            mid = float((lo + hi) / 2)
+            try:
+                mid = float((lo + hi) / 2)
+            except OverflowError:
+                raise InputRangeError("a real root lies outside the float range") from None
             located.append((complex(mid, 0.0), float(hi - lo) / 2 + abs(mid) * EPS, True))
         if f.nonreal_count:
             located += [(z, rad, False) for z, rad in _nonreal_roots(f)]

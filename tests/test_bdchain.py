@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from stablepgf import bdchain, particles
+from stablepgf import bdchain, cli, particles
 from stablepgf.bdchain import (
     _BLOCK_DROP_EVERY,
     _CHUNK_SIZE,
@@ -37,7 +37,7 @@ from stablepgf.bdchain import (
 from stablepgf.cli import _random_real_rooted
 from stablepgf.measures import InputRangeError, Measure, _poisson_weights, bp_decompose, poisson_box
 from stablepgf.particles import SiteSystem, exact_pgf_transform, truncated_generator_evolve
-from stablepgf.polycore import MultiPoly, UniPoly
+from stablepgf.polycore import _U, MultiPoly, UniPoly
 from stablepgf.stability import Verdict, is_real_rooted
 
 
@@ -1139,6 +1139,93 @@ class TestLieSplit:
         assert tvs[0] > tvs[1] > tvs[2]
 
 
+def gamma(n):
+    """gamma_n = n u / (1 - n u): the relative error bound of an n-term sum
+    of products, in any order (Higham, Accuracy and Stability, 3.1)."""
+    return n * _U / (1 - n * _U)
+
+
+def reference_lie_split(mu, b0, d1, d2, t, steps):
+    """lie_split_evolve one sub-step at a time: 2 steps + 1 vector products
+    with the propagators H1, F2, F1, ..., F2, H1 of its box, each adding its
+    escaped mass to `escaped`.  Returns (law, escaped, N).  Frozen."""
+    support = int(np.flatnonzero(mu.weights)[-1])
+    N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
+    chain1, chain2 = BirthDeathRates.mm_infty(b0, d1), BirthDeathRates.quadratic_death(d2)
+    b1, d1a = _rate_arrays(chain1.beta, chain1.delta, N)
+    b2, d2a = _rate_arrays(chain2.beta, chain2.delta, N)
+    h, eye = t / steps, np.eye(N + 1, N + 2)
+    (half1, _), (full1, _) = bdchain._bd_uniformize(eye, b1, d1a, [h / 2.0, h], _ROOT_LAW_TOL)
+    [(full2, _)] = bdchain._bd_uniformize(eye, b2, d2a, [h], _ROOT_LAW_TOL)
+    v = np.zeros(N + 1)
+    v[: support + 1] = mu.weights[: support + 1]
+    escaped = 0.0
+    for P in [half1] + [full2, full1] * (steps - 1) + [full2, half1]:
+        out = v @ P
+        v, escaped = out[:-1], escaped + float(out[-1])
+    return v, escaped, N
+
+
+class TestLieSplitPowers:
+    """lie_split_evolve as mu H1 (F2 F1)^(steps-1) F2 H1, the power by squaring."""
+
+    # the trotter-split defaults, with a tail_bound on the start law
+    mu = Measure(np.eye(1, 6, 5)[0], tail_bound=2.0**-30)
+    args = (1.0, 1.0, 1.0, 0.5)
+
+    @staticmethod
+    def allowance(steps, N):
+        # Every factor is nonnegative with row sums at most 1, so a computed
+        # product of n-term sums adds at most gamma_n to a row's l1 error
+        # and passes earlier errors on without growth; all sums here have at
+        # most N + 2 terms.  The loop makes 2 steps + 1 vector products.
+        # The powers make 3 vector products, F2 F1 (one gamma in each of its
+        # steps - 1 copies) and at most steps - 2 more products, one gamma
+        # each, as a product tree of steps - 1 leaves has steps - 2 inner
+        # nodes: 2 steps + 1 gammas as well.  The two laws differ by at most
+        # the sum, to first order in u.
+        return (4 * steps + 2) * gamma(N + 2)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4096])
+    def test_matches_the_step_loop(self, steps):
+        ev = lie_split_evolve(self.mu, *self.args, steps)
+        ref, _, N = reference_lie_split(self.mu, *self.args, steps)
+        assert ev.weights.shape == ref.shape
+        assert np.abs(ev.weights - ref).sum() <= self.allowance(steps, N)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4096])
+    def test_tail_bound_composition(self, monkeypatch, steps):
+        # stand-in propagators, which send 2^-12 of each row's mass to the
+        # overflow state so that the overflow entry stands far above the
+        # rounding, with stand-in series tails, powers of two, so that each
+        # count of 2 tail(H1) + steps tail(F2) + (steps-1) tail(F1) shows;
+        # chain 1's call has the two times h/2 and h
+        tails = {2: (2.0**-20, 2.0**-24), 1: (2.0**-28,)}
+        series = bdchain._bd_uniformize
+
+        def leaky(v0, beta_arr, delta_arr, ts, tol):
+            out = []
+            sums = series(v0, beta_arr, delta_arr, ts, tol)
+            for (acc, _), tail in zip(sums, tails[len(ts)]):
+                leaked = acc.copy()
+                leaked[:, :-1] *= 1 - 2.0**-12
+                leaked[:, -1] += 2.0**-12 * acc[:, :-1].sum(axis=1)
+                out.append((leaked, tail))
+            return out
+
+        monkeypatch.setattr(bdchain, "_bd_uniformize", leaky)
+        ev = lie_split_evolve(self.mu, *self.args, steps)
+        _, escaped, N = reference_lie_split(self.mu, *self.args, steps)
+        tail = 2 * 2.0**-20 + steps * 2.0**-28 + (steps - 1) * 2.0**-24
+        listed = self.mu.tail_bound + escaped + tail
+        # the overflow entry is a coordinate of the law's vector, within the
+        # allowance of escaped; the loop's sum of 2 steps + 1 escaped masses
+        # rounds by gamma_(2 steps + 1) of it, and the three additions on
+        # either side by 3 u of the total
+        slack = self.allowance(steps, N) + gamma(2 * steps + 1) * escaped + 6 * _U * listed
+        assert abs(ev.tail_bound - listed) <= slack
+
+
 class TestOneLawType:
     engines = {
         "evolve": lambda: [evolve(Measure.point_mass(3), BirthDeathRates.mm_infty(1.0, 1.0), 0.5)],
@@ -1183,6 +1270,73 @@ class TestPreservation:
             mu = _random_real_rooted(rng, deg_max=5)
             ev = evolve(mu, rates, 0.4, tol=1e-12)
             assert is_real_rooted(ev.poly, coeff_perturb=ev.tail_bound).verdict is not Verdict.REFUTED
+
+
+class TestQuadDeathPreserveBlocks:
+    """quad-death-preserve evolves every start law through one transition
+    block per time; each law it checks is held against the exact one."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_checked_laws_match_exact_pure_death(self, monkeypatch, seed):
+        params = {"count": 10, "deg_max": 8, "t_points": 7}
+        blocks, checked, series_calls = [], [], []
+        transition_, verdict = bdchain.transition, cli.stability.is_real_rooted
+        series = bdchain._uniformized_series
+
+        def counting(v0, step, lam_ts, tol, min_terms):
+            series_calls.append([lam_ts[0], 0])
+
+            def counted(v, out):
+                series_calls[-1][1] += 1
+                step(v, out)
+
+            return series(v0, counted, lam_ts, tol, min_terms)
+
+        def recording(*args, **kwargs):
+            blocks.append(transition_(*args, **kwargs))
+            return blocks[-1]
+
+        def judged(poly, coeff_perturb):
+            checked.append((poly, coeff_perturb))
+            return verdict(poly, coeff_perturb=coeff_perturb)
+
+        monkeypatch.setattr(bdchain, "transition", recording)
+        monkeypatch.setattr(bdchain, "_uniformized_series", counting)
+        monkeypatch.setattr(cli.stability, "is_real_rooted", judged)
+        passed, payload, _ = cli._run_quad_death_preserve(params, seed)
+        monkeypatch.undo()
+        assert passed and payload["checked"] == 70 and payload["refuted"] == 0
+
+        rng = np.random.default_rng(seed)
+        laws = [_random_real_rooted(rng, 8) for _ in range(10)]
+        d_max = max(len(mu.weights) - 1 for mu in laws)
+        assert [(b.N, b.t) for b in blocks] == [(d_max, t) for t in payload["t_grid"]]
+        assert len(series_calls) == len(blocks)
+        delta = BirthDeathRates.quadratic_death().delta
+        # the t-th block serves the 10 laws in their order
+        for block, (lam_t, terms), row in zip(blocks, series_calls, range(0, 70, 10)):
+            # the closed form's coefficients stay below 26 in modulus for
+            # n <= 8, so 60 digits leave it far more than double precision
+            exact = [exact_pure_death_law(delta, n, block.t, 60) for n in range(d_max + 1)]
+            for mu, (poly, perturb) in zip(laws, checked[row : row + 10]):
+                n = len(mu.weights)  # degree + 1
+                assert perturb == mu.tail_bound + block.trunc_error
+                want = [
+                    sum(Decimal(m) * exact[i][k] for i, m in enumerate(mu.weights) if i >= k)
+                    for k in range(n)
+                ]
+                got = np.zeros(n)
+                got[: poly.degree + 1] = poly.coeffs_float()
+                gap = sum(abs(Decimal(g) - w) for g, w in zip(got, want))
+                # (5 lambda t + J) u bounds the series' rounding to first
+                # order: each step is nonnegative and l1-nonexpansive with at
+                # most three products per entry, the error of step j reaches
+                # the sum with weight P(N >= j), and these weights sum to
+                # lambda t; each accumulation adds at most u.  gamma_n
+                # bounds the product mu P(t) of n-term sums of nonnegative
+                # numbers, mu of mass 1
+                rounding = (5 * lam_t + terms) * _U + gamma(n)
+                assert gap <= Decimal(perturb + rounding)
 
 
 class TestInputBoundary:
@@ -1283,6 +1437,8 @@ class TestInputBoundary:
 
     cap_callers = {
         "transition": lambda: transition(BirthDeathRates.mm_infty(1.0, 1.0), 1e9, 3),
+        # lambda*t = 4000 * 3999, and the block alone would take 128 MB
+        "transition-block": lambda: transition(BirthDeathRates.quadratic_death(), 1.0, 4000),
         "kingman": lambda: kingman(5, True, 1e300),
         # births at rate 1e6 for t = 100 would size the box at 5e8 states
         "evolve-births": lambda: evolve(

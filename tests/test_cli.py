@@ -286,6 +286,14 @@ def test_every_registered_experiment_has_claim_and_defaults():
             assert ok(spec["params"][key][1])
 
 
+def test_suite_passes_every_experiment(tmp_path, capsys):
+    assert main(["suite", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split("\n")[:-1] == [f"{name}: PASS" for name in EXPECTED_NAMES]
+    for name in EXPECTED_NAMES:
+        artifact = json.loads((tmp_path / f"{name}.json").read_text())
+        assert artifact["passed"] is True and artifact["seed"] == 0
+
+
 VALIDATED = sorted((name, key) for name, spec in EXPERIMENTS.items() for key in spec.get("valid", {}))
 
 

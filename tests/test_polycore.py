@@ -12,6 +12,7 @@ from stablepgf.config import DEFAULT
 from stablepgf.measures import Measure, _poisson_weights, bp_decompose
 from stablepgf.polycore import (
     _U,
+    InputRangeError,
     MultiPoly,
     UniPoly,
     _classify_float,
@@ -486,6 +487,14 @@ class TestExactVerdict:
         cert = is_real_rooted(p)
         assert cert.verdict is Verdict.REFUTED
         assert abs(cert.witness[0] - root) <= 1e-9 * abs(root)
+
+    # the verdict needs Sturm counts only, a located root its float value
+    @pytest.mark.parametrize("far", [F(10) ** 400, -F(10) ** 400], ids=["1e400", "-1e400"])
+    def test_real_root_beyond_float_range(self, far):
+        p = UniPoly.from_roots([far, F(1)])
+        assert is_real_rooted(p).verdict is Verdict.STABLE
+        with pytest.raises(InputRangeError, match="a real root lies outside the float range"):
+            real_roots(p)
 
     def test_pair_rounded_onto_the_real_axis(self):
         # the monic copy of x^2 - 2x + 1 + 10^-20 is (x - 1)^2
