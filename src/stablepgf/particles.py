@@ -222,64 +222,63 @@ def truncated_generator_evolve(
 ) -> Measure:
     """Uniformization on the product state space with an absorbing overflow.
 
-    Accepts general per-site rates; the escaping-mass bound lands in the
-    result's tail_bound.  An escape above tol means the box is too small
-    and raises instead of silently degrading.
+    Accepts general per-site rates; the escaping-mass bound, with the start
+    law's mass outside the box, lands in the result's tail_bound.  An escape
+    above tol means the box is too small and raises instead of silently
+    degrading.
     """
     _check_tol(tol)
     _check_time(t)
+    n = system.n
+    if mu.ndim != n:
+        raise ValueError(f"law has {mu.ndim} coordinates, system has {n} sites")
     if box is None:
         box = tuple(s - 1 for s in mu.shape)
-    n = system.n
     shape = _box_shape(box, n)
     S = math.prod(shape)
-    OVER = S
-    # States are numbered in C order; a move that leaves the box lands in
-    # the absorbing overflow state S.
+    # States are numbered in C order, so each move kind is one flat shift:
+    # +-stride[i] for a birth or death at site i, stride[j] - stride[i] for
+    # a jump i -> j.  Its rate is kept as 0 where the move leaves the box
+    # and added to `leave` instead, the rate into the overflow state S.
     occ = np.indices(shape).reshape(n, S)
     stride = [S // math.prod(shape[: i + 1]) for i in range(n)]
-    state = np.arange(S)
-    moves = []  # (target, rate) over all source states, one array pair per move kind
+    top = occ == np.array(shape)[:, None] - 1
+    out_rate, leave, passes, part = np.zeros(S), np.zeros(S), [], np.empty(S)
     for i, (birth, death) in enumerate(_site_rates(system, [s - 1 for s in shape], 0, [0.0] * n)):
         k = occ[i]
-        moves.append((np.where(k < shape[i] - 1, state + stride[i], OVER), birth[k]))
-        moves.append((state - stride[i], death[k]))
-        for j in range(n):
-            if j != i:
-                into = np.where(occ[j] < shape[j] - 1, state - stride[i] + stride[j], OVER)
-                moves.append((into, float(system.jump[i, j]) * k))
-    src = np.tile(state, len(moves))
-    tgt = np.concatenate([to for to, _ in moves])
-    rate = np.concatenate([r for _, r in moves])
-    keep = rate > 0
-    src, tgt, rate = src[keep], tgt[keep], rate[keep]
-    out_rate = np.bincount(src, weights=rate, minlength=S)
+        jumps = [(stride[j] - stride[i], top[j], float(system.jump[i, j]) * k) for j in range(n) if j != i]
+        for shift, off, rate in [(stride[i], top[i], birth[k]), (-stride[i], k == 0, death[k]), *jumps]:
+            out_rate += rate
+            leave[off] += rate[off]
+            rate[off] = 0.0
+            if rate.any():
+                lo, hi = max(0, -shift), S - max(0, shift)
+                passes.append((slice(lo, hi), slice(lo + shift, hi + shift), rate[lo:hi], part[: hi - lo]))
 
     lam = float(out_rate.max())
     v = np.zeros(S + 1)
     inside = tuple(slice(0, min(a, b)) for a, b in zip(mu.shape, shape))
     v[:S].reshape(shape)[inside] = mu.weights[inside]
-    if lam <= 0.0:
-        return Measure(v[:S].reshape(shape), tail_bound=mu.tail_bound)
+    outside = np.abs(mu.weights)
+    outside[inside] = 0.0
+    step = None
+    if lam > 0.0:
+        # one term: out = v stay, plus one shifted product per move kind, and
+        # the overflow entry v[S] + v[:S] @ leave
+        stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
+        leave /= lam
+        for _, _, chance, _ in passes:
+            chance /= lam
 
-    # Imported on first use: no other path needs it, and the import costs
-    # every process about 20 ms and 2 MB.
-    from scipy import sparse
-
-    # Transposed one-jump matrix, so that one term of the series is one
-    # CSR matrix-vector product: row b, column a holds the chance of a -> b.
-    every = np.arange(S + 1)
-    stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
-    UT = sparse.csr_matrix(
-        (np.append(stay, rate / lam), (np.append(every, tgt), np.append(every, src))),
-        shape=(S + 1, S + 1),
-    )
-
-    def step(v, out):
-        np.copyto(out, UT.dot(v))
+        def step(v, out):
+            np.multiply(v, stay, out=out)
+            for src, dst, chance, moved in passes:
+                np.multiply(v[src], chance, out=moved)
+                out[dst] += moved
+            out[S] += v[:S] @ leave
 
     [(acc, tail)] = _uniformized_series(v, step, [lam * t], tol, min_terms=int(sum(box)) + 4)
-    escaped = float(acc[OVER])
+    escaped = float(acc[S]) + float(outside.sum())
     if escaped > tol:
         raise ValueError(f"box too small for tolerance: escaped mass {escaped:.3e} > {tol:.1e}")
     w = np.maximum(acc[:S], 0.0).reshape(shape)

@@ -31,8 +31,9 @@ class InputRangeError(ValueError):
     """A finite input that no float computation covers: rates whose sum
     leaves the float range, a Poisson mean above
     measures._MAX_POISSON_MEAN, a Lie split box above
-    bdchain._MAX_SPLIT_BOX, or an exact polynomial with a real root
-    outside the float range."""
+    bdchain._MAX_SPLIT_BOX, or an exact polynomial with a root outside
+    the float range (a real root, or a non-real one with a part that
+    overflows or an imaginary part that underflows to 0)."""
 
 
 def _coerce_coeffs(values: Iterable):
@@ -1032,24 +1033,26 @@ def _nonreal_roots(f: _SturmFactor) -> list:
     a pair of non-real roots near it: f is then shifted exactly to that
     root's real part c, where the pair sits near 0 and its imaginary parts
     are resolved, and located again."""
-    pairs = _located_roots(f.coeffs)[: f.nonreal_count]
+    pairs = _located_roots(f.coeffs, f.nonreal_count)
     on_axis = [z for z, _ in pairs if z.imag == 0.0]
     if on_axis:
         c = on_axis[0].real
         g = MultiPoly.from_dict({(k,): v for k, v in enumerate(f.coeffs)}, 1)
-        shifted = _located_roots(g.compose_affine([Fraction(c)], [[1]]).to_uni().coeffs)
-        pairs = [(z + c, rad) for z, rad in shifted[: f.nonreal_count]]
+        shifted = g.compose_affine([Fraction(c)], [[1]]).to_uni()
+        pairs = [(z + c, rad) for z, rad in _located_roots(shifted.coeffs, f.nonreal_count)]
     return pairs
 
 
-def _located_roots(c: Sequence) -> list:
-    """(root, radius) of every root of the polynomial with exact
-    coefficients c, by decreasing |Im z|, located on its monic float copy
-    c_k / c_n, which does not depend on the scale of the input.  When a
-    ratio would overflow or underflow a float, the roots are located on
-    the copy of f(2^s y) instead and scaled back by 2^s, with s from the
-    ratios' bit lengths such that every root y has |y| <= 4 (Fujiwara's
-    bound)."""
+def _located_roots(c: Sequence, count: int) -> list:
+    """(root, radius) of the count roots farthest from the real axis of the
+    polynomial with exact coefficients c, by decreasing |Im z|, located on
+    its monic float copy c_k / c_n, which does not depend on the scale of
+    the input.  When a ratio would overflow or underflow a float, the roots
+    are located on the copy of f(2^s y) instead and scaled back by 2^s,
+    with s from the ratios' bit lengths such that every root y has
+    |y| <= 4 (Fujiwara's bound).  A root taken that leaves the float range
+    when scaled back, or whose nonzero imaginary part underflows to 0,
+    raises InputRangeError."""
     n = len(c) - 1
     ratios = [Fraction(v) / c[-1] for v in c]
     bits = {
@@ -1062,11 +1065,14 @@ def _located_roots(c: Sequence) -> list:
         s = max(-(-e // (n - i)) for i, e in bits.items())
         ratios = [r * Fraction(2) ** (s * (i - n)) for i, r in enumerate(ratios)]
     zs, rads, _ = _classify_float(UniPoly.from_coeffs([float(r) for r in ratios]), 0.0)
-    pairs = [
-        (complex(math.ldexp(z.real, s), math.ldexp(z.imag, s)), math.ldexp(rad, s))
-        for z, rad in zip(zs, rads)
-    ]
-    return sorted(pairs, key=lambda zr: abs(zr[0].imag), reverse=True)
+    taken = sorted(zip(zs, rads), key=lambda zr: abs(zr[0].imag), reverse=True)[:count]
+    try:
+        pairs = [(complex(math.ldexp(z.real, s), math.ldexp(z.imag, s)), math.ldexp(rad, s)) for z, rad in taken]
+    except OverflowError:
+        pairs = None
+    if pairs is None or any(y.imag == 0.0 != z.imag for (y, _), (z, _) in zip(pairs, taken)):
+        raise InputRangeError("a non-real root lies outside the float range")
+    return pairs
 
 
 _ISOLATION_WIDTH = Fraction(DEFAULT.isolation_width).limit_denominator(10**18)

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.stats import chi2
 
-from stablepgf import particles
+from stablepgf import bdchain, particles
+from stablepgf.bdchain import BirthDeathRates
 from stablepgf.measures import InputRangeError, Measure, marginal_sum, pgf
 from stablepgf.particles import (
     Configuration,
@@ -23,7 +25,7 @@ from stablepgf.particles import (
     single_jump_transform,
     truncated_generator_evolve,
 )
-from stablepgf.polycore import MultiPoly, UniPoly
+from stablepgf.polycore import _U, MultiPoly, UniPoly
 from stablepgf.stability import Verdict, is_real_rooted, is_stable_multi
 
 
@@ -281,17 +283,20 @@ class TestTruncatedEvolve:
         assert out.weights[1] == pytest.approx(1 - math.exp(-0.6), abs=1e-12)
 
     def test_three_site_box_memory(self):
-        # a dense step matrix on the 15^3 states of this box alone is 91 MB
-        system = SiteSystem(jump=np.full((3, 3), 0.5), birth=np.full(3, 0.4), death=np.ones(3))
-        mu = Measure.point_mass((1, 1, 1))
-        tracemalloc.start()
-        try:
-            out = truncated_generator_evolve(mu, system, 0.5, box=(14, 14, 14))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
-        assert abs(out.weights.sum() - 1.0) <= out.tail_bound + 1e-12
+        # a dense step matrix on the 15^3 states of the first box alone is
+        # 91 MB; the CSR step of earlier versions peaked at 49.6 MB on the
+        # 13^4 states of the second
+        for n, b, cap in [(3, 14, 16e6), (4, 12, 20e6)]:
+            system = SiteSystem(jump=np.full((n, n), 0.5), birth=np.full(n, 0.4), death=np.ones(n))
+            mu = Measure.point_mass((1,) * n)
+            tracemalloc.start()
+            try:
+                out = truncated_generator_evolve(mu, system, 0.5, box=(b,) * n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cap
+            assert abs(out.weights.sum() - 1.0) <= out.tail_bound + 1e-12
 
     def test_box_defaults_to_the_initial_law(self):
         sys1 = SiteSystem(jump=np.zeros((1, 1)), birth=np.zeros(1), death=np.array([1.0]))
@@ -312,6 +317,111 @@ class TestTruncatedEvolve:
         sys1 = SiteSystem(jump=np.zeros((1, 1)), birth=np.array([2.0]), death=np.zeros(1))
         with pytest.raises(ValueError):
             truncated_generator_evolve(Measure.point_mass((0,)), sys1, 2.0, box=(2,), tol=1e-10)
+
+    @pytest.mark.parametrize("weights", [np.full(3, 1 / 3), np.full((2, 2, 2), 1 / 8)])
+    def test_law_of_another_dimension_refused(self, weights):
+        system = SiteSystem(jump=np.array([[0.0, 0.5], [0.3, 0.0]]), birth=np.ones(2), death=np.ones(2))
+        with pytest.raises(ValueError, match=f"law has {weights.ndim} coordinates, system has 2 sites"):
+            truncated_generator_evolve(Measure(weights), system, 0.5, box=(2, 2))
+
+    @pytest.mark.parametrize("death", [1.0, 0.0])
+    def test_start_mass_outside_the_box_escapes(self, death):
+        system = SiteSystem(jump=np.zeros((2, 2)), birth=np.zeros(2), death=np.full(2, death))
+        mu = Measure(np.array([[1 - 1e-10, 0, 0], [0, 0, 0], [0, 0, 1e-10]]))
+        # pure death on {0, 1}^2 sends no mass out of the box: all that
+        # escapes is the start law's mass at (2, 2)
+        with pytest.raises(ValueError, match="box too small for tolerance: escaped mass 1.000e-10"):
+            truncated_generator_evolve(mu, system, 0.5, box=(1, 1))
+        out = truncated_generator_evolve(mu, system, 0.5, box=(1, 1), tol=1e-9)
+        assert out.tail_bound - mu.tail_bound >= 1e-10
+
+    @staticmethod
+    def counted_series(monkeypatch, *modules):
+        """Record (largest lambda t, terms, sums) of every series run
+        through the modules."""
+        runs, series = [], bdchain._uniformized_series
+
+        def counting(v0, step, lam_ts, tol, min_terms):
+            terms = []
+
+            def counted(v, out):
+                terms.append(1)
+                step(v, out)
+
+            sums = series(v0, counted if step else None, lam_ts, tol, min_terms)
+            runs.append((max(lam_ts), len(terms), sums))
+            return sums
+
+        for module in modules:
+            monkeypatch.setattr(module, "_uniformized_series", counting)
+        return runs
+
+    def test_one_site_general_rates_match_evolve(self, monkeypatch):
+        beta, delta = (lambda i, k: 2.0 / (1 + k)), (lambda i, k: 0.5 * k + 0.3 * k * k)
+        system = SiteSystem(jump=np.zeros((1, 1)), birth=np.zeros(1), death=np.zeros(1), birth_fn=beta, death_fn=delta)
+        rates = BirthDeathRates(beta=lambda k: beta(0, k), delta=lambda k: delta(0, k))
+        mu = Measure(np.array([0.1, 0.2, 0.0, 0.3, 0.4]))
+        runs = self.counted_series(monkeypatch, bdchain, particles)
+        out = truncated_generator_evolve(mu, system, 0.8, box=(30,))
+        ref = bdchain.evolve(mu, rates, 0.8)
+        size = max(out.shape[0], ref.shape[0])
+        gap = np.abs(np.pad(out.weights, (0, size - out.shape[0])) - np.pad(ref.weights, (0, size - ref.shape[0])))
+        # Both sides run the same kind of step: each entry is a sum of at
+        # most m = 3 nonnegative products (stay, birth from below, death
+        # from above) of an entry and a chance.  A step's l1 rounding is
+        # then within (2m + 1) u of the mass: m - 1 additions, one rounding
+        # per product and per chance rate/lambda, and m more in stay = 1 -
+        # (sum of m - 1 rates)/lambda.  The steps are nonexpansive in l1,
+        # the error of step j reaches the sum with weight P(N >= j), which
+        # sum to lambda t, and each of the J accumulations adds at most u.
+        # A run of time pieces is bounded piece by piece.
+        rounding = sum((7 * lam_t + terms) * _U for lam_t, terms, _ in runs)
+        assert gap.sum() <= out.tail_bound + ref.tail_bound + rounding
+
+    # quadratic death at each site and births, jumps between all sites, on
+    # the 4^3 box: with births 0.4 mass leaves the box above tol
+    @pytest.mark.parametrize("birth", [0.0, 0.4])
+    def test_three_site_general_rates_match_expm(self, monkeypatch, birth):
+        rng = np.random.default_rng(5)
+        jump, b, t = rng.uniform(0.2, 0.6, (3, 3)), 4, 0.6
+        system = SiteSystem(
+            jump=jump, birth=np.full(3, birth), death=np.zeros(3), death_fn=lambda i, k: (0.2 + 0.1 * i) * k * k
+        )
+        shape = (b + 1,) * 3
+        S = math.prod(shape)
+        Q = np.zeros((S + 1, S + 1))  # the overflow state S absorbs
+        for state in np.ndindex(shape):
+            a = np.ravel_multi_index(state, shape)
+            for i, k in enumerate(state):
+                moves = [(i, 1, system.birth_rate(i, k)), (i, -1, system.death_rate(i, k))]
+                moves += [(j, 1, jump[i, j] * k) for j in range(3) if j != i]
+                for site, d, rate in (m for m in moves if m[2] > 0):
+                    to = list(state)
+                    to[site] += d
+                    if site != i:
+                        to[i] -= 1
+                    Q[a, np.ravel_multi_index(to, shape) if to[site] <= b else S] += rate
+                    Q[a, a] -= rate
+        mu = Measure.product(Measure.bernoulli(0.6), Measure.point_mass(2, shape=(3,)), Measure.bernoulli(0.3))
+        v0 = np.zeros(S + 1)
+        v0[:S].reshape(shape)[:2, :3, :2] = mu.weights
+        exact = v0 @ expm(Q * t)
+        runs = self.counted_series(monkeypatch, particles)
+        if birth:
+            with pytest.raises(ValueError, match="box too small for tolerance"):
+                truncated_generator_evolve(mu, system, t, box=(b,) * 3)
+        else:
+            truncated_generator_evolve(mu, system, t, box=(b,) * 3)
+        [(lam_t, terms, [(acc, tail)])] = runs
+        assert (exact[S] > 1e-3) == bool(birth)
+        # (2m + 1) lambda t + J rounding units as in the one-site case, with
+        # m = 3 * 4 + 1 products per entry of the box.  The overflow entry
+        # adds what leaves in one dot product of S terms with chances of at
+        # most m - 1 rates over lambda, so it rounds by at most (S + m) u of
+        # that mass, which sums to the escaped mass over the series, plus u
+        # of itself per term.  expm's own error is far smaller.
+        rounding = (27 * lam_t + terms) * _U + (S + 13 + terms) * _U * acc[S]
+        assert np.abs(acc - exact).sum() <= tail + rounding
 
 
 class TestGillespie:

@@ -496,6 +496,15 @@ class TestExactVerdict:
         with pytest.raises(InputRangeError, match="a real root lies outside the float range"):
             real_roots(p)
 
+    # roots +-10^(+-350) i: past the largest float, and below the smallest
+    # subnormal, where a witness would round onto the real axis
+    @pytest.mark.parametrize("e", [-700, 700], ids=["1e350i", "1e-350i"])
+    def test_nonreal_root_beyond_float_range(self, e):
+        p = UniPoly.from_coeffs([1, 0, F(10) ** e])
+        for locate in (real_roots, is_real_rooted):
+            with pytest.raises(InputRangeError, match="a non-real root lies outside the float range"):
+                locate(p)
+
     def test_pair_rounded_onto_the_real_axis(self):
         # the monic copy of x^2 - 2x + 1 + 10^-20 is (x - 1)^2
         p = UniPoly.from_coeffs([1 + F(1, 10**20), -2, 1])
