@@ -1,9 +1,10 @@
 """Birth-death chain semigroups on truncated state spaces.
 
 Transition operators are built by uniformization of the truncated
-generator; an absorbing overflow state above the box converts boundary
-clamping into a certified escaping-mass bound, so every evolved law comes
-with an explicit tail_bound.  On top of the semigroup sit the root-law
+generator, a transition block at t 2^-k and then squared k times; an
+absorbing overflow state above the box converts boundary clamping into
+a certified escaping-mass bound, so every evolved law comes with an
+explicit tail_bound.  On top of the semigroup sit the root-law
 probes: evolution of real-rooted generating functions under quadratic
 death rates, the double-root counterexample, the constant-birth necessity
 probe, Wright-Fisher residuals, cluster-splitting asymptotics, and the
@@ -28,6 +29,7 @@ from .measures import (
     _poisson_weights,
 )
 from .polycore import (
+    _U,
     UniPoly,
     hermite_sum_form,
     quadratic_death_cluster_poly,
@@ -116,8 +118,10 @@ class TruncatedSemigroup:
     """Transition probabilities p_t(j,k) on {0..N} with certified loss.
 
     Rows are sub-stochastic: the deficit of each row from 1 is mass that
-    reached the absorbing overflow state (or lay beyond the series cutoff)
-    and is covered by trunc_error.
+    reached the absorbing overflow state (or lay beyond the series cutoff).
+    trunc_error bounds every row's l1 distance to p_t(j, .) on all of
+    {0, 1, ...}: the escaped mass, the series tails and the rounding of
+    transition's squarings, but not the rounding of the series itself.
     """
 
     N: int
@@ -420,23 +424,67 @@ def _rate_arrays(beta: Callable, delta: Callable, N: int, first: int = 0):
     return np.array(betas), np.array(deltas)
 
 
+def _halvings(lam_t: float, N: int) -> int:
+    """The fewest k >= 0 with lam_t 2^-k <= max(N/2, 1): transition's
+    series on {0..N} at such a step stops near its min_terms of N + 4."""
+    k = 0
+    while math.ldexp(lam_t, -k) > max(N / 2, 1):
+        k += 1
+    return k
+
+
 def transition(
     rates: BirthDeathRates,
     t: float,
     N: int,
     tol: float = DEFAULT.uniformization_tol,
 ) -> TruncatedSemigroup:
-    """Uniformized transition matrix rows p_t(j, .) on {0..N}.
+    """Transition matrix rows p_t(j, .) on {0..N}, by scaling and squaring
+    (Moler & Van Loan, SIAM Review 45(1), 2003).
 
-    A lambda*t above the series cap, lambda the largest out-rate of the
-    box, raises InputRangeError before the block is allocated."""
+    lambda is the box's largest out-rate, and k >= 0 the fewest halvings
+    with lambda t 2^-k <= max(N/2, 1).  _bd_uniformize runs on the
+    identity block at h = t 2^-k and tolerance tol 2^-k; at that lambda*h
+    the series stops near its min_terms = N + 4 whatever k is, so a larger
+    k would only add squarings.  P(h), made square by the absorbing
+    overflow state e_(N+1) as its last row, is squared k times.  k = 0,
+    every call with lambda t <= N/2, is the one series, bit for bit.
+
+    trunc_error bounds the l1 distance of every row to p_t(j, .) on all
+    of {0, 1, ...}: the largest overflow entry, plus 2^k times the
+    series tail, plus (2^k - 1) gamma_(N+2), gamma_n = n u / (1 - n u).
+    A path that never leaves the box is one of the truncated chain, so
+    each row of the truncated chain's exact P(t) is within its overflow
+    entry of p_t(j, .).  The computed P(h) is within the tail of the
+    exact one in every row.  Let A and B be nonnegative with row sums at
+    most 1, each within e of such a matrix: AB is within 2e of the
+    product of the two, and its rounding, n-term sums of nonnegative
+    products, adds at most gamma_n to a row (Higham, Accuracy and
+    Stability, 3.5).  So the i-th squaring is within
+    e_i <= 2 e_(i-1) + gamma_(N+2) of the exact P(2^i h), and
+    e_k <= 2^k tail + (2^k - 1) gamma_(N+2), to first order; the computed
+    overflow entry is within e_k of the exact one.  The rounding of the
+    series' own steps and sums is not covered, as for every series.
+
+    A lambda*t above the series cap raises InputRangeError before the
+    block is allocated."""
     _check_tol(tol)
     _check_time(t)
     N = _check_count(N, "N")
     beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, N)
-    _check_poisson_mean(float((beta_arr + delta_arr).max()) * t)
-    [(P, tail)] = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, [t], tol)
-    return TruncatedSemigroup(N=N, t=t, matrix=P[:, :-1], trunc_error=float(P[:, -1].max()) + tail)
+    lam_t = float((beta_arr + delta_arr).max()) * t
+    _check_poisson_mean(lam_t)
+    k = _halvings(lam_t, N)
+    h, piece_tol = math.ldexp(t, -k), math.ldexp(tol, -k)
+    [(P, tail)] = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, [h], piece_tol)
+    if k:
+        P = np.vstack([P, np.eye(1, N + 2, N + 1)])
+        for _ in range(k):
+            P = P @ P
+        P = P[:-1]
+    rounding = (2**k - 1) * (N + 2) * _U / (1 - (N + 2) * _U)
+    trunc_error = float(P[:, -1].max()) + math.ldexp(tail, k) + rounding
+    return TruncatedSemigroup(N=N, t=t, matrix=P[:, :-1], trunc_error=trunc_error)
 
 
 def evolve(
@@ -529,8 +577,9 @@ def backward_residual(
 ) -> float:
     """Defect of the backward equation at (j,k).
 
-    The time derivative of p_t(j,k) is taken by centered differences and
-    compared against beta_j p(j+1,k) + delta_j p(j-1,k) - (beta_j+delta_j) p(j,k).
+    The time derivative of p_t(j,k) is taken by centered differences of
+    transition at t + h and t - h, at _PROBE_TOL, and compared against
+    beta_j p(j+1,k) + delta_j p(j-1,k) - (beta_j+delta_j) p(j,k).
     """
     N, t = semigroup.N, semigroup.t
     j, k = _check_count(j, "j", low=0), _check_count(k, "k", low=0)
@@ -540,11 +589,8 @@ def backward_residual(
         raise ValueError("k must lie in 0..N")
     h = 1e-4 * max(t, 1.0)
     h = min(h, t) if t > 0 else h
-    # the transitions at t + h and t - h: one series, two weightings
-    beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, N)
-    times = [t + h, t - h if t - h > 0 else 0.0]
-    sums = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, times, _PROBE_TOL)
-    plus, minus = (P[:, :-1] for P, _ in sums)
+    plus = transition(rates, t + h, N, _PROBE_TOL).matrix
+    minus = transition(rates, t - h if t - h > 0 else 0.0, N, _PROBE_TOL).matrix
     dt = (plus[j, k] - minus[j, k]) / (2 * h if t - h > 0 else (t + h))
     P = semigroup.matrix
     (b,), (d,) = _rate_arrays(rates.beta, rates.delta, j, j)

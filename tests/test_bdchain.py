@@ -87,20 +87,84 @@ class TestTransition:
         assert (sums <= 1 + 1e-12).all()
         assert (1 - sums <= sg.trunc_error + 1e-12).all()
 
+    @pytest.mark.parametrize("N,digits", [(40, 150), (100, 200), (200, 300)])
+    def test_rows_within_trunc_error_of_pure_death_law(self, N, digits):
+        # the squared rows against the closed form, with no slack
+        t, rates = 0.1, BirthDeathRates.quadratic_death()
+        sg = transition(rates, t, N, tol=1e-13)
+        for j in sorted({N, 3 * N // 4, N // 2, N // 4, 10, 2}):
+            exact = exact_pure_death_law(rates.delta, j, t, digits)
+            if j == N:  # the reference has converged
+                finer = exact_pure_death_law(rates.delta, j, t, digits + 50)
+                assert max(abs(a - b) for a, b in zip(exact, finer)) < Decimal("1e-40")
+            row = [Decimal(float(p)) for p in sg.matrix[j]]
+            # pure death never moves mass above the start state
+            gap = sum(abs(p - e) for p, e in zip(row, exact)) + sum(row[j + 1 :])
+            assert gap <= Decimal(sg.trunc_error)
+
+    def test_births_rows_within_trunc_error_of_decimal_series(self):
+        # lambda = 12 in every state, so lambda t = 8.4 takes one squaring;
+        # no birth leaves the box, which is then the whole chain
+        rates = BirthDeathRates(lambda k: float(max(12 - k, 0)), lambda k: float(k))
+        t, N = 0.7, 12
+        sg = transition(rates, t, N, tol=1e-13)
+        exact, oracle_error = decimal_block_law(rates, t, N)
+        for row, want in zip(sg.matrix, exact):
+            gap = sum(abs(Decimal(float(p)) - w) for p, w in zip(row, want)) + want[-1]
+            assert gap + oracle_error <= Decimal(sg.trunc_error)
+
+    def test_decimal_series_matches_pure_death_law(self):
+        rates, t, N = BirthDeathRates.quadratic_death(), 0.1, 12
+        exact, oracle_error = decimal_block_law(rates, t, N)
+        for j in range(N + 1):
+            law = exact_pure_death_law(rates.delta, j, t, 60)
+            gap = sum(abs(a - b) for a, b in zip(exact[j], law)) + sum(exact[j][j + 1 :])
+            # 60 digits leave the closed form's coefficients, below 1e10
+            # in modulus, far below 1e-45
+            assert gap <= oracle_error + Decimal("1e-45")
+
     @pytest.mark.parametrize(
         "rates,t,N",
         [
-            (BirthDeathRates.quadratic_death(1.3), 0.1, 40),
-            (BirthDeathRates(lambda k: float(max(12 - k, 0)), lambda k: float(k)), 0.7, 12),
+            (BirthDeathRates.quadratic_death(1.3), 0.005, 40),
+            (BirthDeathRates(lambda k: float(max(12 - k, 0)), lambda k: float(k)), 0.4, 12),
         ],
     )
-    def test_rows_match_single_vector_evolve(self, rates, t, N):
-        # each row against the series of one vector on the same box
-        sg = transition(rates, t, N, tol=1e-13)
+    def test_one_series_without_squaring(self, rates, t, N):
+        # lambda t <= N/2: the series on the whole block, bit for bit
         beta, delta = _rate_arrays(rates.beta, rates.delta, N)
-        for j in range(N + 1):
-            [(acc, _)] = _bd_uniformize(np.eye(1, N + 2, j)[0], beta, delta, [t], 1e-13)
-            assert np.abs(sg.matrix[j] - acc[:-1]).max() <= 1e-15
+        assert float((beta + delta).max()) * t <= N / 2
+        sg = transition(rates, t, N, tol=1e-13)
+        [(P, tail)] = _bd_uniformize(np.eye(N + 1, N + 2), beta, delta, [t], 1e-13)
+        assert_same_bits(sg.matrix, P[:, :-1])
+        assert sg.trunc_error == float(P[:, -1].max()) + tail
+
+    @pytest.mark.parametrize("N", [200, 400])
+    def test_series_stays_near_the_box_size(self, monkeypatch, N):
+        # Terms are counted, not timed.  One series on the whole block took
+        # 4,438 terms at N = 200, and 10.3 s at N = 400 on a 2-core host;
+        # the piece at t 2^-k runs about its min_terms of N + 4.
+        terms = []
+        series = bdchain._uniformized_series
+
+        def counting(v0, step, lam_ts, tol, min_terms):
+            def counted(v, out):
+                terms.append(1)
+                step(v, out)
+
+            return series(v0, counted, lam_ts, tol, min_terms)
+
+        monkeypatch.setattr(bdchain, "_uniformized_series", counting)
+        sg = transition(BirthDeathRates.quadratic_death(), 0.1, N)
+        assert len(terms) <= N + 40
+        assert sg.matrix.shape == (N + 1, N + 1)
+
+    @pytest.mark.parametrize("N", [16, 40, 64])
+    def test_chain_sizes_within_twice_tol(self, N):
+        # the benchmark's transition tasks: scale and t at the top of their
+        # range, at the default tol
+        sg = transition(BirthDeathRates.quadratic_death(1.01), 0.101, N)
+        assert sg.trunc_error <= 2 * bdchain.DEFAULT.uniformization_tol
 
     def test_matches_expm_oracle(self):
         rates = BirthDeathRates.from_polynomial(0.8, 0.5, 0.3)
@@ -352,6 +416,50 @@ def exact_pure_death_law(delta, n, t, digits):
             row[k] = -sum(row.values())
             law[k] = sum(a * decay[j] for j, a in row.items())
         return law
+
+
+def decimal_block_law(rates, t, N, digits=50, tail=Decimal("1e-40")):
+    """P(t) of the birth-death chain on {0..N}, births out of N absorbed in
+    an overflow state N+1, in `digits`-digit decimal: one row per start
+    state, over the N+2 states, and a bound on each row's l1 error.
+
+    The uniformization series sum_j e^(-L) L^j / j! S^j, L = lambda t,
+    lambda the largest out-rate, is cut at the first J > L - 1 with
+    p_J r / (1 - r) <= tail, r = L / (J+1): past J each weight is at most
+    r times the one before, so the Poisson mass above J is at most that,
+    and each row of S^j has mass 1.  The bound is tail plus
+    10 (N+2) (J+1) 10^(1 - digits) for the rounding: each of the J+1 terms
+    takes fewer than 8 (N+2) operations on a row, each on numbers of
+    modulus at most 1 and so off by at most 10^(1 - digits) / 2, the steps
+    pass earlier errors on without growth, and the weights' relative
+    errors stay below (J+2) 10^(1 - digits)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        beta, delta = (
+            [Decimal(r) for r in arr.tolist()] for arr in _rate_arrays(rates.beta, rates.delta, N)
+        )
+        lam = max(b + d for b, d in zip(beta, delta))
+        L = lam * Decimal(t)
+        stay = [1 - (b + d) / lam for b, d in zip(beta, delta)] + [Decimal(1)]
+        up, down = [b / lam for b in beta], [d / lam for d in delta]
+        weight = (-L).exp()
+        rows = [[Decimal(int(i == j)) for i in range(N + 2)] for j in range(N + 1)]
+        laws = [[weight * p for p in row] for row in rows]
+        J = 0
+        while J + 1 <= L or weight * (L / (J + 1)) / (1 - L / (J + 1)) > tail:
+            J += 1
+            weight = weight * L / J
+            for row, law in zip(rows, laws):
+                nxt = [row[i] * stay[i] for i in range(N + 2)]
+                for i in range(N + 1):
+                    nxt[i + 1] += row[i] * up[i]
+                    if i:
+                        nxt[i - 1] += row[i] * down[i]
+                row[:] = nxt
+                for i in range(N + 2):
+                    law[i] += weight * row[i]
+        rounding = 10 * (N + 2) * (J + 1) * Decimal(10) ** (1 - digits)
+        return laws, tail + rounding
 
 
 class TestDeathPieces:
@@ -1314,7 +1422,10 @@ class TestQuadDeathPreserveBlocks:
         assert len(series_calls) == len(blocks)
         delta = BirthDeathRates.quadratic_death().delta
         # the t-th block serves the 10 laws in their order
-        for block, (lam_t, terms), row in zip(blocks, series_calls, range(0, 70, 10)):
+        for block, (lam_h, terms), row in zip(blocks, series_calls, range(0, 70, 10)):
+            # the block's series ran at h = t 2^-k, lambda = d_max (d_max - 1)
+            lam_t = delta(d_max) * block.t
+            doublings = lam_t / lam_h  # 2^k
             # the closed form's coefficients stay below 26 in modulus for
             # n <= 8, so 60 digits leave it far more than double precision
             exact = [exact_pure_death_law(delta, n, block.t, 60) for n in range(d_max + 1)]
@@ -1328,14 +1439,16 @@ class TestQuadDeathPreserveBlocks:
                 got = np.zeros(n)
                 got[: poly.degree + 1] = poly.coeffs_float()
                 gap = sum(abs(Decimal(g) - w) for g, w in zip(got, want))
-                # (5 lambda t + J) u bounds the series' rounding to first
+                # (5 lambda h + J) u bounds the series' rounding to first
                 # order: each step is nonnegative and l1-nonexpansive with at
                 # most three products per entry, the error of step j reaches
                 # the sum with weight P(N >= j), and these weights sum to
-                # lambda t; each accumulation adds at most u.  gamma_n
-                # bounds the product mu P(t) of n-term sums of nonnegative
-                # numbers, mu of mass 1
-                rounding = (5 * lam_t + terms) * _U + gamma(n)
+                # lambda h; each accumulation adds at most u.  Each of the k
+                # squarings doubles it (their own rounding is in
+                # trunc_error), so 2^k (5 lambda h + J) u = (5 lambda t +
+                # 2^k J) u.  gamma_n bounds the product mu P(t) of n-term
+                # sums of nonnegative numbers, mu of mass 1
+                rounding = (5 * lam_t + doublings * terms) * _U + gamma(n)
                 assert gap <= Decimal(perturb + rounding)
 
 
