@@ -66,9 +66,9 @@ _PIECE_PAD = 5
 
 # Largest box of lie_split_evolve's dense propagators, whose cost grows
 # like N^3 or faster: lie_split_evolve(Measure.point_mass(0), 198.6, 1, 0.01,
-# 1, 2), at N = 1023, takes about 32 s and 140 MB resident (88 MiB under
-# tracemalloc), almost all of it in the propagators' series, in one process
-# on a 2-core host.
+# 1, 2), at N = 1023, takes about 13 s and 130 MB resident with one BLAS
+# thread, almost all of it in the propagators' series and squarings, in one
+# process on a 2-core host.
 _MAX_SPLIT_BOX = 1024
 
 
@@ -173,10 +173,18 @@ def _uniformized_series(v0: np.ndarray, step: Callable, lam_ts: list, tol: float
     fl(acc + fl(w_j v_j)) over the j >= 1 with w_j > 0, term after term,
     signed zeros included.  A buffer wider than 2 _CHUNK_SIZE floats runs
     in column slabs of at least two columns: over a single column
-    np.add.reduce sums pairwise.  That, or any other reordering such as
-    BLAS sums, moves the last bits of every law, which perfbench's suite
-    references pin, and wf_residual's centered difference over h = 1e-5
-    amplifies those bits by 1/(2h).
+    np.add.reduce sums pairwise.
+
+    The contract is on the sums, not on their order: for nonnegative rows
+    and a birth-death or two-diagonal step that sends out at most each
+    row's mass, each acc is within tail plus its rounding, to first order
+    (7 lam_t + J + 1) u of the row's l1 mass, of the exact series, and an
+    entry that is -0.0 in every term of positive weight stays -0.0; the
+    tests hold it to a decimal oracle.  Another order (BLAS sums, a
+    pairwise sum) keeps the contract but moves the last bits of every
+    law: perfbench's suite references, not the tests, pin those bits
+    until its wright-fisher and kingman-bp references are reworked, and
+    wf_residual's difference over h = 1e-5 amplifies them by 1/(2h).
     """
     for x in lam_ts:
         _check_poisson_mean(x)
@@ -433,58 +441,58 @@ def _halvings(lam_t: float, N: int) -> int:
     return k
 
 
+def _propagator(beta_arr: np.ndarray, delta_arr: np.ndarray, t: float, tol: float):
+    """P(t) of the chain on {0..N} as an (N+2)-square matrix, the absorbing
+    overflow state e_(N+1) as its last row, by scaling and squaring (Moler &
+    Van Loan, SIAM Review 45(1), 2003), and its error.
+
+    lambda is the box's largest out-rate, checked against the series cap
+    before the block is allocated, and k >= 0 the fewest halvings with
+    lambda t 2^-k <= max(N/2, 1): _bd_uniformize on the identity block at
+    h = t 2^-k and tolerance tol 2^-k then stops near its min_terms of
+    N + 4, so a larger k would only add squarings.  P(h) is squared k
+    times; k = 0, every call with lambda t <= N/2, is the one series.
+
+    The error, 2^k tail + (2^k - 1) gamma_(N+2), gamma_n = n u / (1 - n u),
+    bounds every row's l1 distance to the truncated chain's exact P(t).
+    The computed P(h) is within the tail of the exact one in every row.
+    Let A and B be nonnegative with row sums at most 1, each within e of
+    such a matrix: AB is within 2e of the product of the two, and its
+    rounding, n-term sums of nonnegative products, adds at most gamma_n to
+    a row (Higham, Accuracy and Stability, 3.5).  So the i-th squaring is
+    within e_i <= 2 e_(i-1) + gamma_(N+2) of the exact P(2^i h), to first
+    order.  The rounding of the series' own steps and sums is not covered.
+    """
+    N = len(beta_arr) - 1
+    lam_t = float((beta_arr + delta_arr).max()) * t
+    _check_poisson_mean(lam_t)
+    k = _halvings(lam_t, N)
+    [(P, tail)] = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, [math.ldexp(t, -k)], math.ldexp(tol, -k))
+    P = np.vstack([P, np.eye(1, N + 2, N + 1)])
+    for _ in range(k):
+        P = P @ P
+    return P, math.ldexp(tail, k) + (2**k - 1) * (N + 2) * _U / (1 - (N + 2) * _U)
+
+
 def transition(
     rates: BirthDeathRates,
     t: float,
     N: int,
     tol: float = DEFAULT.uniformization_tol,
 ) -> TruncatedSemigroup:
-    """Transition matrix rows p_t(j, .) on {0..N}, by scaling and squaring
-    (Moler & Van Loan, SIAM Review 45(1), 2003).
-
-    lambda is the box's largest out-rate, and k >= 0 the fewest halvings
-    with lambda t 2^-k <= max(N/2, 1).  _bd_uniformize runs on the
-    identity block at h = t 2^-k and tolerance tol 2^-k; at that lambda*h
-    the series stops near its min_terms = N + 4 whatever k is, so a larger
-    k would only add squarings.  P(h), made square by the absorbing
-    overflow state e_(N+1) as its last row, is squared k times.  k = 0,
-    every call with lambda t <= N/2, is the one series, bit for bit.
-
-    trunc_error bounds the l1 distance of every row to p_t(j, .) on all
-    of {0, 1, ...}: the largest overflow entry, plus 2^k times the
-    series tail, plus (2^k - 1) gamma_(N+2), gamma_n = n u / (1 - n u).
-    A path that never leaves the box is one of the truncated chain, so
-    each row of the truncated chain's exact P(t) is within its overflow
-    entry of p_t(j, .).  The computed P(h) is within the tail of the
-    exact one in every row.  Let A and B be nonnegative with row sums at
-    most 1, each within e of such a matrix: AB is within 2e of the
-    product of the two, and its rounding, n-term sums of nonnegative
-    products, adds at most gamma_n to a row (Higham, Accuracy and
-    Stability, 3.5).  So the i-th squaring is within
-    e_i <= 2 e_(i-1) + gamma_(N+2) of the exact P(2^i h), and
-    e_k <= 2^k tail + (2^k - 1) gamma_(N+2), to first order; the computed
-    overflow entry is within e_k of the exact one.  The rounding of the
-    series' own steps and sums is not covered, as for every series.
-
-    A lambda*t above the series cap raises InputRangeError before the
-    block is allocated."""
+    """Transition matrix rows p_t(j, .) on {0..N}: _propagator's P(t)
+    without the overflow state.  trunc_error bounds the l1 distance of
+    every row to p_t(j, .) on all of {0, 1, ...}: the largest overflow
+    entry plus _propagator's error.  A path that never leaves the box is
+    one of the truncated chain, so each row of the truncated chain's exact
+    P(t) is within its overflow entry of p_t(j, .), and the computed
+    overflow entry is within the error of the exact one.  A lambda*t above
+    the series cap raises InputRangeError before the block is allocated."""
     _check_tol(tol)
     _check_time(t)
     N = _check_count(N, "N")
-    beta_arr, delta_arr = _rate_arrays(rates.beta, rates.delta, N)
-    lam_t = float((beta_arr + delta_arr).max()) * t
-    _check_poisson_mean(lam_t)
-    k = _halvings(lam_t, N)
-    h, piece_tol = math.ldexp(t, -k), math.ldexp(tol, -k)
-    [(P, tail)] = _bd_uniformize(np.eye(N + 1, N + 2), beta_arr, delta_arr, [h], piece_tol)
-    if k:
-        P = np.vstack([P, np.eye(1, N + 2, N + 1)])
-        for _ in range(k):
-            P = P @ P
-        P = P[:-1]
-    rounding = (2**k - 1) * (N + 2) * _U / (1 - (N + 2) * _U)
-    trunc_error = float(P[:, -1].max()) + math.ldexp(tail, k) + rounding
-    return TruncatedSemigroup(N=N, t=t, matrix=P[:, :-1], trunc_error=trunc_error)
+    P, error = _propagator(*_rate_arrays(rates.beta, rates.delta, N), t, tol)
+    return TruncatedSemigroup(N=N, t=t, matrix=P[:-1, :-1], trunc_error=float(P[:-1, -1].max()) + error)
 
 
 def evolve(
@@ -758,18 +766,14 @@ def lie_split_evolve(
     the series cap, or an N above _MAX_SPLIT_BOX, raises InputRangeError
     before anything is sized by N.
 
-    With h = t/steps, H1 and F1 the propagators of chain 1 at h/2 and h
-    and F2 that of chain 2 at h, each square on the box plus an absorbing
-    overflow state, the law is mu H1 (F2 F1)^(steps-1) F2 H1, the power
-    taken by repeated squaring (Moler & Van Loan, SIAM Review 45(1),
-    2003).  tail_bound is mu's, plus the overflow entry, plus the series
-    tails 2 tail(H1) + steps tail(F2) + (steps-1) tail(F1).  Every factor
-    is nonnegative with row sums at most 1, so each computed product of
-    n-term sums adds at most gamma_n to the l1 error of a row and passes
-    earlier errors on without growth.  A product tree over the steps - 1
-    copies of F2 F1 has steps - 2 inner products, so to first order the
-    rounding is at most (2 steps + 1) gamma_(N+2); tail_bound does not
-    cover it.
+    With h = t/steps, H1 (chain 1 at h/2) and F2 (chain 2 at h) come from
+    _propagator, and F1 = H1 H1 is chain 1 at h, within 2 err(H1) +
+    gamma_(N+2) of the exact one (see _propagator).  The law is
+    mu H1 (F2 F1)^(steps-1) F2 H1, the power by repeated squaring, and
+    tail_bound is mu's, plus the overflow entry, plus 2 err(H1) +
+    steps err(F2) + (steps-1) err(F1).  The rounding of the products with
+    the law and of the powers, at most (2 steps + 1) gamma_(N+2) to first
+    order, is not covered.
     """
     steps = _check_count(steps, "steps")
     _check_time(t)
@@ -789,20 +793,15 @@ def lie_split_evolve(
     v[: support + 1] = mu.weights[: support + 1]
     if t == 0:
         return Measure(v[:-1], tail_bound=mu.tail_bound)
-    # Each sub-step is a fixed propagator: the rows of one block series from
-    # the identity, with the escaped mass in its last column, made square by
-    # the absorbing overflow state as its last row.
-    eye = np.eye(N + 1, N + 2)
-    absorbed = np.eye(1, N + 2, N + 1)
-    (half1, tail_h1), (full1, tail_f1) = _bd_uniformize(eye, b1, d1a, [h / 2.0, h], _ROOT_LAW_TOL)
-    [(full2, tail_f2)] = _bd_uniformize(eye, b2, d2a, [h], _ROOT_LAW_TOL)
-    half1, full1, full2 = (np.vstack([P, absorbed]) for P in (half1, full1, full2))
+    half1, err_h1 = _propagator(b1, d1a, h / 2.0, _ROOT_LAW_TOL)
+    full2, err_f2 = _propagator(b2, d2a, h, _ROOT_LAW_TOL)
+    full1, err_f1 = half1 @ half1, 2 * err_h1 + (N + 2) * _U / (1 - (N + 2) * _U)
     v = v @ half1
     if steps > 1:
         v = v @ np.linalg.matrix_power(full2 @ full1, steps - 1)
     v = v @ full2 @ half1
-    tail = 2 * tail_h1 + steps * tail_f2 + (steps - 1) * tail_f1
-    return Measure(v[:-1], tail_bound=mu.tail_bound + float(v[-1]) + tail)
+    error = 2 * err_h1 + steps * err_f2 + (steps - 1) * err_f1
+    return Measure(v[:-1], tail_bound=mu.tail_bound + float(v[-1]) + error)
 
 
 def tv_distance(a: Measure, b: Measure) -> float:

@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 from stablepgf import bdchain, cli, particles
 from stablepgf.bdchain import (
-    _BLOCK_DROP_EVERY,
     _CHUNK_SIZE,
     _CHUNK_TERMS,
     _PROBE_TOL,
@@ -39,6 +38,8 @@ from stablepgf.measures import InputRangeError, Measure, _poisson_weights, bp_de
 from stablepgf.particles import SiteSystem, exact_pgf_transform, truncated_generator_evolve
 from stablepgf.polycore import _U, MultiPoly, UniPoly
 from stablepgf.stability import Verdict, is_real_rooted
+
+from series_counts import counted_series
 
 
 class TestGenerator:
@@ -140,23 +141,13 @@ class TestTransition:
         assert sg.trunc_error == float(P[:, -1].max()) + tail
 
     @pytest.mark.parametrize("N", [200, 400])
-    def test_series_stays_near_the_box_size(self, monkeypatch, N):
+    def test_series_stays_near_the_box_size(self, N):
         # Terms are counted, not timed.  One series on the whole block took
         # 4,438 terms at N = 200, and 10.3 s at N = 400 on a 2-core host;
         # the piece at t 2^-k runs about its min_terms of N + 4.
-        terms = []
-        series = bdchain._uniformized_series
-
-        def counting(v0, step, lam_ts, tol, min_terms):
-            def counted(v, out):
-                terms.append(1)
-                step(v, out)
-
-            return series(v0, counted, lam_ts, tol, min_terms)
-
-        monkeypatch.setattr(bdchain, "_uniformized_series", counting)
-        sg = transition(BirthDeathRates.quadratic_death(), 0.1, N)
-        assert len(terms) <= N + 40
+        with counted_series(bdchain) as runs:
+            sg = transition(BirthDeathRates.quadratic_death(), 0.1, N)
+        assert sum(run.terms for run in runs) <= N + 40
         assert sg.matrix.shape == (N + 1, N + 1)
 
     @pytest.mark.parametrize("N", [16, 40, 64])
@@ -174,79 +165,105 @@ class TestTransition:
         assert np.abs(sg.matrix[:15, :15] - P[:15, :15]).max() < 1e-11
 
 
-def reference_series(v0, step, lam_t, tol, min_terms):
-    """The series loop that allocates every term: v = step(v); acc += w_j v."""
-    v = np.array(v0, dtype=float)
-    if lam_t == 0.0:
-        return v, 0.0
-    w, tail = _poisson_weights(lam_t, tol, min_terms + 1)
-    acc = w[0] * v
-    for wj in w[1:].tolist():
-        v = step(v)
-        if wj > 0.0:
-            acc += wj * v
-    return acc, tail
-
-
-def reference_bd_uniformize_parent(v0, beta_arr, delta_arr, t, tol):
-    """The birth-death step as three allocating products, births always
-    added, and nothing dropped: the kernel before underflowed states left
-    the box.  Frozen."""
-    N = len(beta_arr) - 1
-    out_rate = beta_arr + delta_arr
-    lam = float(out_rate.max())
-    stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
-    up = beta_arr / lam
-    down = delta_arr[1:] / lam
-
-    def step(v):
-        nxt = v * stay
-        nxt[..., 1:] += v[..., :-1] * up
-        nxt[..., :-2] += v[..., 1:-1] * down
-        return nxt
-
-    return reference_series(v0, step, lam * t, tol, N + 4)
-
-
-def reference_bd_uniformize(v0, beta_arr, delta_arr, t, tol):
-    """The frozen loop, plus the drop of a pure-death chain on input without
-    sign bits: on a vector after every term, on a block after every
-    _BLOCK_DROP_EVERY-th, the top states whose entry is below 2^-1022 in
-    every row are added, highest first, to the overflow column and zeroed."""
-    N = len(beta_arr) - 1
-    out_rate = beta_arr + delta_arr
-    lam = float(out_rate.max())
-    stay = np.append(np.maximum(1.0 - out_rate / lam, 0.0), 1.0)
-    up = beta_arr / lam
-    down = delta_arr[1:] / lam
-    drops = not up.any() and not np.signbit(v0).any()
-    every = _BLOCK_DROP_EVERY if np.ndim(v0) == 2 else 1
-    terms, live = 0, N + 1  # states live..N are zero in every row
-
-    def step(v):
-        nonlocal terms, live
-        nxt = v * stay
-        nxt[..., 1:] += v[..., :-1] * up
-        nxt[..., :-2] += v[..., 1:-1] * down
-        terms += 1
-        if drops and terms % every == 0:
-            below = (nxt[..., :-1] < 2.0**-1022).reshape(-1, N + 1).all(axis=0)
-            while live > 0 and below[live - 1]:
-                live -= 1
-                nxt[..., -1] = nxt[..., -1] + nxt[..., live]
-            nxt[..., live:-1] = 0.0
-        return nxt
-
-    return reference_series(v0, step, lam * t, tol, N + 4)
-
-
 def assert_same_bits(a, b):
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def series_rounding(pieces, squarings=0):
+    """A first-order bound on the l1 rounding of a law whose rows have l1
+    mass at most 1, made by the birth-death or two-diagonal series pieces
+    [(lambda t, J), ...] in turn, then squared `squarings` times:
+    2^squarings sum (7 lambda t + J + 1) u.  A step makes at most three
+    products and two sums per entry, and its coefficients 1 - r/lambda,
+    beta/lambda and delta/lambda (r the out-rate) are off by at most u and
+    u r/lambda: 5u of the mass.  Each step is nonnegative and
+    l1-nonexpansive, so the error of step i reaches the sum with weight
+    P(N >= i), and these sum to lambda t.  The rounded mean fl(lambda t)
+    moves the law by at most 2 u lambda t, as the derivative in mu of
+    sum_j P(Poisson(mu) = j) v S^j is that sum times S - I.  The J sums
+    into the total and the products w_j v_j add (J + 1) u.  The pieces'
+    errors add, and each squaring doubles the error of the rows it
+    multiplies (its own rounding is _propagator's gamma term)."""
+    return math.ldexp(sum(7 * lam_t + J + 1 for lam_t, J in pieces) * _U, squarings)
+
+
+def decimal_series(v0, stay, up, down, lam_t, digits=30, terms=None):
+    """The uniformization series sum_(j=0)^J P(Poisson(lam_t) = j) v0 S^j in
+    `digits`-digit decimal, for a row vector or a block of rows v0 and the
+    step (v S)_k = v_k stay_k + v_(k-1) up_(k-1) + v_(k+1) down_k (down
+    None: two diagonals), read exactly from floats or Decimals, with
+    nonnegative coefficients and stay + up + down <= 1 for each state.
+
+    J is `terms`, or else the first J > lam_t - 1 with p_J r / (1 - r) <=
+    1e-30, r = lam_t / (J + 1), a bound on P(Poisson(lam_t) > J).  Returns
+    (law, rest, error): the law, Decimals shaped like v0; rest = 1 -
+    sum_(j <= J) p_j; and 10 n (J + 1) 10^(1 - digits) for n columns, a
+    bound on the rounding of rest and of each row's law per unit of its l1
+    mass.  Each term takes fewer than 8 n operations on a row, each off by
+    at most 10^(1 - digits) / 2 of the mass, the steps pass earlier errors
+    on without growth, and the weights' relative errors stay below
+    (J + 2) 10^(1 - digits)."""
+    exact = np.vectorize(Decimal, otypes=[object])
+    with localcontext() as ctx:
+        ctx.prec = digits
+        v, stay, up = exact(v0), exact(stay), exact(up)
+        down = None if down is None else exact(down)
+        L = Decimal(lam_t)
+        weight = (-L).exp()
+        law, mass, J = v * weight, weight, 0
+        while J < terms if terms is not None else J + 1 <= L or weight * L / (J + 1 - L) > Decimal("1e-30"):
+            J += 1
+            weight = weight * L / J
+            nxt = v * stay
+            nxt[..., 1:] += v[..., :-1] * up
+            if down is not None:
+                nxt[..., :-1] += v[..., 1:] * down
+            v = nxt
+            law += v * weight
+            mass += weight
+        return law, 1 - mass, 10 * v.shape[-1] * (J + 1) * Decimal(10) ** (1 - digits)
+
+
+def decimal_chain(beta_arr, delta_arr, t, digits=30):
+    """(stay, up, down, lambda t) of the uniformized birth-death chain on
+    {0..N} with the float rates beta_arr and delta_arr at time t, in
+    `digits`-digit decimal, for decimal_series: births out of N go to the
+    absorbing overflow state N+1."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        beta, delta = ([Decimal(r) for r in arr.tolist()] for arr in (beta_arr, delta_arr))
+        lam = max(b + d for b, d in zip(beta, delta))
+        stay = [1 - (b + d) / lam for b, d in zip(beta, delta)] + [Decimal(1)]
+        return stay, [b / lam for b in beta], [d / lam for d in delta[1:]] + [Decimal(0)], lam * Decimal(t)
+
+
+def l1_gaps(acc, law):
+    """The l1 distance of each row of the float array acc to the Decimal
+    law (one number for a vector), in 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return np.asarray(np.abs(np.vectorize(Decimal, otypes=[object])(acc) - law).sum(axis=-1))
+
+
+def drop_bound(N):
+    """What the pure-death drop may move out of a row on {0..N}, counted
+    once missing from the box and once in the overflow column."""
+    return 2 * (N + 1) * 2.0**-1022
+
+
+def assert_within_chain_budget(v0, beta, delta, ts, sums, run, rows=slice(None)):
+    """Each (acc, tail) of sums, the series at the times ts from v0, rows
+    of l1 mass at most 1, within tail + series_rounding + drop_bound, plus
+    the oracle's rest and error, of decimal_series on the given rows."""
+    for (acc, tail), t, lam_t in zip(sums, ts, run.lam_ts):
+        law, rest, error = decimal_series(v0[rows], *decimal_chain(beta, delta, t))
+        budget = tail + series_rounding([(lam_t, run.terms)]) + drop_bound(len(beta) - 1)
+        assert (l1_gaps(acc[rows], law) <= Decimal(budget) + rest + error).all()
+
+
 class TestUniformizedSeries:
-    """The in-place series against the allocating loop, bit for bit."""
+    """The birth-death series within its budget of decimal_series."""
 
     rates = {
         "quadratic-death": BirthDeathRates.quadratic_death(1.3),
@@ -266,10 +283,11 @@ class TestUniformizedSeries:
         else:
             v0 = np.zeros(N + 2)
             v0[5:12] = np.arange(1.0, 8.0) / 28.0
-        [(acc, tail)] = _bd_series(v0, beta, delta, [t], 1e-13)
-        ref, ref_tail = reference_bd_uniformize(v0, beta, delta, t, 1e-13)
-        assert_same_bits(acc, ref)
-        assert tail == ref_tail
+        with counted_series(bdchain) as runs:
+            sums = _bd_series(v0, beta, delta, [t], 1e-13)
+        # every row of a block is its own vector series (TestBlockRows)
+        rows = slice(None, None, 6) if block else slice(None)
+        assert_within_chain_budget(v0, beta, delta, [t], sums, *runs, rows)
 
     def test_kingman_with_underflowing_weights(self):
         # the one-piece series; kingman(150) runs in pieces (TestDeathPieces)
@@ -278,41 +296,24 @@ class TestUniformizedSeries:
         beta, delta = _rate_arrays(rates.beta, rates.delta, n)
         w, _ = _poisson_weights(float(delta.max()) * t, 1e-13, n + 5)
         assert w[0] == 0.0 and w[-1] > 0.0
-        v0 = np.zeros(n + 2)
-        v0[n] = 1.0
-        [(acc, tail)] = _bd_series(v0, beta, delta, [t], 1e-13)
-        ref, ref_tail = reference_bd_uniformize(v0, beta, delta, t, 1e-13)
-        assert_same_bits(acc, ref)
-        assert tail == ref_tail
+        with counted_series(bdchain) as runs:
+            [(acc, tail)] = _bd_series(*kingman_start(n), [t], 1e-13)
+        [run] = runs
+        budget = tail + series_rounding([(run.lam_ts[0], run.terms)]) + drop_bound(n)
+        assert kingman_gap(acc[:-1], n, t) <= Decimal(budget)
 
     @pytest.mark.parametrize("v0", [[0.5, -0.0, 0.5], [1.0, 1.0, -0.0], [1.0, -1e-10, 0.0]])
     def test_signed_input_without_births(self, v0):
-        # the birth product turns -0.0 into +0.0 here, so it is not skipped
+        # the step adds the birth product here, which turns -0.0 into +0.0;
+        # the rounding is bounded on |v0|, so the budget scales with its mass
         beta, delta = np.zeros(2), np.array([0.0, 1.0])
-        [(acc, tail)] = _bd_uniformize(np.array(v0), beta, delta, [0.5], 1e-13)
-        ref, ref_tail = reference_bd_uniformize(np.array(v0), beta, delta, 0.5, 1e-13)
-        assert_same_bits(acc, ref)
-        assert tail == ref_tail
-
-    def test_two_site_product_space(self, monkeypatch):
-        system = SiteSystem(
-            jump=np.array([[0.0, 0.7], [0.4, 0.0]]), birth=np.array([0.5, 0.2]), death=np.array([1.0, 0.6])
-        )
-        mu = Measure.product(Measure.bernoulli(0.3), Measure.bernoulli(0.6))
-        out = truncated_generator_evolve(mu, system, 0.4, box=(12, 12))
-
-        def allocating(v0, step, lam_ts, tol, min_terms):
-            def fresh(v):
-                nxt = np.empty_like(v)
-                step(v, nxt)
-                return nxt
-
-            return [reference_series(v0, fresh, lam_t, tol, min_terms) for lam_t in lam_ts]
-
-        monkeypatch.setattr(particles, "_uniformized_series", allocating)
-        ref = truncated_generator_evolve(mu, system, 0.4, box=(12, 12))
-        assert_same_bits(out.weights, ref.weights)
-        assert out.tail_bound == ref.tail_bound
+        v0 = np.array(v0)
+        with counted_series(bdchain) as runs:
+            [(acc, tail)] = _bd_uniformize(v0, beta, delta, [0.5], 1e-13)
+        [run] = runs
+        law, rest, error = decimal_series(v0, *decimal_chain(beta, delta, 0.5))
+        budget = Decimal(tail + series_rounding([(run.lam_ts[0], run.terms)])) + rest + error
+        assert l1_gaps(acc, law) <= budget * sum(Decimal(abs(x)) for x in v0.tolist())
 
 
 def kingman_start(n):
@@ -323,81 +324,103 @@ def kingman_start(n):
     return v0, beta, delta
 
 
+def exact_kingman_law(n, t, top, digits=60):
+    """P(X_t = k | X_0 = n), k = 0..top, of Kingman's coalescent in
+    `digits`-digit decimal, and a bound on the l1 norm of its rounding
+    (Tavare, Theor. Popul. Biol. 26(2), 1984): for k >= 1 the sum over
+    j = k..n of e^(-j(j-1)t/2) (2j-1) c_j, c_k = k_(k-1) n_[k] / (k! n_(k))
+    and c_(j+1) = -c_j (k+j-1)(n-j) / ((j+1-k)(n+j)), with rising a_(m) and
+    falling a_[m].  Each term takes at most 3(j - k) + 8 roundings of
+    10^(1 - digits) / 2 of itself, and each of the n sums one of at most
+    the sum of the terms' moduli."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        decay = [(-Decimal(j * (j - 1)) * Decimal(t) / 2).exp() for j in range(n + 1)]
+        law, error = [Decimal(0)], Decimal(0)
+        for k in range(1, top + 1):
+            c = Decimal(math.prod(range(k, 2 * k - 1)) * math.prod(range(n - k + 1, n + 1)))
+            c = c / (math.factorial(k) * math.prod(range(n, n + k)))
+            total = Decimal(0)
+            for j in range(k, n + 1):
+                term = decay[j] * (2 * j - 1) * c
+                total += term
+                error += abs(term) * (2 * (j - k) + 4 + n)
+                c = -c * (k + j - 1) * (n - j) / ((j + 1 - k) * (n + j))
+            law.append(total)
+        return law, error * Decimal(10) ** (1 - digits)
+
+
+def kingman_gap(weights, n, t, top=40):
+    """A bound on the l1 distance of the float law `weights` on {0, 1, ...}
+    to Kingman's law at t from n: exact on the states up to `top`, and
+    past them the float mass plus the exact law's remaining mass."""
+    top = min(top, n)
+    exact, error = exact_kingman_law(n, t, top)
+    head = np.zeros(top + 1)
+    head[: min(top + 1, len(weights))] = weights[: top + 1]
+    rest = 1 - sum(exact) if top < n else Decimal(0)
+    return l1_gaps(head, exact) + sum(Decimal(abs(w)) for w in weights[top + 1 :].tolist()) + rest + 2 * error
+
+
 class TestUnderflowDrop:
-    """The pure-death series against the frozen loop that drops nothing."""
+    """The pure-death drop moves at most (N+1) 2^-1022 of a row, and the
+    law stays within its budget of the closed form."""
+
+    def test_kingman_law_matches_pure_death_law(self):
+        delta = BirthDeathRates.kingman_coalescent().delta
+        exact, error = exact_kingman_law(40, 0.5, 40)
+        assert error < Decimal("1e-40")
+        gap = sum(abs(a - b) for a, b in zip(exact, exact_pure_death_law(delta, 40, 0.5, 100)))
+        assert gap <= error + Decimal("1e-90")
 
     def test_kingman_bp_law_bit_identical(self):
-        # the one-piece series from kingman(100)'s start
-        n, t = 100, 0.5
-        old, old_tail = reference_bd_uniformize_parent(*kingman_start(n), t, 1e-13)
-        [(acc, tail)] = _bd_series(*kingman_start(n), [t], 1e-13)
-        assert_same_bits(acc[:-1], old[:-1])
-        # the parent's tail_bound: input tail + escaped mass + series tail
-        assert 0.0 + acc[-1] + tail == 0.0 + old[-1] + old_tail
+        # The one-piece series from kingman(100)'s start drops mass, yet no
+        # entry of the box changes: the law is, bit for bit, the series
+        # without the drop, which a start with a sign bit set takes (-0.0
+        # at state 0, which the chain never reaches).
+        v0, beta, delta = kingman_start(100)
+        signed = v0.copy()
+        signed[0] = -0.0
+        [(acc, _)] = _bd_series(v0, beta, delta, [0.5], 1e-13)
+        [(kept, _)] = _bd_series(signed, beta, delta, [0.5], 1e-13)
+        assert 0.0 < acc[-1] <= 101 * 2.0**-1022 and kept[-1] == 0.0
+        assert np.array_equal(acc[:-1], kept[:-1])
 
     @pytest.mark.parametrize("n", [150, 300, 800])
     def test_kingman_moves_only_underflowed_entries(self, n):
-        t = 0.5
-        old, old_tail = reference_bd_uniformize_parent(*kingman_start(n), t, 1e-13)
-        [(acc, tail)] = _bd_series(*kingman_start(n), [t], 1e-13)
-        differ = acc != old
-        assert differ.any()
-        assert (acc[differ] < 1e-290).all() and (old[differ] < 1e-290).all()
-        assert tail == old_tail
-        assert 0.0 + acc[-1] + tail == 0.0 + old[-1] + old_tail
+        with counted_series(bdchain) as runs:
+            [(acc, tail)] = _bd_series(*kingman_start(n), [0.5], 1e-13)
+        [run] = runs
         # each of the n + 1 states leaves at most once, below 2^-1022
-        assert acc[-1] <= (n + 1) * 2.0**-1022
+        assert 0.0 < acc[-1] <= (n + 1) * 2.0**-1022
+        budget = tail + series_rounding([(run.lam_ts[0], run.terms)]) + drop_bound(n)
+        assert kingman_gap(acc[:-1], n, 0.5) <= Decimal(budget)
 
     def test_transition_escaped_mass_within_drop_bound(self):
-        N = 64
+        # quadratic death is Kingman's coalescent at twice the time
+        N, t = 64, 0.5
         rates = BirthDeathRates.quadratic_death()
         beta, delta = _rate_arrays(rates.beta, rates.delta, N)
-        [(acc, _)] = _bd_uniformize(np.eye(N + 1, N + 2), beta, delta, [0.5], 1e-13)
-        old, _ = reference_bd_uniformize_parent(np.eye(N + 1, N + 2), beta, delta, 0.5, 1e-13)
-        assert acc[:, -1].any() and not old[:, -1].any()
+        with counted_series(bdchain) as runs:
+            [(acc, tail)] = _bd_uniformize(np.eye(N + 1, N + 2), beta, delta, [t], 1e-13)
+        [run] = runs
+        # pure death sends no mass out of the box: all of it was dropped
+        assert acc[:, -1].any()
         assert (acc[:, -1] <= (N + 1) * 2.0**-1022).all()
+        budget = tail + series_rounding([(run.lam_ts[0], run.terms)]) + drop_bound(N)
+        for j in (N, 48, 20, 5):
+            assert kingman_gap(acc[j, :-1], j, 2 * t) <= Decimal(budget)
 
-    def test_kingman_series_carries_few_subnormals(self, monkeypatch):
+    def test_kingman_series_carries_few_subnormals(self):
         # Subnormal operands cost microcode assists: counted, not timed.
         # The one series that drops nothing carries 2,796,700 of them over
         # 23,549 terms here; the pieces take 6,432 terms.
-        n = 300
-        counts = []
-        series = bdchain._uniformized_series
-
-        def counting(v0, step, lam_t, tol, min_terms):
-            def counted(v, out):
-                step(v, out)
-                counts.append(np.count_nonzero((out > 0.0) & (out < 2.0**-1022)))
-
-            return series(v0, counted, lam_t, tol, min_terms)
-
-        monkeypatch.setattr(bdchain, "_uniformized_series", counting)
-        kingman(n, True, 0.5)
+        n, counts = 300, []
+        subnormals = lambda out: counts.append(np.count_nonzero((out > 0.0) & (out < 2.0**-1022)))  # noqa: E731
+        with counted_series(bdchain, on_term=subnormals):
+            kingman(n, True, 0.5)
         assert len(counts) == 6432
         assert sum(counts) < n
-
-
-def reference_death_pieces(v0, beta_arr, delta_arr, t, tol):
-    """The pure-death vector series in m + 1 time pieces of lengths t 2^-m,
-    t 2^-m, t 2^(1-m), ..., t/2, m = floor(log2(lambda t / (8 (top + 5))))
-    with top v0's highest nonzero state and lambda the largest out-rate of
-    states 0..top.  Each piece is the frozen loop with drops, at tolerance
-    tol / (m + 1), on states 0..top of the current law plus a fresh
-    overflow column, whose mass is added to the law's.  Frozen."""
-    top = np.flatnonzero(v0[:-1])[-1]
-    lam = float((beta_arr + delta_arr)[: top + 1].max())
-    m = int(np.floor(np.log2(lam * t / (8 * (top + 5)))))
-    assert m >= 1
-    v, tail = np.array(v0, dtype=float), 0.0
-    for h in [t / 2**m] + [t / 2**k for k in range(m, 0, -1)]:
-        top = np.flatnonzero(v[:-1])[-1]
-        sub = np.append(v[: top + 1], 0.0)
-        acc, piece_tail = reference_bd_uniformize(sub, beta_arr[: top + 1], delta_arr[: top + 1], h, tol / (m + 1))
-        v[: top + 1] = acc[:-1]
-        v[-1] = v[-1] + acc[-1]
-        tail += piece_tail
-    return v, tail
 
 
 def exact_pure_death_law(delta, n, t, digits):
@@ -418,48 +441,15 @@ def exact_pure_death_law(delta, n, t, digits):
         return law
 
 
-def decimal_block_law(rates, t, N, digits=50, tail=Decimal("1e-40")):
+def decimal_block_law(rates, t, N, digits=50):
     """P(t) of the birth-death chain on {0..N}, births out of N absorbed in
-    an overflow state N+1, in `digits`-digit decimal: one row per start
-    state, over the N+2 states, and a bound on each row's l1 error.
-
-    The uniformization series sum_j e^(-L) L^j / j! S^j, L = lambda t,
-    lambda the largest out-rate, is cut at the first J > L - 1 with
-    p_J r / (1 - r) <= tail, r = L / (J+1): past J each weight is at most
-    r times the one before, so the Poisson mass above J is at most that,
-    and each row of S^j has mass 1.  The bound is tail plus
-    10 (N+2) (J+1) 10^(1 - digits) for the rounding: each of the J+1 terms
-    takes fewer than 8 (N+2) operations on a row, each on numbers of
-    modulus at most 1 and so off by at most 10^(1 - digits) / 2, the steps
-    pass earlier errors on without growth, and the weights' relative
-    errors stay below (J+2) 10^(1 - digits)."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        beta, delta = (
-            [Decimal(r) for r in arr.tolist()] for arr in _rate_arrays(rates.beta, rates.delta, N)
-        )
-        lam = max(b + d for b, d in zip(beta, delta))
-        L = lam * Decimal(t)
-        stay = [1 - (b + d) / lam for b, d in zip(beta, delta)] + [Decimal(1)]
-        up, down = [b / lam for b in beta], [d / lam for d in delta]
-        weight = (-L).exp()
-        rows = [[Decimal(int(i == j)) for i in range(N + 2)] for j in range(N + 1)]
-        laws = [[weight * p for p in row] for row in rows]
-        J = 0
-        while J + 1 <= L or weight * (L / (J + 1)) / (1 - L / (J + 1)) > tail:
-            J += 1
-            weight = weight * L / J
-            for row, law in zip(rows, laws):
-                nxt = [row[i] * stay[i] for i in range(N + 2)]
-                for i in range(N + 1):
-                    nxt[i + 1] += row[i] * up[i]
-                    if i:
-                        nxt[i - 1] += row[i] * down[i]
-                row[:] = nxt
-                for i in range(N + 2):
-                    law[i] += weight * row[i]
-        rounding = 10 * (N + 2) * (J + 1) * Decimal(10) ** (1 - digits)
-        return laws, tail + rounding
+    an overflow state N+1, in `digits`-digit decimal: decimal_series on the
+    identity block, one row per start state over the N+2 states, and a bound
+    on each row's l1 distance to the exact P(t), rest and rounding."""
+    law, rest, error = decimal_series(
+        np.eye(N + 1, N + 2), *decimal_chain(*_rate_arrays(rates.beta, rates.delta, N), t, digits), digits
+    )
+    return law, rest + error
 
 
 class TestDeathPieces:
@@ -467,12 +457,20 @@ class TestDeathPieces:
 
     @pytest.mark.parametrize("n", [100, 150, 300, 800])
     def test_kingman_matches_piecewise_reference(self, n):
-        ref, ref_tail = reference_death_pieces(*kingman_start(n), 0.5, 1e-13)
-        ev = kingman(n, True, 0.5)
-        coeffs = ev.poly.coeffs_float()  # trailing zeros trimmed
-        assert_same_bits(coeffs, ref[: len(coeffs)])
-        assert not ref[len(coeffs) : -1].any()
-        assert ev.tail_bound == 0.0 + ref[-1] + ref_tail
+        # m + 1 pieces of lengths t 2^-m, t 2^-m, t 2^(1-m), ..., t/2,
+        # m = floor(log2(lambda t / (8 (n + 5)))), each on the states 0..top
+        # of the current law at their largest rate delta(top), with the law
+        # within tail_bound and the pieces' rounding of the closed form
+        t, delta = 0.5, BirthDeathRates.kingman_coalescent().delta
+        m = int(np.floor(np.log2(delta(n) * t / (8 * (n + 5)))))
+        assert m >= 1
+        with counted_series(bdchain) as runs:
+            ev = kingman(n, True, t)
+        hs = [t / 2**m] + [t / 2**k for k in range(m, 0, -1)]
+        assert len(runs) == m + 1
+        assert [run.lam_ts for run in runs] == [[delta(len(run.v0) - 2) * h] for run, h in zip(runs, hs)]
+        rounding = series_rounding([(run.lam_ts[0], run.terms) for run in runs])
+        assert kingman_gap(ev.weights, n, t) <= Decimal(ev.tail_bound + rounding)
 
     @pytest.mark.parametrize("n", [50, 68])
     def test_one_piece_below_the_split(self, n):
@@ -551,38 +549,21 @@ class TestBirthPieces:
             ),
         ],
     )
-    def test_tail_bound_covers_exact_law(self, monkeypatch, n, b, d, t, boxes):
-        ranges = []
-        series = bdchain._bd_series
-
-        def spy(v0, beta, delta, ts, tol):
-            ranges.append(len(beta) - 1)
-            return series(v0, beta, delta, ts, tol)
-
-        monkeypatch.setattr(bdchain, "_bd_series", spy)
-        ev = evolve(Measure.point_mass(n), BirthDeathRates.mm_infty(b, d), t, tol=1e-13)
-        # one series per piece, each on its pruned range
-        assert ranges == boxes
+    def test_tail_bound_covers_exact_law(self, n, b, d, t, boxes):
+        with counted_series(bdchain) as runs:
+            ev = evolve(Measure.point_mass(n), BirthDeathRates.mm_infty(b, d), t, tol=1e-13)
+        # one series per piece, each on its pruned range plus the overflow
+        assert [len(run.v0) - 2 for run in runs] == boxes
         exact = exact_mm_infty_law(n, b, d, t, len(ev.weights), 80)
         w = [Decimal(float(c)) for c in ev.weights]
         gap = sum(abs(a - e) for a, e in zip(w, exact)) + (1 - sum(exact))
         assert gap <= Decimal(ev.tail_bound)
 
-    def test_chain_sized_call_takes_few_terms(self, monkeypatch):
+    def test_chain_sized_call_takes_few_terms(self):
         # one series on the whole box took 1,502 terms
-        terms = []
-        series = bdchain._uniformized_series
-
-        def counting(v0, step, lam_ts, tol, min_terms):
-            def counted(v, out):
-                step(v, out)
-                terms.append(1)
-
-            return series(v0, counted, lam_ts, tol, min_terms)
-
-        monkeypatch.setattr(bdchain, "_uniformized_series", counting)
-        ev = evolve(chain_sized_births_law(), BirthDeathRates.from_polynomial(1.0, 1.0, 1.0), 0.15)
-        assert len(terms) == 657
+        with counted_series(bdchain) as runs:
+            ev = evolve(chain_sized_births_law(), BirthDeathRates.from_polynomial(1.0, 1.0, 1.0), 0.15)
+        assert sum(run.terms for run in runs) == 657
         assert ev.tail_bound <= 2 * bdchain.DEFAULT.uniformization_tol
 
     def test_pruned_mass_lands_in_overflow(self):
@@ -625,36 +606,24 @@ class TestBirthPieces:
             assert tail == one_tail
 
 
-def allocating(step):
-    """step(v, out) as the allocating step(v) of reference_series."""
-
-    def fresh(v):
-        nxt = np.empty_like(v)
-        step(v, nxt)
-        return nxt
-
-    return fresh
-
-
-def stencil_step(shape, seed):
-    """A two-diagonal step with random coefficients: like the birth-death
-    step it writes out and reads v through slices."""
+def stencil(shape, seed):
+    """A two-diagonal sub-stochastic step with random coefficients, stay +
+    up <= 1, and its coefficients (stay, up, down None): like the
+    birth-death step it writes out and reads v through slices."""
     rng = np.random.default_rng(seed)
-    stay, up = rng.uniform(0.2, 0.8, shape[-1]), rng.uniform(0.1, 0.5, shape[-1] - 1)
+    stay, up = rng.uniform(0.2, 0.5, shape[-1]), rng.uniform(0.1, 0.5, shape[-1] - 1)
 
     def step(v, out):
         np.multiply(v, stay, out=out)
         out[..., 1:] += v[..., :-1] * up
 
-    return step
+    return step, stay, up, None
 
 
-def signed_start(shape, seed):
-    """Entries of both signs, with -0.0 and +0.0 among them."""
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(shape)
-    v0.flat[::7] = -0.0
-    v0.flat[3::11] = 0.0
+def mass_start(shape, seed):
+    """Nonnegative rows of l1 mass below 1, with zeros among the entries."""
+    v0 = np.random.default_rng(seed).uniform(0.0, 1.0, shape) / shape[-1]
+    v0.flat[::7] = 0.0
     return v0
 
 
@@ -662,13 +631,21 @@ def chunk_cap(shape):
     return max(2, min(_CHUNK_TERMS, _CHUNK_SIZE // math.prod(shape)))
 
 
-def assert_series_matches_reference(v0, step, lam_ts, tol, min_terms):
+def assert_series_within_budget(v0, stencil_, lam_ts, tol, min_terms, rows=slice(None)):
+    """The series of v0 under stencil_ = (step, stay, up, down) at each mean
+    of lam_ts against decimal_series summing the same J + 1 terms with
+    exact weights, J the last of the kernel's weights, on the given rows
+    of a block (the rows are independent).  tail bounds the l1 error of
+    all the weights, rest that of the exact ones past J, so the kernel's
+    first J + 1 weights are within tail - rest of the exact ones."""
+    step, *coeffs = stencil_
     sums = _uniformized_series(v0, step, lam_ts, tol, min_terms)
     assert len(sums) == len(lam_ts)
     for (acc, tail), lam_t in zip(sums, lam_ts):
-        ref, ref_tail = reference_series(v0, allocating(step), lam_t, tol, min_terms)
-        assert_same_bits(acc, ref)
-        assert tail == ref_tail
+        J = len(_poisson_weights(lam_t, tol, min_terms + 1)[0]) - 1
+        law, rest, error = decimal_series(v0[rows], *coeffs, lam_t, terms=J)
+        budget = Decimal(tail) - rest + Decimal(series_rounding([(lam_t, J)])) + error
+        assert (l1_gaps(acc[rows], law) <= budget).all()
 
 
 # a vector (chunks of 32 terms), a block (chunks of 8) and a block whose
@@ -676,24 +653,29 @@ def assert_series_matches_reference(v0, step, lam_ts, tol, min_terms):
 SHAPES = [(40,), (32, 64), (150, 300)]
 
 
+def slab_rows(shape):
+    """The rows to check of a block of SHAPES: all of a vector or of a
+    small block; of the largest, every 15th row and the one before it,
+    which meet the edges of its five slabs (rows 30, 60, 90 and 120)."""
+    return slice(None) if shape[0] < 100 else np.r_[0 : shape[0] : 15, 14 : shape[0] : 15]
+
+
 class TestChunkedSeries:
-    """The chunked kernel against the one-term-at-a-time reference_series,
-    at the chunk boundaries and with several weightings per run."""
+    """The chunked kernel within its budget of decimal_series, at the chunk
+    boundaries and with several weightings per run."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("offset", ["1", "K-1", "K", "K+1", "2K+1"])
     def test_chunk_boundaries(self, shape, offset):
         K = chunk_cap(shape)
         J = {"1": 1, "K-1": K - 1, "K": K, "K+1": K + 1, "2K+1": 2 * K + 1}[offset]
-        # tol = 1 stops the weights at min_terms, and lambda*t = 0.6 J
-        # keeps the last ones large enough to move the sum's bits
+        # tol = 1 stops the weights at min_terms, and lambda*t = 0.6 J and
+        # 0.3 J keep the last ones large, so a term lost or counted twice at
+        # a chunk seam shows far above the budget
         w, _ = _poisson_weights(0.6 * J, 1.0, J + 1)
         assert len(w) == J + 1 and w[1:].all()
-        v0, step = signed_start(shape, J), stencil_step(shape, J)
-        [(acc, tail)] = _uniformized_series(v0, step, [0.6 * J], 1.0, J)
-        ref, ref_tail = reference_series(v0, allocating(step), 0.6 * J, 1.0, J)
-        assert_same_bits(acc, ref)
-        assert tail == ref_tail
+        lam_ts = [0.6 * J, 0.3 * J]
+        assert_series_within_budget(mass_start(shape, J), stencil(shape, J), lam_ts, 1.0, J, slab_rows(shape))
 
     @pytest.mark.parametrize("shape", SHAPES[:2])
     def test_weights_that_start_at_zero(self, shape):
@@ -701,47 +683,40 @@ class TestChunkedSeries:
         w, _ = _poisson_weights(1000.0, 1e-13, 5)
         first = int(np.flatnonzero(w)[0])
         assert first == 71 and first % chunk_cap(shape) > 1
-        v0, step = signed_start(shape, 1), stencil_step(shape, 1)
-        assert_series_matches_reference(v0, step, [1000.0], 1e-13, 4)
+        rows = slice(None) if len(shape) == 1 else [0, -1]
+        assert_series_within_budget(mass_start(shape, 1), stencil(shape, 1), [1000.0], 1e-13, 4, rows)
 
     def test_weights_that_end_at_zero(self):
         # min_terms past the underflow of the upper weights
         w, _ = _poisson_weights(1e-3, 1e-13, 121)
         assert w[-1] == 0.0 and w[1] > 0.0
-        v0, step = signed_start((40,), 2), stencil_step((40,), 2)
-        assert_series_matches_reference(v0, step, [1e-3], 1e-13, 120)
+        assert_series_within_budget(mass_start((40,), 2), stencil((40,), 2), [1e-3], 1e-13, 120)
 
     @pytest.mark.parametrize("lam_t,min_terms", [(1000.0, 4), (1e-3, 120)])
     def test_zero_weights_leave_signed_zeros(self, lam_t, min_terms):
         # Entry 0 starts at -0.0 and is -0.0 in every term of positive
-        # weight but +0.0 in one of weight 0, which must not be added.
+        # weight but +0.0 in one of weight 0, which must not be added: the
+        # sum of -0.0 terms is -0.0.
         w, _ = _poisson_weights(lam_t, 1e-13, min_terms + 1)
         positive = np.flatnonzero(w)
         flip = 1 if positive[0] > 1 else positive[-1] + 1
         assert w[flip] == 0.0
+        terms = []
 
-        def sign_step():
-            terms = []
+        def sign_step(v, out):
+            terms.append(1)
+            np.multiply(v, -1.0 if len(terms) in (flip, flip + 1) else 1.0, out=out)
 
-            def step(v, out):
-                terms.append(1)
-                np.multiply(v, -1.0 if len(terms) in (flip, flip + 1) else 1.0, out=out)
-
-            return step
-
-        v0 = signed_start((40,), 5)
+        v0 = np.full(40, 0.025)
         v0[0] = -0.0
-        [(acc, tail)] = _uniformized_series(v0, sign_step(), [lam_t], 1e-13, min_terms)
-        ref, ref_tail = reference_series(v0, allocating(sign_step()), lam_t, 1e-13, min_terms)
-        assert np.signbit(ref[0])
-        assert_same_bits(acc, ref)
-        assert tail == ref_tail
+        [(acc, _)] = _uniformized_series(v0, sign_step, [lam_t], 1e-13, min_terms)
+        assert acc[0] == 0.0 and np.signbit(acc[0])
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_several_weightings_share_the_terms(self, shape):
         lam_ts = [0.0, 2.0, 17.0, 40.0, 17.0, 1e-3]
-        v0, step = signed_start(shape, 3), stencil_step(shape, 3)
-        assert_series_matches_reference(v0, step, lam_ts, 1e-13, 3)
+        rows = slice(None) if len(shape) == 1 else [0, -1]
+        assert_series_within_budget(mass_start(shape, 3), stencil(shape, 3), lam_ts, 1e-13, 3, rows)
 
     def test_every_mean_is_checked_before_any_term(self):
         calls = []
@@ -750,25 +725,23 @@ class TestChunkedSeries:
         assert not calls
 
     @pytest.mark.parametrize("offset", [0, 1, 31, 32, 33, 65])
-    def test_particle_step(self, monkeypatch, offset):
-        system = SiteSystem(
-            jump=np.array([[0.0, 0.7], [0.4, 0.0]]), birth=np.array([0.5, 0.2]), death=np.array([1.0, 0.6])
-        )
-        mu = Measure.product(Measure.bernoulli(0.3), Measure.bernoulli(0.6))
-        captured = {}
-
-        def capture(v0, step, lam_ts, tol, min_terms):
-            captured.update(v0=v0.copy(), step=step)
-            return _uniformized_series(v0, step, lam_ts, tol, min_terms)
-
-        monkeypatch.setattr(particles, "_uniformized_series", capture)
-        truncated_generator_evolve(mu, system, 0.4, box=(12, 12))
-        v0, step = captured["v0"], captured["step"]
+    def test_particle_step(self, offset):
+        # one site, whose product-space step is tridiagonal plus the dot
+        # product that feeds the overflow state; its coefficients are read
+        # off the step's rows
+        system = SiteSystem(jump=np.zeros((1, 1)), birth=np.array([0.5]), death=np.array([1.0]))
+        with counted_series(particles) as runs:
+            truncated_generator_evolve(Measure.bernoulli(0.3), system, 0.4, box=(12,))
+        [run] = runs
+        v0, step = run.v0, run.step
         assert chunk_cap(v0.shape) == 32
+        S = np.zeros((v0.size, v0.size))
+        for i, row in enumerate(S):
+            step(np.eye(1, v0.size, i)[0], row)
+        stay, up, down = np.diag(S), np.diag(S, 1), np.diag(S, -1)
+        assert np.array_equal(S, np.diag(stay) + np.diag(up, 1) + np.diag(down, -1))
         J = max(offset, 1)
-        w, _ = _poisson_weights(0.6 * J, 1.0, J + 1)
-        assert len(w) == J + 1
-        assert_series_matches_reference(v0, step, [0.6 * J, 3.0], 1.0, J)
+        assert_series_within_budget(v0, (step, stay, up, down), [0.6 * J, 0.4 * J], 1.0, J)
 
     @pytest.mark.parametrize("block", [False, True])
     def test_birth_death_step_over_several_times(self, block):
@@ -777,14 +750,57 @@ class TestChunkedSeries:
         for rates in (BirthDeathRates.quadratic_death(1.3), BirthDeathRates.from_polynomial(0.9, 0.5, 0.3)):
             beta, delta = _rate_arrays(rates.beta, rates.delta, N)
             if block:
-                v0 = np.eye(N + 1, N + 2)
+                v0 = np.eye(N + 1, N + 2)[::8]
             else:
                 v0 = np.zeros(N + 2)
                 v0[5:12] = np.arange(1.0, 8.0) / 28.0
-            for (acc, tail), t in zip(_bd_series(v0, beta, delta, ts, 1e-13), ts):
-                ref, ref_tail = reference_bd_uniformize(v0, beta, delta, t, 1e-13)
-                assert_same_bits(acc, ref)
-                assert tail == ref_tail
+            with counted_series(bdchain) as runs:
+                sums = _bd_series(v0, beta, delta, ts, 1e-13)
+            assert_within_chain_budget(v0, beta, delta, ts, sums, *runs)
+
+
+@st.composite
+def block_cases(draw):
+    """(rows, beta, delta, t): one to four nonnegative rows of l1 mass below
+    1 on {0..N} plus the overflow column, and the rates of a chain with or
+    without births, at lambda t up to 60."""
+    N, scale = draw(st.integers(2, 30)), draw(st.floats(0.1, 2.0))
+    rates = draw(st.sampled_from([
+        BirthDeathRates.from_polynomial(scale, 0.5, 0.3), BirthDeathRates.mm_infty(scale, 1.0),
+        BirthDeathRates.quadratic_death(scale), BirthDeathRates.kingman_coalescent(),
+    ]))
+    beta, delta = _rate_arrays(rates.beta, rates.delta, N)
+    t = draw(st.floats(0.0, 60.0)) / float((beta + delta).max())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.uniform(0.0, 1.0, (draw(st.integers(1, 4)), N + 2)) / (N + 2)
+    rows[rng.uniform(size=rows.shape) < 0.3] = 0.0
+    rows[:, -1] = 0.0
+    return rows, beta, delta, t
+
+
+class TestBlockRows:
+    """What _bd_series states of a block: its rows are their own series."""
+
+    @given(block_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_their_vector_series(self, case):
+        # With births each row of the block is, bit for bit, the series of
+        # that row alone.  Under pure death a vector drops underflowed
+        # states after every term and a block after every
+        # _BLOCK_DROP_EVERY-th, so the two may differ only in entries that
+        # are below 2^-1018 in both, and each overflow entry is what the
+        # drop moved, at most (N+1) 2^-1022.
+        rows, beta, delta, t = case
+        [(block, block_tail)] = _bd_series(rows, beta, delta, [t], 1e-13)
+        for got, v0 in zip(block, rows):
+            [(one, tail)] = _bd_series(v0, beta, delta, [t], 1e-13)
+            assert tail == block_tail
+            if beta.any():
+                assert_same_bits(got, one)
+                continue
+            differ = got[:-1] != one[:-1]
+            assert (got[:-1][differ] < 2.0**-1018).all() and (one[:-1][differ] < 2.0**-1018).all()
+            assert max(got[-1], one[-1]) <= len(beta) * 2.0**-1022
 
 
 QUAD_DEATH_5 = BirthDeathRates.quadratic_death(5.0)
@@ -837,18 +853,12 @@ class TestEvolveGrid:
             assert_same_bits(ev.weights, one.weights)
             assert ev.tail_bound == one.tail_bound
 
-    def test_pure_death_grid_runs_one_series_plus_pieces(self, monkeypatch):
+    def test_pure_death_grid_runs_one_series_plus_pieces(self):
         # from 11 at scale 5 (lambda = 550), t = 3 and 6 run in pieces and
         # 0.05 and 0.1 share one run (lambda t below 2 * 8 * 5 = 80)
-        calls = []
-        series = bdchain._uniformized_series
-
-        def counting(v0, step, lam_ts, tol, min_terms):
-            calls.append(len(lam_ts))
-            return series(v0, step, lam_ts, tol, min_terms)
-
-        monkeypatch.setattr(bdchain, "_uniformized_series", counting)
-        evolve_grid(Measure.point_mass(11), QUAD_DEATH_5, [0.05, 3.0, 0.1, 6.0])
+        with counted_series(bdchain) as runs:
+            evolve_grid(Measure.point_mass(11), QUAD_DEATH_5, [0.05, 3.0, 0.1, 6.0])
+        calls = [len(run.lam_ts) for run in runs]
         assert calls[0] == 2  # the shared run
         assert len(calls) > 3 and set(calls[1:]) == {1}  # one run per piece
 
@@ -1219,18 +1229,6 @@ class TestLieSplit:
         w[: ev.poly.degree + 1] = ev.poly.coeffs_float()
         assert np.abs(w - ref).sum() <= ev.tail_bound + 1e-11
 
-    @pytest.mark.parametrize("b0,d1", [(1.0, 0.5), (0.0, 0.7)])  # d1 alone drops underflow
-    def test_chain1_propagators_share_one_series(self, b0, d1):
-        N, h = 30, 0.5 / 16
-        chain1 = BirthDeathRates.mm_infty(b0, d1)
-        beta, delta = _rate_arrays(chain1.beta, chain1.delta, N)
-        eye = np.eye(N + 1, N + 2)
-        shared = _bd_uniformize(eye, beta, delta, [h / 2.0, h], _ROOT_LAW_TOL)
-        for (acc, tail), dt in zip(shared, [h / 2.0, h]):
-            [(one, one_tail)] = _bd_uniformize(eye, beta, delta, [dt], _ROOT_LAW_TOL)
-            assert_same_bits(acc, one)
-            assert tail == one_tail
-
     @pytest.mark.parametrize("steps", [2.5, 4.0, "4", None])
     def test_steps_must_be_an_integer(self, monkeypatch, steps):
         monkeypatch.setattr(bdchain, "_rate_arrays", None)  # nothing may be sized
@@ -1253,84 +1251,79 @@ def gamma(n):
     return n * _U / (1 - n * _U)
 
 
-def reference_lie_split(mu, b0, d1, d2, t, steps):
-    """lie_split_evolve one sub-step at a time: 2 steps + 1 vector products
-    with the propagators H1, F2, F1, ..., F2, H1 of its box, each adding its
-    escaped mass to `escaped`.  Returns (law, escaped, N).  Frozen."""
-    support = int(np.flatnonzero(mu.weights)[-1])
-    N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
-    chain1, chain2 = BirthDeathRates.mm_infty(b0, d1), BirthDeathRates.quadratic_death(d2)
-    b1, d1a = _rate_arrays(chain1.beta, chain1.delta, N)
-    b2, d2a = _rate_arrays(chain2.beta, chain2.delta, N)
-    h, eye = t / steps, np.eye(N + 1, N + 2)
-    (half1, _), (full1, _) = bdchain._bd_uniformize(eye, b1, d1a, [h / 2.0, h], _ROOT_LAW_TOL)
-    [(full2, _)] = bdchain._bd_uniformize(eye, b2, d2a, [h], _ROOT_LAW_TOL)
-    v = np.zeros(N + 1)
-    v[: support + 1] = mu.weights[: support + 1]
-    escaped = 0.0
-    for P in [half1] + [full2, full1] * (steps - 1) + [full2, half1]:
-        out = v @ P
-        v, escaped = out[:-1], escaped + float(out[-1])
-    return v, escaped, N
-
-
 class TestLieSplitPowers:
-    """lie_split_evolve as mu H1 (F2 F1)^(steps-1) F2 H1, the power by squaring."""
+    """lie_split_evolve as mu H1 (F2 F1)^(steps-1) F2 H1, the power by
+    squaring, with H1 and F2 from _propagator and F1 = H1 H1."""
 
     # the trotter-split defaults, with a tail_bound on the start law
     mu = Measure(np.eye(1, 6, 5)[0], tail_bound=2.0**-30)
     args = (1.0, 1.0, 1.0, 0.5)
 
     @staticmethod
+    def substeps(mu, b0, d1, d2, t, steps):
+        """mu H1 F2 F1 ... F2 H1, one vector-matrix product per sub-step,
+        on lie_split_evolve's box and with _propagator's H1 and F2 as it
+        builds them; returns (law with the overflow entry last, N)."""
+        support = int(np.flatnonzero(mu.weights)[-1])
+        N = support + int(math.ceil(10.0 + 5.0 * b0 * t)) + 20
+        chain1, chain2 = BirthDeathRates.mm_infty(b0, d1), BirthDeathRates.quadratic_death(d2)
+        h = t / steps
+        half1, _ = bdchain._propagator(*_rate_arrays(chain1.beta, chain1.delta, N), h / 2.0, _ROOT_LAW_TOL)
+        full2, _ = bdchain._propagator(*_rate_arrays(chain2.beta, chain2.delta, N), h, _ROOT_LAW_TOL)
+        full1 = half1 @ half1
+        v = np.zeros(N + 2)
+        v[: support + 1] = mu.weights[: support + 1]
+        for P in [half1] + [full2, full1] * (steps - 1) + [full2, half1]:
+            v = v @ P
+        return v, N
+
+    @staticmethod
     def allowance(steps, N):
         # Every factor is nonnegative with row sums at most 1, so a computed
         # product of n-term sums adds at most gamma_n to a row's l1 error
         # and passes earlier errors on without growth; all sums here have at
-        # most N + 2 terms.  The loop makes 2 steps + 1 vector products.
-        # The powers make 3 vector products, F2 F1 (one gamma in each of its
-        # steps - 1 copies) and at most steps - 2 more products, one gamma
-        # each, as a product tree of steps - 1 leaves has steps - 2 inner
-        # nodes: 2 steps + 1 gammas as well.  The two laws differ by at most
-        # the sum, to first order in u.
+        # most N + 2 terms.  Both ways use the same H1, F2 and F1 = H1 H1.
+        # The loop makes 2 steps + 1 vector products.  The powers make 4
+        # vector products, F2 F1 (one gamma in each of its steps - 1
+        # copies) and at most steps - 2 more products, one gamma each, as a
+        # product tree of steps - 1 leaves has steps - 2 inner nodes: 2
+        # steps + 1 gammas as well.  The two laws differ by at most the
+        # sum, to first order in u.
         return (4 * steps + 2) * gamma(N + 2)
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4096])
     def test_matches_the_step_loop(self, steps):
         ev = lie_split_evolve(self.mu, *self.args, steps)
-        ref, _, N = reference_lie_split(self.mu, *self.args, steps)
-        assert ev.weights.shape == ref.shape
-        assert np.abs(ev.weights - ref).sum() <= self.allowance(steps, N)
+        ref, N = self.substeps(self.mu, *self.args, steps)
+        assert ev.weights.shape == ref[:-1].shape
+        assert np.abs(ev.weights - ref[:-1]).sum() <= self.allowance(steps, N)
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4096])
     def test_tail_bound_composition(self, monkeypatch, steps):
         # stand-in propagators, which send 2^-12 of each row's mass to the
         # overflow state so that the overflow entry stands far above the
-        # rounding, with stand-in series tails, powers of two, so that each
-        # count of 2 tail(H1) + steps tail(F2) + (steps-1) tail(F1) shows;
-        # chain 1's call has the two times h/2 and h
-        tails = {2: (2.0**-20, 2.0**-24), 1: (2.0**-28,)}
-        series = bdchain._bd_uniformize
+        # rounding, with stand-in errors, 2^-20 for H1 and 2^-28 for F2, so
+        # that each count of 2 err(H1) + steps err(F2) + (steps-1) err(F1),
+        # err(F1) = 2 err(H1) + gamma_(N+2), shows
+        errors = iter([2.0**-20, 2.0**-28])
+        propagator = bdchain._propagator
 
-        def leaky(v0, beta_arr, delta_arr, ts, tol):
-            out = []
-            sums = series(v0, beta_arr, delta_arr, ts, tol)
-            for (acc, _), tail in zip(sums, tails[len(ts)]):
-                leaked = acc.copy()
-                leaked[:, :-1] *= 1 - 2.0**-12
-                leaked[:, -1] += 2.0**-12 * acc[:, :-1].sum(axis=1)
-                out.append((leaked, tail))
-            return out
+        def leaky(beta_arr, delta_arr, t, tol):
+            P, _ = propagator(beta_arr, delta_arr, t, tol)
+            P[:-1, -1] += 2.0**-12 * P[:-1, :-1].sum(axis=1)
+            P[:-1, :-1] *= 1 - 2.0**-12
+            return P, next(errors)
 
-        monkeypatch.setattr(bdchain, "_bd_uniformize", leaky)
+        monkeypatch.setattr(bdchain, "_propagator", leaky)
         ev = lie_split_evolve(self.mu, *self.args, steps)
-        _, escaped, N = reference_lie_split(self.mu, *self.args, steps)
-        tail = 2 * 2.0**-20 + steps * 2.0**-28 + (steps - 1) * 2.0**-24
-        listed = self.mu.tail_bound + escaped + tail
+        errors = iter([2.0**-20, 2.0**-28])
+        ref, N = self.substeps(self.mu, *self.args, steps)
+        err_f1 = 2 * 2.0**-20 + gamma(N + 2)
+        listed = self.mu.tail_bound + ref[-1] + 2 * 2.0**-20 + steps * 2.0**-28 + (steps - 1) * err_f1
         # the overflow entry is a coordinate of the law's vector, within the
-        # allowance of escaped; the loop's sum of 2 steps + 1 escaped masses
-        # rounds by gamma_(2 steps + 1) of it, and the three additions on
-        # either side by 3 u of the total
-        slack = self.allowance(steps, N) + gamma(2 * steps + 1) * escaped + 6 * _U * listed
+        # allowance of the loop's; each side sums five nonnegative numbers
+        # with three products among them, within gamma_8 of the total
+        slack = self.allowance(steps, N) + 2 * gamma(8) * listed
         assert abs(ev.tail_bound - listed) <= slack
 
 
@@ -1387,18 +1380,8 @@ class TestQuadDeathPreserveBlocks:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_checked_laws_match_exact_pure_death(self, monkeypatch, seed):
         params = {"count": 10, "deg_max": 8, "t_points": 7}
-        blocks, checked, series_calls = [], [], []
+        blocks, checked = [], []
         transition_, verdict = bdchain.transition, cli.stability.is_real_rooted
-        series = bdchain._uniformized_series
-
-        def counting(v0, step, lam_ts, tol, min_terms):
-            series_calls.append([lam_ts[0], 0])
-
-            def counted(v, out):
-                series_calls[-1][1] += 1
-                step(v, out)
-
-            return series(v0, counted, lam_ts, tol, min_terms)
 
         def recording(*args, **kwargs):
             blocks.append(transition_(*args, **kwargs))
@@ -1409,9 +1392,9 @@ class TestQuadDeathPreserveBlocks:
             return verdict(poly, coeff_perturb=coeff_perturb)
 
         monkeypatch.setattr(bdchain, "transition", recording)
-        monkeypatch.setattr(bdchain, "_uniformized_series", counting)
         monkeypatch.setattr(cli.stability, "is_real_rooted", judged)
-        passed, payload, _ = cli._run_quad_death_preserve(params, seed)
+        with counted_series(bdchain) as runs:
+            passed, payload, _ = cli._run_quad_death_preserve(params, seed)
         monkeypatch.undo()
         assert passed and payload["checked"] == 70 and payload["refuted"] == 0
 
@@ -1419,13 +1402,13 @@ class TestQuadDeathPreserveBlocks:
         laws = [_random_real_rooted(rng, 8) for _ in range(10)]
         d_max = max(len(mu.weights) - 1 for mu in laws)
         assert [(b.N, b.t) for b in blocks] == [(d_max, t) for t in payload["t_grid"]]
-        assert len(series_calls) == len(blocks)
+        assert len(runs) == len(blocks)
         delta = BirthDeathRates.quadratic_death().delta
         # the t-th block serves the 10 laws in their order
-        for block, (lam_h, terms), row in zip(blocks, series_calls, range(0, 70, 10)):
+        for block, run, row in zip(blocks, runs, range(0, 70, 10)):
             # the block's series ran at h = t 2^-k, lambda = d_max (d_max - 1)
-            lam_t = delta(d_max) * block.t
-            doublings = lam_t / lam_h  # 2^k
+            [lam_h] = run.lam_ts
+            k = round(math.log2(delta(d_max) * block.t / lam_h))
             # the closed form's coefficients stay below 26 in modulus for
             # n <= 8, so 60 digits leave it far more than double precision
             exact = [exact_pure_death_law(delta, n, block.t, 60) for n in range(d_max + 1)]
@@ -1439,16 +1422,9 @@ class TestQuadDeathPreserveBlocks:
                 got = np.zeros(n)
                 got[: poly.degree + 1] = poly.coeffs_float()
                 gap = sum(abs(Decimal(g) - w) for g, w in zip(got, want))
-                # (5 lambda h + J) u bounds the series' rounding to first
-                # order: each step is nonnegative and l1-nonexpansive with at
-                # most three products per entry, the error of step j reaches
-                # the sum with weight P(N >= j), and these weights sum to
-                # lambda h; each accumulation adds at most u.  Each of the k
-                # squarings doubles it (their own rounding is in
-                # trunc_error), so 2^k (5 lambda h + J) u = (5 lambda t +
-                # 2^k J) u.  gamma_n bounds the product mu P(t) of n-term
-                # sums of nonnegative numbers, mu of mass 1
-                rounding = (5 * lam_t + doublings * terms) * _U + gamma(n)
+                # the block's rows have mass 1; gamma_n bounds the product
+                # mu P(t) of n-term sums of nonnegative numbers, mu of mass 1
+                rounding = series_rounding([(lam_h, run.terms)], k) + gamma(n)
                 assert gap <= Decimal(perturb + rounding)
 
 

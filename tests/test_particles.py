@@ -28,6 +28,8 @@ from stablepgf.particles import (
 from stablepgf.polycore import _U, MultiPoly, UniPoly
 from stablepgf.stability import Verdict, is_real_rooted, is_stable_multi
 
+from series_counts import counted_series
+
 
 def random_order1(rng, n=2, birth_hi=0.8):
     return SiteSystem(
@@ -335,35 +337,14 @@ class TestTruncatedEvolve:
         out = truncated_generator_evolve(mu, system, 0.5, box=(1, 1), tol=1e-9)
         assert out.tail_bound - mu.tail_bound >= 1e-10
 
-    @staticmethod
-    def counted_series(monkeypatch, *modules):
-        """Record (largest lambda t, terms, sums) of every series run
-        through the modules."""
-        runs, series = [], bdchain._uniformized_series
-
-        def counting(v0, step, lam_ts, tol, min_terms):
-            terms = []
-
-            def counted(v, out):
-                terms.append(1)
-                step(v, out)
-
-            sums = series(v0, counted if step else None, lam_ts, tol, min_terms)
-            runs.append((max(lam_ts), len(terms), sums))
-            return sums
-
-        for module in modules:
-            monkeypatch.setattr(module, "_uniformized_series", counting)
-        return runs
-
-    def test_one_site_general_rates_match_evolve(self, monkeypatch):
+    def test_one_site_general_rates_match_evolve(self):
         beta, delta = (lambda i, k: 2.0 / (1 + k)), (lambda i, k: 0.5 * k + 0.3 * k * k)
         system = SiteSystem(jump=np.zeros((1, 1)), birth=np.zeros(1), death=np.zeros(1), birth_fn=beta, death_fn=delta)
         rates = BirthDeathRates(beta=lambda k: beta(0, k), delta=lambda k: delta(0, k))
         mu = Measure(np.array([0.1, 0.2, 0.0, 0.3, 0.4]))
-        runs = self.counted_series(monkeypatch, bdchain, particles)
-        out = truncated_generator_evolve(mu, system, 0.8, box=(30,))
-        ref = bdchain.evolve(mu, rates, 0.8)
+        with counted_series(bdchain, particles) as runs:
+            out = truncated_generator_evolve(mu, system, 0.8, box=(30,))
+            ref = bdchain.evolve(mu, rates, 0.8)
         size = max(out.shape[0], ref.shape[0])
         gap = np.abs(np.pad(out.weights, (0, size - out.shape[0])) - np.pad(ref.weights, (0, size - ref.shape[0])))
         # Both sides run the same kind of step: each entry is a sum of at
@@ -375,13 +356,13 @@ class TestTruncatedEvolve:
         # the error of step j reaches the sum with weight P(N >= j), which
         # sum to lambda t, and each of the J accumulations adds at most u.
         # A run of time pieces is bounded piece by piece.
-        rounding = sum((7 * lam_t + terms) * _U for lam_t, terms, _ in runs)
+        rounding = sum((7 * max(run.lam_ts) + run.terms) * _U for run in runs)
         assert gap.sum() <= out.tail_bound + ref.tail_bound + rounding
 
     # quadratic death at each site and births, jumps between all sites, on
     # the 4^3 box: with births 0.4 mass leaves the box above tol
     @pytest.mark.parametrize("birth", [0.0, 0.4])
-    def test_three_site_general_rates_match_expm(self, monkeypatch, birth):
+    def test_three_site_general_rates_match_expm(self, birth):
         rng = np.random.default_rng(5)
         jump, b, t = rng.uniform(0.2, 0.6, (3, 3)), 4, 0.6
         system = SiteSystem(
@@ -406,13 +387,14 @@ class TestTruncatedEvolve:
         v0 = np.zeros(S + 1)
         v0[:S].reshape(shape)[:2, :3, :2] = mu.weights
         exact = v0 @ expm(Q * t)
-        runs = self.counted_series(monkeypatch, particles)
-        if birth:
-            with pytest.raises(ValueError, match="box too small for tolerance"):
+        with counted_series(particles) as runs:
+            if birth:
+                with pytest.raises(ValueError, match="box too small for tolerance"):
+                    truncated_generator_evolve(mu, system, t, box=(b,) * 3)
+            else:
                 truncated_generator_evolve(mu, system, t, box=(b,) * 3)
-        else:
-            truncated_generator_evolve(mu, system, t, box=(b,) * 3)
-        [(lam_t, terms, [(acc, tail)])] = runs
+        [run] = runs
+        [lam_t], terms, [(acc, tail)] = run.lam_ts, run.terms, run.sums
         assert (exact[S] > 1e-3) == bool(birth)
         # (2m + 1) lambda t + J rounding units as in the one-site case, with
         # m = 3 * 4 + 1 products per entry of the box.  The overflow entry
