@@ -21,6 +21,7 @@ from .stability import (
     certify_tstable,
     is_real_rooted,
     is_stable_multi,
+    real_rooted_batch,
     tstable_approximant,
 )
 from .measures import (

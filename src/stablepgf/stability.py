@@ -5,7 +5,8 @@ real; multivariate stability means no zeros with every coordinate in the
 open upper half-plane.  Verdicts are three-valued: refutations are sound
 (they come with a witness that re-evaluates to ~0 inside the upper
 half-space), confirmations are certified in exact mode and policy-based in
-float mode, everything else is reported as inconclusive.
+float mode, except those that real_rooted_batch proves by sign
+alternation; everything else is reported as inconclusive.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .polycore import MultiPoly, UniPoly, _check_count, _classify_float, _modulus
+from .polycore import _U, MultiPoly, UniPoly, _check_count, _classify_float, _modulus
 from .polycore import _nonreal_roots, _sturm_factors, _times_power
 
 
@@ -37,11 +38,15 @@ class StabilityCertificate:
     m: int | None = None
     tolerance_used: float = 0.0
     note: str = ""
+    # the points x_0 < ... < x_n of a Stable proven by sign alternation
+    alternation: tuple | None = None
 
     def to_json(self) -> dict:
         out = {"verdict": self.verdict.value, "tolerance_used": self.tolerance_used}
         if self.witness is not None:
             out["witness"] = [[z.real, z.imag] for z in self.witness]
+        if self.alternation is not None:
+            out["alternation"] = list(self.alternation)
         if self.m is not None:
             out["m"] = self.m
         if self.note:
@@ -155,6 +160,125 @@ def is_real_rooted(p: UniPoly, coeff_perturb: float = 0.0) -> StabilityCertifica
         tolerance_used=coeff_perturb,
         note="complex-looking roots within perturbation ambiguity",
     )
+
+
+def real_rooted_batch(coeffs, coeff_perturbs) -> list:
+    """One is_real_rooted-style verdict per row of coeffs, a stack of float
+    polynomials a_0 + ... + a_n x^n of one degree n, row k under its own l1
+    coefficient perturbation coeff_perturbs[k].
+
+    A row is proven Stable by sign alternation at points x_0 < ... < x_n
+    (_alternation_points): the Horner values v_i alternate in sign, each
+    |v_i| > eps max(1, |x_i|)^n + gamma_(2n+1) sum_k |a_k||x_i|^k with the
+    bound rounded upward, and |a_n| > eps.  Every q of degree <= n with
+    ||q - p||_1 <= eps has |q(x) - p(x)| <= eps max(1, |x|)^n, and v_i is
+    within gamma_(2n) sum_k |a_k||x_i|^k of p(x_i) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, eq. 5.3), so q changes sign
+    in each of the n intervals and, as |q_n| > 0, has only real roots.
+    Such a certificate has the note "sign alternation" and its points as
+    `alternation`; alternation_is_valid re-checks it exactly.  Every other
+    row gets is_real_rooted's verdict on its own.
+    """
+    a = np.asarray(coeffs, dtype=float)
+    eps = np.asarray(coeff_perturbs, dtype=float)
+    if a.ndim != 2 or a.shape[1] == 0 or eps.shape != a.shape[:1]:
+        raise ValueError("coeffs must be a (laws, n + 1) stack with one coeff_perturb per law")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite coefficient")
+    if not (np.isfinite(eps).all() and (eps >= 0).all()):
+        raise ValueError("coeff_perturb must be finite and >= 0")
+    xs, proven = _alternation_points(a, eps)
+    return [
+        StabilityCertificate(
+            Verdict.STABLE, tolerance_used=e, note="sign alternation", alternation=tuple(x)
+        )
+        if ok
+        else is_real_rooted(UniPoly.from_coeffs(row), coeff_perturb=e)
+        for row, e, x, ok in zip(a.tolist(), eps.tolist(), xs.tolist(), proven.tolist())
+    ]
+
+
+def _alternation_points(a: np.ndarray, eps: np.ndarray):
+    """(xs, proven) for the stack a of real_rooted_batch: each row's points,
+    the midpoints between the sorted real parts of its roots plus one point
+    beyond each end, and whether they prove it.  The roots of all rows
+    come from one np.linalg.eigvals call on their companion matrices; a
+    row with |a_n| <= eps or a companion entry past the float range is not
+    proven, nor is one whose points or bounds leave it."""
+    rows, n = a.shape[0], a.shape[1] - 1
+    xs, proven = np.zeros((rows, n + 1)), np.zeros(rows, dtype=bool)
+
+    def up(v):
+        return np.nextafter(v, np.inf)
+
+    with np.errstate(all="ignore"):
+        # the companion's first row, -a_(n-1)/a_n ... -a_0/a_n, as np.roots builds it
+        top = -a[:, -2::-1] / a[:, -1:]
+        live = np.flatnonzero((np.abs(a[:, -1]) > eps) & np.isfinite(top).all(axis=1))
+        if n == 0 or live.size == 0:
+            return xs, proven
+        comp = np.zeros((live.size, n, n))
+        comp[:, 0, :] = top[live]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        try:
+            re = np.sort(np.linalg.eigvals(comp).real, axis=1)
+        except np.linalg.LinAlgError:
+            return xs, proven
+        reach = np.maximum(1.0, re[:, -1:] - re[:, :1])
+        x = np.concatenate([re[:, :1] - reach, (re[:, 1:] + re[:, :-1]) / 2, re[:, -1:] + reach], 1)
+        # value, magnitude sum_k |a_k||x|^k and max(1, |x|)^n, rounded
+        # upward, in one Horner pass over all points of all rows
+        r = np.abs(x)
+        r1 = np.maximum(1.0, r)
+        val, mag, power = np.zeros_like(x), np.zeros_like(x), np.ones_like(x)
+        for k in range(n, -1, -1):
+            c = a[live, k : k + 1]
+            val = val * x + c
+            mag = mag * r + np.abs(c)
+            if k:
+                power = up(power * r1)
+        # gamma_(2n+1) m covers gamma_(2n) times the exact magnitude, which the
+        # computed m underestimates by at most the factor (1 - u)^(2n); the
+        # value's and the magnitude's underflow add less than n 2^-1073
+        # max(1, |x|)^n
+        gamma = (2 * n + 1) * _U / (1 - (2 * n + 1) * _U)
+        slack = up(eps[live, None] + n * 2.0**-1073)
+        bound = up(up(slack * power) + up(gamma * mag))
+        sign = np.sign(val)
+        ok = (sign[:, 1:] == -sign[:, :-1]).all(axis=1) & (np.abs(val) > bound).all(axis=1)
+    xs[live], proven[live] = x, ok
+    return xs, proven
+
+
+def alternation_is_valid(p: UniPoly, points: Sequence[float], coeff_perturb: float = 0.0) -> bool:
+    """Exact re-check of a sign-alternation certificate of p, of degree
+    n >= 1, in rationals read from p's coefficients and the float points.
+
+    The n + 1 points must increase strictly, p must alternate in sign on
+    them with |p(x_i)| > coeff_perturb max(1, |x_i|)^n, and the leading
+    coefficient must exceed coeff_perturb in modulus: then every
+    polynomial of degree <= n within coeff_perturb of p in l1 has n real
+    roots, one between each pair of neighbouring points.
+    """
+    n = p.degree
+    if n < 1 or len(points) != n + 1 or not (math.isfinite(coeff_perturb) and coeff_perturb >= 0):
+        return False
+    if not all(math.isfinite(x) for x in points):
+        return False
+    cs = [Fraction(c) for c in p.coeffs]
+    xs = [Fraction(x) for x in points]
+    e = Fraction(coeff_perturb)
+    if abs(cs[-1]) <= e or any(lo >= hi for lo, hi in zip(xs, xs[1:])):
+        return False
+    signs = []
+    for x in xs:
+        v = Fraction(0)
+        for c in reversed(cs):
+            v = v * x + c
+        if abs(v) <= e * max(1, abs(x)) ** n:
+            return False
+        signs.append(v > 0)
+    return all(s != t for s, t in zip(signs, signs[1:]))
 
 
 # ---------------------------------------------------------------------------

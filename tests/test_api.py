@@ -16,7 +16,7 @@ OPTIONS = {
     "Measure.point_mass": ["shape"],
     "Measure.poisson": ["box"],
     "SiteSystem.__init__": ["birth_fn", "death_fn"],
-    "StabilityCertificate.__init__": ["witness", "m", "tolerance_used", "note"],
+    "StabilityCertificate.__init__": ["witness", "m", "tolerance_used", "note", "alternation"],
     "UniPoly.zero": ["exact"],
     "certify_tstable": ["m_max", "tail_bound"],
     "evolve": ["tol"],

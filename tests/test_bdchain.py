@@ -1380,19 +1380,19 @@ class TestQuadDeathPreserveBlocks:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_checked_laws_match_exact_pure_death(self, monkeypatch, seed):
         params = {"count": 10, "deg_max": 8, "t_points": 7}
-        blocks, checked = [], []
-        transition_, verdict = bdchain.transition, cli.stability.is_real_rooted
+        blocks, batches = [], []
+        transition_, batch = bdchain.transition, cli.stability.real_rooted_batch
 
         def recording(*args, **kwargs):
             blocks.append(transition_(*args, **kwargs))
             return blocks[-1]
 
-        def judged(poly, coeff_perturb):
-            checked.append((poly, coeff_perturb))
-            return verdict(poly, coeff_perturb=coeff_perturb)
+        def judged(coeffs, coeff_perturbs):
+            batches.append((len(blocks) - 1, np.array(coeffs), np.array(coeff_perturbs)))
+            return batch(coeffs, coeff_perturbs)
 
         monkeypatch.setattr(bdchain, "transition", recording)
-        monkeypatch.setattr(cli.stability, "is_real_rooted", judged)
+        monkeypatch.setattr(cli.stability, "real_rooted_batch", judged)
         with counted_series(bdchain) as runs:
             passed, payload, _ = cli._run_quad_death_preserve(params, seed)
         monkeypatch.undo()
@@ -1403,24 +1403,26 @@ class TestQuadDeathPreserveBlocks:
         d_max = max(len(mu.weights) - 1 for mu in laws)
         assert [(b.N, b.t) for b in blocks] == [(d_max, t) for t in payload["t_grid"]]
         assert len(runs) == len(blocks)
+        # each block's batches take the laws by degree, in their order within one
+        by_degree = sorted(range(10), key=lambda i: len(laws[i].weights))
         delta = BirthDeathRates.quadratic_death().delta
-        # the t-th block serves the 10 laws in their order
-        for block, run, row in zip(blocks, runs, range(0, 70, 10)):
+        for b, (block, run) in enumerate(zip(blocks, runs)):
+            rows = [row for at, coeffs, perturbs in batches if at == b for row in zip(coeffs, perturbs)]
+            assert len(rows) == 10
             # the block's series ran at h = t 2^-k, lambda = d_max (d_max - 1)
             [lam_h] = run.lam_ts
             k = round(math.log2(delta(d_max) * block.t / lam_h))
             # the closed form's coefficients stay below 26 in modulus for
             # n <= 8, so 60 digits leave it far more than double precision
             exact = [exact_pure_death_law(delta, n, block.t, 60) for n in range(d_max + 1)]
-            for mu, (poly, perturb) in zip(laws, checked[row : row + 10]):
+            for j, (got, perturb) in zip(by_degree, rows):
+                mu = laws[j]
                 n = len(mu.weights)  # degree + 1
-                assert perturb == mu.tail_bound + block.trunc_error
+                assert len(got) == n and perturb == mu.tail_bound + block.trunc_error
                 want = [
                     sum(Decimal(m) * exact[i][k] for i, m in enumerate(mu.weights) if i >= k)
                     for k in range(n)
                 ]
-                got = np.zeros(n)
-                got[: poly.degree + 1] = poly.coeffs_float()
                 gap = sum(abs(Decimal(g) - w) for g, w in zip(got, want))
                 # the block's rows have mass 1; gamma_n bounds the product
                 # mu P(t) of n-term sums of nonnegative numbers, mu of mass 1

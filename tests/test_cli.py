@@ -292,6 +292,10 @@ def test_suite_passes_every_experiment(tmp_path, capsys):
     for name in EXPECTED_NAMES:
         artifact = json.loads((tmp_path / f"{name}.json").read_text())
         assert artifact["passed"] is True and artifact["seed"] == 0
+    # every law quad-death-preserve checks has exactly one kind of verdict
+    laws = json.loads((tmp_path / "quad-death-preserve.json").read_text())["results"]
+    kinds = laws["proven"] + laws["policy_stable"] + laws["inconclusive"] + laws["refuted"]
+    assert kinds == laws["checked"] == 700 and laws["proven"] > 0
 
 
 VALIDATED = sorted((name, key) for name, spec in EXPERIMENTS.items() for key in spec.get("valid", {}))

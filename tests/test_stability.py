@@ -13,9 +13,11 @@ from stablepgf.stability import (
     Verdict,
     _disjoint_factors,
     _refutes,
+    alternation_is_valid,
     certify_tstable,
     is_real_rooted,
     is_stable_multi,
+    real_rooted_batch,
     tstable_approximant,
     witness_is_valid,
 )
@@ -235,6 +237,164 @@ class TestOneRootPolicy:
         counted = exact_real_root_count(p) == p.degree
         certified = real_roots(p).certified_real_count == p.degree
         assert stable == counted == certified
+
+
+perturbs = st.one_of(st.just(0.0), st.floats(1e-16, 1e-6))
+
+
+@st.composite
+def float_stacks(draw, real_rooted: bool):
+    """A stack of one to five float polynomials of one degree n <= 8, each
+    with its own perturbation: products of real roots in [-3, 3], a few of
+    them with a complex pair in place of two roots, or, unless
+    real_rooted, random coefficients."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if real_rooted or draw(st.booleans()):
+            roots = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))
+            p = UniPoly.from_roots(roots).scale(draw(st.floats(1e-3, 1e3)))
+            if n >= 2 and not real_rooted and draw(st.booleans()):
+                re, im = draw(st.floats(-3, 3)), draw(st.floats(1e-9, 2))
+                p = UniPoly.from_roots(roots[2:]) * UniPoly.from_coeffs([re * re + im * im, -2 * re, 1.0])
+            row = list(p.coeffs_float()) + [0.0] * (n + 1 - len(p.coeffs))
+        else:
+            row = draw(st.lists(st.floats(-2, 2), min_size=n + 1, max_size=n + 1))
+        rows.append(row)
+    return np.array(rows), np.array([draw(perturbs) for _ in rows])
+
+
+def planted_pair(deg: int, a: float, b: float) -> UniPoly:
+    """certify's float input of degree deg: geometric real roots with a
+    planted pair a +- bi in place of the two largest."""
+    roots = np.concatenate([-0.05 * 1.3 ** np.arange(deg - 2), [a + 1j * b, a - 1j * b]])
+    return UniPoly.from_coeffs(list(np.poly(roots).real[::-1]))
+
+
+class TestRealRootedBatch:
+    @given(float_stacks(real_rooted=True))
+    @settings(max_examples=80, deadline=None)
+    def test_proven_rows_pass_the_exact_checker(self, stack):
+        coeffs, eps = stack
+        for row, e, cert in zip(coeffs, eps, real_rooted_batch(coeffs, eps)):
+            if cert.alternation is not None:
+                p = UniPoly.from_coeffs(list(row))
+                assert cert.verdict is Verdict.STABLE and cert.note == "sign alternation"
+                assert alternation_is_valid(p, cert.alternation, float(e))
+                exact = UniPoly.from_coeffs([F(c) for c in row])
+                assert exact_real_root_count(exact) == exact.degree == len(row) - 1
+
+    @given(float_stacks(real_rooted=False))
+    @settings(max_examples=80, deadline=None)
+    def test_other_verdicts_are_is_real_rooted(self, stack):
+        # a proven row is never one that is_real_rooted refutes, and every
+        # other row has is_real_rooted's certificate
+        coeffs, eps = stack
+        for row, e, cert in zip(coeffs, eps, real_rooted_batch(coeffs, eps)):
+            single = is_real_rooted(UniPoly.from_coeffs(list(row)), coeff_perturb=float(e))
+            if cert.alternation is None:
+                assert cert == single
+            else:
+                assert single.verdict is not Verdict.REFUTED
+                assert alternation_is_valid(UniPoly.from_coeffs(list(row)), cert.alternation, float(e))
+
+    @given(
+        st.integers(21, 30),
+        st.lists(st.tuples(st.floats(-1.1, -0.9), st.floats(0.45, 0.55)), min_size=1, max_size=3),
+        perturbs,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_planted_pairs_are_never_proven(self, deg, pairs, e):
+        coeffs = np.array([planted_pair(deg, a, b).coeffs_float() for a, b in pairs])
+        certs = real_rooted_batch(coeffs, np.full(len(pairs), e))
+        assert all(cert.alternation is None for cert in certs)
+
+    def test_trimmed_lead_pair_is_not_proven(self):
+        # roots -1, -2 and about 1.5 +- 1e7 i; is_real_rooted's own verdict
+        # on it is unchanged and still the float policy's
+        coeffs = [2.0, 3.0, 1 + 1e-14, 0.0, 1e-14]
+        [cert] = real_rooted_batch([coeffs], [0.0])
+        assert cert.alternation is None
+        assert cert == is_real_rooted(UniPoly.from_coeffs(coeffs))
+
+    def test_certificate_json(self):
+        # proven: the points are written; other certificates keep their keys
+        proven, pair = real_rooted_batch([[2.0, 3.0, 1.0], [1.0, 0.0, 1.0]], [1e-12, 0.0])
+        assert proven.to_json() == {
+            "verdict": "Stable",
+            "tolerance_used": 1e-12,
+            "note": "sign alternation",
+            "alternation": list(proven.alternation),
+        }
+        assert alternation_is_valid(UniPoly.from_coeffs([2.0, 3.0, 1.0]), proven.alternation, 1e-12)
+        assert "alternation" not in pair.to_json() and pair.verdict is Verdict.REFUTED
+
+    def test_perturbation_above_the_lead_is_not_proven(self):
+        [cert] = real_rooted_batch([[2.0, 3.0, 1e-3]], [1e-3])
+        assert cert.alternation is None
+
+    @pytest.mark.parametrize(
+        "coeffs, eps",
+        [
+            ([[1.0, math.nan]], [0.0]),
+            ([[1.0, math.inf]], [0.0]),
+            ([[1.0, 1.0]], [math.nan]),
+            ([[1.0, 1.0]], [math.inf]),
+            ([[1.0, 1.0]], [-1e-12]),
+            ([[1.0, 1.0]], [0.0, 0.0]),
+            ([1.0, 1.0], [0.0]),
+        ],
+    )
+    def test_bad_input_rejected(self, coeffs, eps):
+        with pytest.raises(ValueError):
+            real_rooted_batch(coeffs, eps)
+
+    def test_huge_roots_are_not_proven_and_raise_no_warning(self):
+        # roots near 1e300: the points and max(1, |x|)^n leave the float
+        # range; a subnormal lead puts the companion past it.  Tier-1 makes
+        # every RuntimeWarning an error.
+        rows = [[1.0, -1e300, 1.0], [1.0, 1.0, 1e-320], [2.0, 3.0, 1.0]]
+        certs = real_rooted_batch(rows, [0.0, 0.0, 0.0])
+        assert [cert.alternation is None for cert in certs] == [True, True, False]
+        for row, cert in zip(rows[:2], certs):
+            assert cert == is_real_rooted(UniPoly.from_coeffs(row))
+
+    def test_degree_zero_and_empty_stacks(self):
+        assert real_rooted_batch(np.zeros((0, 3)), []) == []
+        assert real_rooted_batch([[2.0], [0.0]], [0.0, 0.0]) == [
+            is_real_rooted(UniPoly.from_coeffs([2.0])),
+            is_real_rooted(UniPoly.from_coeffs([0.0])),
+        ]
+
+
+class TestAlternationChecker:
+    p = UniPoly.from_coeffs([2.0, 3.0, 1.0])  # roots -1 and -2
+
+    def test_accepts_separating_points(self):
+        assert alternation_is_valid(self.p, (-3.0, -1.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "points, eps",
+        [
+            ((-3.0, -1.5), 0.0),  # too few points
+            ((0.0, -1.5, -3.0), 0.0),  # not increasing
+            ((-3.0, -1.5, -1.5), 0.0),
+            ((-3.0, -1.0, 0.0), 0.0),  # a root: value 0
+            ((-3.0, -1.5, math.nan), 0.0),
+            ((-3.0, -1.5, 0.0), 0.2),  # |p(-1.5)| = 0.25 <= 0.2 * 1.5^2
+            ((-3.0, -1.5, 0.0), 1.0),  # the lead within the perturbation
+            ((-3.0, -1.5, 0.0), -1.0),
+            ((-3.0, -1.5, 0.0), math.inf),
+        ],
+    )
+    def test_rejects(self, points, eps):
+        assert not alternation_is_valid(self.p, points, eps)
+
+    def test_reads_the_floats_exactly(self):
+        # the float 1/3 lies below 1/3, where 3x - 1 is still negative
+        p = UniPoly.from_coeffs([-1.0, 3.0])
+        assert alternation_is_valid(p, (0.0, 1.0))
+        assert not alternation_is_valid(p, (0.0, 1 / 3))
 
 
 class TestIsStableMulti:
