@@ -64,13 +64,12 @@ class Measure:
 
     @classmethod
     def point_mass(cls, alpha, shape=None) -> "Measure":
-        if isinstance(alpha, int):
-            alpha = (alpha,)
-        alpha = tuple(int(a) for a in alpha)
-        if any(a < 0 for a in alpha):
-            raise ValueError(f"point mass at negative count {alpha}")
+        alpha = tuple(_check_count(a, "count", low=0) for a in (alpha if np.ndim(alpha) else [alpha]))
         if shape is None:
             shape = tuple(a + 1 for a in alpha)
+        shape = tuple(_check_count(s, "shape", low=0) for s in (shape if np.ndim(shape) else [shape]))
+        if len(shape) != len(alpha) or any(a >= s for a, s in zip(alpha, shape)):
+            raise ValueError(f"point mass at {alpha} outside shape {shape}")
         w = np.zeros(shape)
         w[alpha] = 1.0
         return cls(w)
@@ -85,8 +84,7 @@ class Measure:
     def poisson(cls, sigma: float, box: int | None = None) -> "Measure":
         if not (math.isfinite(sigma) and sigma >= 0):
             raise ValueError("sigma must be finite and >= 0")
-        if box is None:
-            box = poisson_box(sigma)
+        box = poisson_box(sigma) if box is None else _check_count(box, "box", low=0)
         w, err = _poisson_weights(sigma, _POISSON_TOL, box + 1)
         return cls(w[: box + 1], tail_bound=err + math.fsum(w[box + 1 :]))
 
@@ -235,7 +233,8 @@ class BPDecomposition:
 
 def bp_synthesize(q: int, sigma: float, p_list: Sequence[float], box: int) -> Measure:
     """Convolve a point mass at q, a truncated Poisson(sigma), and Bernoullis."""
-    if q < 0 or not (math.isfinite(sigma) and sigma >= 0):
+    q, box = _check_count(q, "q", low=0), _check_count(box, "box", low=0)
+    if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError("q must be >= 0 and sigma finite and >= 0")
     if any(not 0 < p < 1 for p in p_list):
         raise ValueError("Bernoulli parameters must lie in (0,1)")

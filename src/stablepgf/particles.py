@@ -17,8 +17,8 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
+from . import bdchain
 from .bdchain import _check_time, _rate_arrays, _uniformized_series
 from .config import DEFAULT
 from .measures import InputRangeError, Measure, _check_count, _check_tol
@@ -142,10 +142,14 @@ def single_jump_transform(f: MultiPoly, i: int, j: int, p: float) -> MultiPoly:
 
 @dataclass(frozen=True)
 class PGFWithExpFactor:
-    """poly(x) * prod_i exp(exp_rates[i] * (x_i - 1))."""
+    """poly(x) * prod_i exp(exp_rates[i] * (x_i - 1)), each rate finite >= 0."""
 
     poly: MultiPoly
     exp_rates: tuple
+
+    def __post_init__(self):
+        if len(self.exp_rates) != self.nvars or not all(math.isfinite(r) and r >= 0 for r in self.exp_rates):
+            raise ValueError(f"exp_rates must be one finite rate >= 0 per variable: {self.exp_rates}")
 
     @property
     def nvars(self) -> int:
@@ -174,13 +178,45 @@ class PGFWithExpFactor:
         return Measure(w, tail_bound=max(0.0, 1.0 - float(w.sum())))
 
 
-def _site_generator(system: SiteSystem) -> np.ndarray:
-    """Per-particle substochastic generator on the site set (death exits)."""
-    G = np.array(system.jump, dtype=float)
-    np.fill_diagonal(G, 0.0)
-    for i in range(system.n):
-        G[i, i] = -(G[i].sum() + system.death[i])
-    return G
+def _order1_blocks(system: SiteSystem, t: float):
+    """e^{tG}, integral_0^t e^{uG} du and the death probabilities by t of
+    the per-particle generator G: the top blocks of e^{tB}, B = [[G, I, d],
+    [0, 0, 0], [0, 0, 0]], d the death rates (Van Loan, IEEE TAC 23(3),
+    1978).  The series runs B's site rows, uniformized at the largest
+    out-rate lambda, with n integral columns fed at rate 1/lambda and the
+    dead state as the absorbing column, at h = t 2^-k, k = _halvings(lambda
+    t, n), and tolerance 1e-15; the other rows of e^{hB} are the identity's,
+    and the matrix is squared k times.  All rates 0 give I and t I at once.
+
+    A term j row has mass 1 on the sites and dead state, as the kernel
+    needs, but up to j/lambda on the integral, whose sum is at most h.  As
+    j P(X = j) = lambda h P(X = j - 1), X ~ Poisson(lambda h), the integral
+    misses at most h (tail + P(X = J)), tail the kernel's bound and J its
+    last term: an error relative to h.  Squaring [[M, A, c], [0, I, 0],
+    [0, 0, 1]] at time s gives the integral M A + A; with M within e and A
+    within s a, that is within 2s (a + e/2) to first order, so relative to
+    its time the integral's error grows like the sites'.
+    """
+    n = system.n
+    J = np.array(system.jump)
+    np.fill_diagonal(J, 0.0)
+    outflow = J.sum(axis=1) + system.death
+    lam = float(outflow.max())
+    if lam == 0.0:
+        return np.eye(n), t * np.eye(n), np.zeros(n)
+    if not math.isfinite(lam * t):
+        raise InputRangeError("lambda*t overflows the float range")
+    S = np.eye(2 * n + 1)  # the one-jump matrix I + B/lambda
+    S[:n, :n] = J / lam + np.diag(1.0 - outflow / lam)
+    S[:n, n:] = np.hstack([np.eye(n), system.death[:, None]]) / lam
+    k = bdchain._halvings(lam * t, n)
+    [(rows, _)] = _uniformized_series(
+        np.eye(n, 2 * n + 1), lambda v, out: np.matmul(v, S, out=out), [lam * math.ldexp(t, -k)], 1e-15, n + 4
+    )
+    P = np.vstack([rows, np.eye(n + 1, 2 * n + 1, n)])
+    for _ in range(k):
+        P = P @ P
+    return P[:n, :n], P[:n, n : 2 * n], P[:n, 2 * n]
 
 
 def exact_pgf_transform(
@@ -191,8 +227,7 @@ def exact_pgf_transform(
     Each variable is substituted by the affine per-particle transition
     s_i(t) = P(dead by t | i) + sum_j P(at j at t | i) x_j, and constant
     births multiply in an exponential factor whose rates are the
-    birth-vector integral of the semigroup; the top blocks of the
-    exponential of [[G, I], [0, 0]] t are e^{Gt} and that integral.
+    birth-vector integral of the semigroup, from _order1_blocks.
     """
     if not system.is_order1:
         raise ValueError("exact transform requires order-1 rates")
@@ -202,11 +237,7 @@ def exact_pgf_transform(
     n = system.n
     if f.nvars != n:
         raise ValueError("variable count does not match site count")
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = _site_generator(system)
-    aug[:n, n:] = np.eye(n)
-    M, A = np.hsplit(expm(aug * t)[:n], 2)  # e^{Gt} and integral_0^t e^{G u} du
-    dead = 1.0 - M.sum(axis=1)
+    M, A, dead = _order1_blocks(system, t)
     lam_new = system.birth @ A
     lam_through = np.asarray(f.exp_rates, dtype=float) @ M
     poly = f.poly.compose_affine(list(dead), M.tolist())

@@ -357,6 +357,12 @@ class TestBoolIsNotACount:
             "steps",
             lambda v: lie_split_evolve(Measure.point_mass(1), 1.0, 1.0, 1.0, 0.5, v),
         ),
+        "point_mass": ("count", lambda v: Measure.point_mass(v)),
+        "point_mass-tuple": ("count", lambda v: Measure.point_mass((1, v))),
+        "point_mass-shape": ("shape", lambda v: Measure.point_mass(0, shape=(v,))),
+        "poisson-box": ("box", lambda v: Measure.poisson(1.0, box=v)),
+        "bp_synthesize-q": ("q", lambda v: bp_synthesize(v, 1.0, [0.5], 3)),
+        "bp_synthesize-box": ("box", lambda v: bp_synthesize(0, 1.0, [0.5], v)),
         "gillespie_empirical-samples": (
             "samples",
             lambda v: particles.gillespie_empirical(
@@ -383,3 +389,40 @@ class TestBoolIsNotACount:
         name, call = self.callers[caller]
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             call(value)
+
+
+class TestMeasureCounts:
+    """Counts at the Measure boundary are integers >= 0, and a point mass
+    lies inside its shape, all refused with ValueError before any array is
+    sized."""
+
+    @pytest.mark.parametrize("alpha, shape", [((3,), (2,)), (2, (2,)), ((1, 1), (2,)), ((1,), (2, 2)), (0, (0,))])
+    def test_point_mass_outside_its_shape(self, alpha, shape):
+        with pytest.raises(ValueError, match="outside shape"):
+            Measure.point_mass(alpha, shape=shape)
+
+    def test_point_mass_far_outside_its_shape_sizes_nothing(self):
+        with pytest.raises(ValueError, match="outside shape"):
+            Measure.point_mass((10**12,), shape=(10**12,))
+
+    @pytest.mark.parametrize("alpha", [2.0, (1, 2.5), -1, (0, -3)])
+    def test_point_mass_counts(self, alpha):
+        with pytest.raises(ValueError, match="count must be"):
+            Measure.point_mass(alpha)
+
+    def test_point_mass_accepts_numpy_integers(self):
+        m = Measure.point_mass(np.array([1, 2]), shape=(np.int64(2), 4))
+        assert m.weights[1, 2] == 1.0 and m.shape == (2, 4)
+
+    @pytest.mark.parametrize("box, message", [(-1, "box must be >= 0"), (2.5, "box must be an integer")])
+    def test_poisson_box(self, box, message):
+        with pytest.raises(ValueError, match=message):
+            Measure.poisson(1.0, box=box)
+
+    @pytest.mark.parametrize(
+        "q, box, message",
+        [(0.5, 3, "q must be an integer"), (-1, 3, "q must be >= 0"), (0, 3.5, "box must be an integer"), (0, -1, "box must be >= 0")],
+    )
+    def test_bp_synthesize_counts(self, q, box, message):
+        with pytest.raises(ValueError, match=message):
+            bp_synthesize(q, 1.0, [0.5], box)

@@ -222,6 +222,45 @@ class TestExactTransform:
         assert not m.weights[0].any() and not m.weights[2].any()
         assert np.allclose(m.weights[1], pois, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "rates", [(0.5,), (0.5, 0.5, 0.5), (math.nan, 0.0), (0.0, math.inf), (-0.1, 0.0)]
+    )
+    def test_rates_must_match_variables(self, rates):
+        with pytest.raises(ValueError, match="one finite rate >= 0 per variable"):
+            PGFWithExpFactor(MultiPoly.from_dict({(0, 0): 1.0}, 2), rates)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        jumps=st.sampled_from(["full", "zero", "upper", "lower"]),
+        deaths=st.booleans(),
+        t=st.floats(0.01, 20),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_match_expm(self, seed, n, jumps, deaths, t):
+        # Van Loan's matrix with the death column: expm gives e^{tG}, its
+        # integral and the death probabilities as the top blocks
+        rng = np.random.default_rng(seed)
+        jump = {"full": lambda J: J, "zero": np.zeros_like, "upper": np.triu, "lower": np.tril}[jumps](
+            rng.uniform(0, 2, (n, n))
+        )
+        death = rng.uniform(0, 2, n) if deaths else np.zeros(n)
+        system = SiteSystem(jump=jump, birth=rng.uniform(0.1, 2, n), death=death)
+        G = jump * (1 - np.eye(n))
+        G -= np.diag(G.sum(axis=1) + death)
+        B = np.zeros((2 * n + 1, 2 * n + 1))
+        B[:n] = np.hstack([G, np.eye(n), death[:, None]])
+        E = expm(B * t)
+        # x_i maps to its row: sum_j M_ij x_j plus the death probability
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        for i, unit in enumerate(units):
+            out = exact_pgf_transform(MultiPoly.from_dict({unit: 1.0}, n), system, t)
+            terms = out.poly.terms_dict()
+            got = [terms.get(u, 0.0) for u in units] + [terms.get((0,) * n, 0.0)]
+            assert np.abs(np.array(got) - E[i, list(range(n)) + [2 * n]]).sum() <= 1e-13
+        want = system.birth @ E[:n, n : 2 * n]
+        assert (np.abs(np.array(out.exp_rates) - want) <= 1e-12 * want).all()
+
     def test_semigroup_property(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
@@ -249,6 +288,34 @@ class TestExactTransform:
                 UniPoly.from_coeffs(list(law.weights)), coeff_perturb=out.tail_bound + 1e-10
             )
             assert cert.verdict is not Verdict.REFUTED
+
+
+class TestTransformTimeRange:
+    """A large t costs only squarings: the blocks stay nonnegative, and at
+    t = 1e300 the birth rates are the stationary b (-G)^-1."""
+
+    system = SiteSystem(jump=np.array([[0.0, 0.5], [0.3, 0.0]]), birth=np.array([1.0, 0.2]), death=np.array([1.0, 0.0]))
+    f = MultiPoly.from_dict({(1, 1): 1.0}, 2)
+
+    def test_long_time_has_no_negative_coefficient(self):
+        out = exact_pgf_transform(self.f, self.system, 1e4)
+        assert min(c for _, c in out.poly.terms) >= 0
+        assert min(out.exp_rates) >= 0
+
+    def test_stationary_rates(self):
+        out = exact_pgf_transform(self.f, self.system, 1e300)
+        assert out.exp_rates == pytest.approx((1.2, 8 / 3), rel=1e-12, abs=0)
+
+    def test_zero_time_keeps_terms_and_rates(self):
+        f = PGFWithExpFactor(self.f, (0.3, 0.7))
+        out = exact_pgf_transform(f, self.system, 0.0)
+        assert out.poly.terms == f.poly.terms
+        assert out.exp_rates == f.exp_rates
+
+    def test_overflowing_lambda_t_refused(self):
+        fast = SiteSystem(jump=np.array([[0.0, 1e10], [0.3, 0.0]]), birth=np.ones(2), death=np.zeros(2))
+        with pytest.raises(InputRangeError, match="overflows"):
+            exact_pgf_transform(self.f, fast, 1e300)
 
 
 class TestTruncatedEvolve:
