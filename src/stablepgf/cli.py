@@ -3,12 +3,14 @@
 Each experiment writes one JSON artifact (plus CSV for root trajectories)
 into the output directory and exits 0 only when all of its assertions
 hold.  Outputs carry no timestamps, so reruns with identical
-configuration are byte-identical.
+configuration are byte-identical: a rerun leaves an unchanged artifact in
+place (same inode and mtime) and replaces a changed one atomically.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -26,13 +28,23 @@ SCHEMA_VERSION = 1
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it into place."""
+    """Leave path untouched when it already holds text's UTF-8 bytes; else
+    write them to a temporary file beside path and rename it into place."""
+    data = text.encode("utf-8")
+    with contextlib.suppress(OSError), open(path, "rb") as fh:
+        if fh.read(len(data) + 1) == data:
+            return
     folder = os.path.dirname(path) or "."
     os.makedirs(folder, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -485,6 +497,14 @@ def main(argv: list | None = None) -> int:
     for flag, ok in (("seed", lambda s: s >= 0), ("tol", lambda x: 0 < x < math.inf)):
         if args.command in ("run", "suite") and not ok(getattr(args, flag)):
             print(f"--{flag}={getattr(args, flag)!r} is out of range", file=sys.stderr)
+            return 2
+    if args.command in ("run", "suite"):
+        # refused here, not at the first artifact write after the work
+        found = os.path.abspath(args.out)
+        while not os.path.exists(found):
+            found = os.path.dirname(found)
+        if not os.path.isdir(found):
+            print(f"--out={args.out}: {found} is not a directory", file=sys.stderr)
             return 2
     if args.command == "list":
         for name in EXPERIMENTS:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -275,6 +276,100 @@ class TestRun:
         data = json.loads((out / "particles-na.json").read_text())
         assert data["params"]["count"] == 2
         assert data["results"]["fixtures"] == 2
+
+
+
+def _files(out):
+    """Each file in out by name: its inode, mtime and bytes."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes()) for p in out.iterdir()}
+
+
+class TestArtifactWrites:
+    """A rerun leaves an identical artifact in place and replaces any other
+    file at its path atomically, through a temporary file that never
+    outlives the write."""
+
+    def test_suite_rerun_keeps_each_artifact(self, tmp_path, capsys):
+        assert main(["suite", "--out", str(tmp_path)]) == 0
+        first = _files(tmp_path)
+        assert main(["suite", "--out", str(tmp_path)]) == 0
+        assert _files(tmp_path) == first
+        assert {name.rsplit(".", 1)[1] for name in first} == {"json", "csv"}
+
+    def test_changed_artifact_is_replaced(self, tmp_path):
+        args = ["run", "quad-death-preserve", "--param", "count=5"]
+        path = tmp_path / "a" / "quad-death-preserve.json"
+        assert main([*args, "--out", str(tmp_path / "a")]) == 0
+        inode, old = path.stat().st_ino, path.read_bytes()
+        assert main([*args, "--seed", "1", "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--seed", "1", "--out", str(tmp_path / "b")]) == 0
+        assert path.stat().st_ino != inode
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes() != old
+        assert os.listdir(tmp_path / "a") == [path.name]
+
+    @pytest.mark.parametrize("stale", ["truncated", "extended", "garbage", "empty"])
+    def test_stale_file_is_replaced(self, tmp_path, stale):
+        name = "birth-monotonicity.json"
+        assert main(["run", "birth-monotonicity", "--out", str(tmp_path / "fresh")]) == 0
+        data = (tmp_path / "fresh" / name).read_bytes()
+        path = tmp_path / "out" / name
+        path.parent.mkdir()
+        path.write_bytes(
+            {"truncated": data[:-1], "extended": data + b"\n", "garbage": b"\xff" * len(data), "empty": b""}[
+                stale
+            ]
+        )
+        inode = path.stat().st_ino
+        assert main(["run", "birth-monotonicity", "--out", str(path.parent)]) == 0
+        assert path.read_bytes() == data
+        assert path.stat().st_ino != inode
+        assert os.listdir(path.parent) == [name]
+
+    def test_directory_at_the_artifact_path_raises_and_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "birth-monotonicity.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            main(["run", "birth-monotonicity", "--out", str(tmp_path)])
+        assert os.listdir(tmp_path) == ["birth-monotonicity.json"]
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failed_write_raises_and_leaves_no_temp_file(self, tmp_path, monkeypatch, failing):
+        fdopen = os.fdopen
+
+        class FullDisk:
+            def __init__(self, fd, mode):
+                self.fh = fdopen(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, "Permission denied", dst)
+
+        if failing == "write":
+            monkeypatch.setattr(os, "fdopen", FullDisk)
+        else:
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            main(["run", "birth-monotonicity", "--out", str(tmp_path)])
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_is_or_lies_under_a_file_exits_2(self, tmp_path, capsys, command, under):
+        # refused before any experiment runs, so no PASS line is printed
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "sub" / "dir" if under else blocker
+        name = ["double-root-counterexample"] if command == "run" else []
+        assert main([command, *name, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"--out={out}: {blocker} is not a directory\n")
+        assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == "kept"
 
 
 def test_every_registered_experiment_has_claim_and_defaults():
